@@ -17,7 +17,6 @@ import numpy as np
 from . import harness, kernels, krr, phenosim, spectra
 from .exceptions import ConditionNotMet, DataError, KernheritError, NumericalError
 from .genotypes import (
-    GenotypeMatrix,
     MafLaw,
     read_genotype_csv,
     simulate_hwe,
@@ -63,16 +62,6 @@ def _gaussian_bandwidth_arg(raw: str):
     if value <= 0:
         raise argparse.ArgumentTypeError("bandwidth must be positive")
     return value
-
-
-def _resolve_bandwidth(arg, standardize: bool, n_snps: int) -> float:
-    if arg is not None:
-        return float(arg)
-    return n_snps / 2.0 if standardize else 1.0
-
-
-def _design(g: GenotypeMatrix, standardize: bool) -> np.ndarray:
-    return g.standardized() if standardize else g.as_float()
 
 
 def _add_pipeline_flags(parser) -> None:
@@ -157,8 +146,10 @@ def cmd_estimate(args) -> int:
         )
     if args.covariates is not None:
         y = krr.residualize(y, _read_matrix(args.covariates))
-    design = _design(genotypes, args.standardize)
-    bandwidth = _resolve_bandwidth(args.gaussian_bandwidth, args.standardize, genotypes.p)
+    design = kernels.design_matrix(genotypes, args.standardize)
+    bandwidth = kernels.resolve_gaussian_bandwidth(
+        args.gaussian_bandwidth, args.standardize, genotypes.p
+    )
     grid = tuple(args.nlambda) if args.nlambda else krr.DEFAULT_NLAMBDA_GRID
 
     lines = [krr.estimate_csv_header()]
@@ -183,8 +174,10 @@ def cmd_diagnose(args) -> int:
         raise DataError(
             f"phenotype length {y.shape[0]} does not match genotype rows {genotypes.n}"
         )
-    design = _design(genotypes, args.standardize)
-    bandwidth = _resolve_bandwidth(args.gaussian_bandwidth, args.standardize, genotypes.p)
+    design = kernels.design_matrix(genotypes, args.standardize)
+    bandwidth = kernels.resolve_gaussian_bandwidth(
+        args.gaussian_bandwidth, args.standardize, genotypes.p
+    )
     kernel = kernels.make_kernel(args.kernel, design, gaussian_bandwidth=bandwidth)
     fit_res = krr.fit(kernel, y, args.nlambda)
     if args.true_g is not None:

@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .exceptions import DataError
 from .genotypes import GenotypeMatrix, MafLaw, simulate_hwe, subsample, subsample_indices
-from .kernels import KERNEL_KINDS, make_kernel
+from .kernels import KERNEL_KINDS, design_matrix, make_kernel, resolve_gaussian_bandwidth
 from .krr import DEFAULT_NLAMBDA_GRID, lambda_grid_fit
 from .phenosim import FAMILIES, Population, SimulationSpec, build_population
 
@@ -50,7 +50,6 @@ class McConfig:
     """Full recipe for one Monte Carlo run."""
 
     scenario: str = "hwe"
-    dimensionality: str = "low"
     family: str = "linear"
     kernels: tuple[str, ...] = KERNEL_KINDS
     lambda_grid: tuple[float, ...] = DEFAULT_NLAMBDA_GRID
@@ -69,8 +68,6 @@ class McConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
-        if self.dimensionality not in ("low", "high"):
-            raise ValueError(f"dimensionality must be 'low' or 'high', got {self.dimensionality!r}")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if not self.kernels:
@@ -93,15 +90,10 @@ class McConfig:
             raise ValueError("gaussian_bandwidth must be positive when given")
 
     def resolved_gaussian_bandwidth(self) -> float:
-        """Bandwidth actually used for the Gaussian kernel.
-
-        Defaults to p/2 on standardized inputs (the scale at which
-        pairwise squared distances between standardized rows
-        concentrate) and to 1 on raw allele counts.
-        """
-        if self.gaussian_bandwidth is not None:
-            return float(self.gaussian_bandwidth)
-        return self.snp_count / 2.0 if self.standardize else 1.0
+        """Bandwidth actually used for the Gaussian kernel."""
+        return resolve_gaussian_bandwidth(
+            self.gaussian_bandwidth, self.standardize, self.snp_count
+        )
 
 
 @dataclass(frozen=True)
@@ -177,7 +169,7 @@ def _rep_estimates(row_idx: np.ndarray) -> np.ndarray:
     cfg: McConfig = _WORKER_STATE["cfg"]
     pop: Population = _WORKER_STATE["pop"]
     z_rows = GenotypeMatrix(pop.genotypes.data[row_idx], maf=pop.genotypes.maf)
-    design = z_rows.standardized() if cfg.standardize else z_rows.as_float()
+    design = design_matrix(z_rows, cfg.standardize)
     y = pop.phenotypes[row_idx]
     bandwidth = cfg.resolved_gaussian_bandwidth()
     out = np.empty((len(cfg.kernels), len(cfg.lambda_grid)))
@@ -415,52 +407,45 @@ def write_manifest(cfg: McConfig, path, workers: int = 1) -> None:
 # Named presets mirroring the stock simulation settings.
 
 
-def _preset(**kwargs) -> McConfig:
-    return McConfig(**kwargs)
-
-
 PRESETS: dict[str, McConfig] = {
     # Hardy-Weinberg scenario, low-dimensional (N > p).
-    "hwe-linear-low": _preset(family="linear", population_size=1000, snp_count=500, sigma_g=0.02),
-    "hwe-quadratic-low": _preset(
+    "hwe-linear-low": McConfig(family="linear", population_size=1000, snp_count=500, sigma_g=0.02),
+    "hwe-quadratic-low": McConfig(
         family="quadratic", population_size=1000, snp_count=500, sigma_g=0.03
     ),
-    "hwe-trigonometric-low": _preset(
+    "hwe-trigonometric-low": McConfig(
         family="trigonometric", population_size=1000, snp_count=500, sigma_g=0.02
     ),
     # Hardy-Weinberg scenario, high-dimensional (N < p).
-    "hwe-linear-high": _preset(
+    "hwe-linear-high": McConfig(
         family="linear",
-        dimensionality="high",
         population_size=500,
         snp_count=1000,
         sigma_g=0.01,
         sample_sizes=HIGH_DIM_SAMPLE_SIZES,
     ),
-    "hwe-quadratic-high": _preset(
+    "hwe-quadratic-high": McConfig(
         family="quadratic",
-        dimensionality="high",
         population_size=500,
         snp_count=1000,
         sigma_g=0.02,
         sample_sizes=HIGH_DIM_SAMPLE_SIZES,
     ),
-    "hwe-trigonometric-high": _preset(
+    "hwe-trigonometric-high": McConfig(
         family="trigonometric",
-        dimensionality="high",
         population_size=500,
         snp_count=1000,
         sigma_g=0.05,
         sample_sizes=HIGH_DIM_SAMPLE_SIZES,
     ),
     # External-genotype scenario (user-supplied matrix), low-dimensional.
-    "kgp-linear-low": _preset(
+    "kgp-linear-low": McConfig(
         scenario="external", family="linear", population_size=1092, snp_count=500, sigma_g=0.02
     ),
-    "kgp-quadratic-low": _preset(
+    "kgp-quadratic-low": McConfig(
         scenario="external", family="quadratic", population_size=1092, snp_count=500, sigma_g=0.03
     ),
-    "kgp-trigonometric-low": _preset(
+    "kgp-trigonometric-low": McConfig(
         scenario="external",
         family="trigonometric",
         population_size=1092,
@@ -468,35 +453,32 @@ PRESETS: dict[str, McConfig] = {
         sigma_g=0.05,
     ),
     # External-genotype scenario, high-dimensional.
-    "kgp-linear-high": _preset(
+    "kgp-linear-high": McConfig(
         scenario="external",
         family="linear",
-        dimensionality="high",
         population_size=1092,
         snp_count=1500,
         sigma_g=0.01,
         sample_sizes=HIGH_DIM_SAMPLE_SIZES,
     ),
-    "kgp-quadratic-high": _preset(
+    "kgp-quadratic-high": McConfig(
         scenario="external",
         family="quadratic",
-        dimensionality="high",
         population_size=1092,
         snp_count=1500,
         sigma_g=0.015,
         sample_sizes=HIGH_DIM_SAMPLE_SIZES,
     ),
-    "kgp-trigonometric-high": _preset(
+    "kgp-trigonometric-high": McConfig(
         scenario="external",
         family="trigonometric",
-        dimensionality="high",
         population_size=1092,
         snp_count=1500,
         sigma_g=0.05,
         sample_sizes=HIGH_DIM_SAMPLE_SIZES,
     ),
     # Small configuration that exercises the full pipeline in seconds.
-    "desk": _preset(
+    "desk": McConfig(
         family="linear",
         population_size=300,
         snp_count=60,

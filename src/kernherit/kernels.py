@@ -9,8 +9,11 @@ design matrix):
     gaussian    K_ij = exp(-||x_i - x_j||^2 / (2 * bandwidth)), unit diagonal
 
 The Gaussian bandwidth defaults to 1. The eigendecomposition of a kernel
-is computed lazily, exactly once even under concurrent access, and is
-reused by every ridge fit over a regularization grid.
+is computed lazily, exactly once even under concurrent access, checked
+to be numerically PSD, and reused by every ridge fit over a
+regularization grid. :func:`design_matrix` and
+:func:`resolve_gaussian_bandwidth` turn genotypes and pipeline settings
+into kernel inputs, for the CLI and the Monte Carlo harness alike.
 """
 
 from __future__ import annotations
@@ -37,6 +40,23 @@ def _as_design(x) -> np.ndarray:
     return x
 
 
+def design_matrix(g: GenotypeMatrix, standardize: bool) -> np.ndarray:
+    """Kernel input: column-standardized genotypes, or raw allele counts."""
+    return g.standardized() if standardize else g.as_float()
+
+
+def resolve_gaussian_bandwidth(bandwidth: float | None, standardize: bool, n_snps: int) -> float:
+    """Gaussian bandwidth actually used; ``None`` picks the default.
+
+    The default is p/2 on standardized inputs (the scale at which
+    pairwise squared distances between standardized rows concentrate)
+    and 1 on raw allele counts.
+    """
+    if bandwidth is not None:
+        return float(bandwidth)
+    return n_snps / 2.0 if standardize else 1.0
+
+
 class KernelMatrix:
     """A named symmetric PSD kernel with a cached eigendecomposition."""
 
@@ -58,16 +78,17 @@ class KernelMatrix:
 
     @property
     def eig(self) -> EigenDecomposition:
-        """Spectral factorization, computed on first access (single-flight)."""
+        """Spectral factorization, computed on first access (single-flight).
+
+        Raises NumericalError if the matrix is not numerically PSD.
+        """
         if self._eig is None:
             with self._eig_lock:
                 if self._eig is None:
-                    self._eig = matrixcore.eigh(self.matrix)
+                    dec = matrixcore.eigh(self.matrix)
+                    matrixcore.require_psd(dec)
+                    self._eig = dec
         return self._eig
-
-    def write_csv(self, path) -> None:
-        """Dump the raw kernel entries to CSV (debugging aid)."""
-        np.savetxt(path, self.matrix.data, delimiter=",", fmt="%.17g")
 
 
 def _linear_gram(x) -> SymMatrix:

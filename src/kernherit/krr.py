@@ -12,10 +12,9 @@ the fitted signal is g_hat = K alpha, and the variance components are
     sigma_eps2_hat = mean squared residual ||Y - g_hat||^2 / n
     h2_hat         = sigma_g2_hat / (sigma_g2_hat + sigma_eps2_hat).
 
-Fits reuse the kernel's cached eigendecomposition when present (the
-dominant workload sweeps a grid of nlambda values over one spectrum) and
-otherwise fall back to a Cholesky solve; the two routes agree to
-roundoff.
+Every fit solves over the kernel's cached eigendecomposition, so a
+sweep over a grid of nlambda values (the dominant workload) factors the
+kernel once.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import matrixcore
 from .kernels import KernelMatrix
 
 # Candidate values of n*lambda swept by the stock estimation protocol.
@@ -93,23 +91,16 @@ def _finalize(k: KernelMatrix, y: np.ndarray, nlambda: float, alpha: np.ndarray)
     )
 
 
-def fit(k: KernelMatrix, y, nlambda: float, method: str = "auto") -> KrrFit:
+def fit(k: KernelMatrix, y, nlambda: float) -> KrrFit:
     """Fit kernel ridge regression at one regularization strength.
 
-    ``method`` is "auto" (spectral when the kernel's eigendecomposition
-    is already cached, Cholesky otherwise), "spectral", or "cholesky".
+    Solves over ``k.eig``, which is computed on first use and shared by
+    later fits on the same kernel.
     """
     y = _validate_fit_inputs(k, y, nlambda)
-    if method == "auto":
-        method = "spectral" if k.has_eig else "cholesky"
-    if method == "spectral":
-        eig = k.eig
-        coeffs = (eig.eigenvectors.T @ y) / (eig.eigenvalues + nlambda)
-        alpha = eig.eigenvectors @ coeffs
-    elif method == "cholesky":
-        alpha = matrixcore.solve_spd_shifted(k.matrix, nlambda, y)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    eig = k.eig
+    coeffs = (eig.eigenvectors.T @ y) / (eig.eigenvalues + nlambda)
+    alpha = eig.eigenvectors @ coeffs
     return _finalize(k, y, nlambda, alpha)
 
 
@@ -120,8 +111,7 @@ def lambda_grid_fit(k: KernelMatrix, y, grid: Sequence[float]) -> list[KrrFit]:
         raise ValueError("nlambda grid must be non-empty")
     if any(v <= 0 for v in grid):
         raise ValueError("all nlambda values must be positive")
-    k.eig  # materialize the shared spectrum before sweeping
-    return [fit(k, y, nlam, method="spectral") for nlam in grid]
+    return [fit(k, y, nlam) for nlam in grid]
 
 
 @dataclass(frozen=True)

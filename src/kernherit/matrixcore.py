@@ -1,9 +1,9 @@
 """Dense symmetric linear algebra primitives.
 
 Everything downstream (kernel matrices, ridge solves, spectral
-diagnostics) is built on three operations: a symmetric eigendecomposition
-with deterministic eigenvector orientation, a Cholesky solve of a
-positively shifted system, and mean-centering. All functions are pure;
+diagnostics) is built on a symmetric eigendecomposition with
+deterministic eigenvector orientation, a definiteness check of its
+spectrum, and mean-centering. All functions are pure;
 returned arrays are marked read-only so values can be shared freely
 across threads.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import NumericalError
 
@@ -128,11 +127,26 @@ def eigh(a: SymMatrix | np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(w, v)
 
 
-def solve_spd_shifted(a: SymMatrix | np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:
-    """Solve (A + shift*I) x = b by Cholesky for PSD A and shift > 0.
+def require_psd(dec: EigenDecomposition) -> None:
+    """Raise NumericalError unless the spectrum is numerically PSD.
 
-    The shift makes the system positive definite whenever A is
-    numerically PSD (min eigenvalue >= -PSD_RTOL * l_1); anything worse
+    A PSD kernel has min eigenvalue >= -PSD_RTOL * max(l_1, 0); anything
+    worse cannot come from a kernel and indicates corrupted input.
+    """
+    w = dec.eigenvalues
+    l1, lmin = float(w[0]), float(w[-1])
+    tol = -PSD_RTOL * max(l1, 0.0)
+    if lmin < tol:
+        raise NumericalError(
+            f"order {w.size} matrix is not positive semidefinite: "
+            f"min eigenvalue {lmin:.3e} vs PSD tolerance {tol:.3e}"
+        )
+
+
+def solve_spd_shifted(a: SymMatrix | np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:
+    """Solve (A + shift*I) x = b spectrally for PSD A and shift > 0.
+
+    A must be numerically PSD (see :func:`require_psd`); anything worse
     raises NumericalError since PSD kernels cannot produce it.
     """
     A = _as_array(a)
@@ -145,18 +159,10 @@ def solve_spd_shifted(a: SymMatrix | np.ndarray, shift: float, b: np.ndarray) ->
         raise ValueError(
             f"dimension mismatch: matrix order {A.shape[0]} vs vector length {b.shape[0]}"
         )
-    shifted = A + shift * np.eye(A.shape[0])
-    try:
-        cho = scipy.linalg.cho_factor(shifted, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        evals = np.linalg.eigvalsh(A)
-        l1 = float(evals[-1])
-        lmin = float(evals[0])
-        raise NumericalError(
-            f"Cholesky failed for shifted system of order {A.shape[0]}: "
-            f"min eigenvalue {lmin:.3e} vs PSD tolerance {-PSD_RTOL * max(l1, 0.0):.3e}"
-        ) from exc
-    return scipy.linalg.cho_solve(cho, b, check_finite=False)
+    dec = eigh(A)
+    require_psd(dec)
+    denom = (dec.eigenvalues + shift).reshape((-1,) + (1,) * (b.ndim - 1))
+    return dec.eigenvectors @ ((dec.eigenvectors.T @ b) / denom)
 
 
 def center(v: np.ndarray) -> np.ndarray:

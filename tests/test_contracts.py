@@ -1,0 +1,41 @@
+"""Contracts the package keeps with code outside it.
+
+``perfbench/spans.py`` wraps layer functions by looking them up in their
+owners' ``__dict__``; a rename under ``src/`` would break its traced run
+without failing anything else. The CLI must also start without scipy,
+which the package no longer depends on at run time.
+"""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import kernherit
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _load_spans():
+    path = REPO / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_layer_targets_exist():
+    for owner, attr, name, _ in _load_spans().layer_targets():
+        assert attr in owner.__dict__, f"{name}: {owner.__name__} has no {attr!r}"
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(kernherit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, kernherit.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

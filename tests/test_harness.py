@@ -214,8 +214,9 @@ class TestConfigFile:
         assert serialize_config(parsed) == text
 
     def test_unknown_key_names_line(self):
-        with pytest.raises(DataError, match=":2: unknown configuration key"):
-            parse_config("family=linear\nbogus=1\n")
+        for line in ("bogus=1", "dimensionality=low"):
+            with pytest.raises(DataError, match=":2: unknown configuration key"):
+                parse_config(f"family=linear\n{line}\n")
 
     def test_duplicate_key_names_line(self):
         with pytest.raises(DataError, match=":2: duplicate key"):

@@ -151,10 +151,3 @@ class TestEigCaching:
             t.join()
         assert len(calls) == 1
         assert all(r is results[0] for r in results)
-
-    def test_csv_dump(self, tmp_path):
-        k = linear_kernel(simulate_hwe(5, 3, seed=1))
-        path = tmp_path / "k.csv"
-        k.write_csv(path)
-        back = np.loadtxt(path, delimiter=",")
-        assert np.array_equal(back, k.matrix.data)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from kernherit.exceptions import NumericalError
 from kernherit.genotypes import simulate_hwe
-from kernherit.kernels import KernelMatrix, make_kernel
+from kernherit.kernels import KERNEL_KINDS, KernelMatrix, make_kernel
 from kernherit.krr import (
     DEFAULT_NLAMBDA_GRID,
     CovariateMatrix,
@@ -32,6 +36,14 @@ def random_instance(seed: int, n: int = 12, p: int = 5, kind: str = "poly2"):
     return kernel, pop
 
 
+def dense_fit(k: np.ndarray, y: np.ndarray, nlambda: float):
+    """(alpha, sigma_g2, sigma_eps2) from a dense solve of (K + nlambda I) alpha = y."""
+    n = k.shape[0]
+    alpha = np.linalg.solve(k + nlambda * np.eye(n), y)
+    g = k @ alpha
+    return alpha, float(np.var(g, ddof=1)), float(np.sum((y - g) ** 2)) / n
+
+
 class TestFit:
     def test_identity_kernel_closed_form(self):
         rng = np.random.default_rng(0)
@@ -59,14 +71,15 @@ class TestFit:
         )
         assert np.max(np.abs(res.alpha_hat - expected)) < 1e-9
 
-    def test_spectral_and_cholesky_agree(self):
+    def test_matches_dense_solve(self):
         kernel, pop = random_instance(2, n=25)
-        a = fit(kernel, pop.phenotypes, 1.3, method="cholesky")
-        b = fit(kernel, pop.phenotypes, 1.3, method="spectral")
-        scale = max(1.0, np.max(np.abs(a.alpha_hat)))
-        assert np.max(np.abs(a.alpha_hat - b.alpha_hat)) <= 1e-8 * scale
-        assert rel_err(a.sigma_g2_hat, b.sigma_g2_hat) < 1e-8
-        assert rel_err(a.sigma_eps2_hat, b.sigma_eps2_hat) < 1e-8
+        y = np.asarray(pop.phenotypes)
+        res = fit(kernel, y, 1.3)
+        alpha, sigma_g2, sigma_eps2 = dense_fit(kernel.matrix.data, y, 1.3)
+        scale = max(1.0, np.max(np.abs(alpha)))
+        assert np.max(np.abs(res.alpha_hat - alpha)) <= 1e-8 * scale
+        assert rel_err(res.sigma_g2_hat, sigma_g2) < 1e-8
+        assert rel_err(res.sigma_eps2_hat, sigma_eps2) < 1e-8
 
     def test_residual_form_equals_spectral_form(self):
         kernel, pop = random_instance(3, n=10)
@@ -136,7 +149,7 @@ class TestLambdaGrid:
         grid = (0.5, 1.0, 2.0)
         grid_res = lambda_grid_fit(kernel, pop.phenotypes, grid)
         for nlam, res in zip(grid, grid_res):
-            indep = fit(kernel, pop.phenotypes, nlam, method="spectral")
+            indep = fit(kernel, pop.phenotypes, nlam)
             assert np.array_equal(res.alpha_hat, indep.alpha_hat)
             assert res.sigma_g2_hat == indep.sigma_g2_hat
 
@@ -219,7 +232,43 @@ class TestCovariateMatrix:
 def test_fit_uses_cached_spectrum_automatically():
     kernel, pop = random_instance(11)
     assert not kernel.has_eig
-    res_chol = fit(kernel, pop.phenotypes, 1.0)  # auto -> cholesky
-    kernel.eig
-    res_spec = fit(kernel, pop.phenotypes, 1.0)  # auto -> spectral
-    assert np.max(np.abs(res_chol.alpha_hat - res_spec.alpha_hat)) <= 1e-8
+    first = fit(kernel, pop.phenotypes, 1.0)
+    assert kernel.has_eig
+    second = fit(kernel, pop.phenotypes, 1.0)
+    assert np.array_equal(first.alpha_hat, second.alpha_hat)
+    assert first.h2_hat == second.h2_hat
+
+
+def test_indefinite_kernel_raises():
+    # diag(1, -0.5) + I is positive definite, so a shifted solve alone
+    # would not notice; the spectrum itself is not a kernel's.
+    kernel = KernelMatrix("linear", SymMatrix(np.diag([1.0, -0.5])))
+    with pytest.raises(NumericalError, match="eigenvalue"):
+        fit(kernel, np.array([1.0, 2.0]), 1.0)
+    with pytest.raises(NumericalError, match="eigenvalue"):
+        lambda_grid_fit(kernel, np.array([1.0, 2.0]), [1.0])
+
+
+@st.composite
+def gram_instances(draw):
+    n = draw(st.integers(2, 12))
+    p = draw(st.integers(1, 6))
+    x = draw(arrays(np.float64, (n, p), elements=st.floats(-3.0, 3.0)))
+    y = draw(arrays(np.float64, n, elements=st.floats(-5.0, 5.0)))
+    kind = draw(st.sampled_from(KERNEL_KINDS))
+    nlambda = draw(st.floats(1e-3, 1e3))
+    return make_kernel(kind, x), y, nlambda
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(gram_instances())
+def test_fit_matches_dense_solve_property(instance):
+    kernel, y, nlambda = instance
+    res = fit(kernel, y, nlambda)
+    alpha, sigma_g2, sigma_eps2 = dense_fit(kernel.matrix.data, y, nlambda)
+    assert np.max(np.abs(res.alpha_hat - alpha)) <= 1e-8 * max(1.0, np.max(np.abs(alpha)))
+    total = max(sigma_g2 + sigma_eps2, 1e-300)
+    assert abs(res.sigma_g2_hat - sigma_g2) <= 1e-8 * total
+    assert abs(res.sigma_eps2_hat - sigma_eps2) <= 1e-8 * total
+    if res.h2_defined:
+        assert 0.0 <= res.h2_hat <= 1.0
