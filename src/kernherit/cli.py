@@ -16,14 +16,8 @@ import numpy as np
 
 from . import harness, kernels, krr, phenosim, spectra
 from .exceptions import ConditionNotMet, DataError, KernheritError, NumericalError
-from .genotypes import (
-    MafLaw,
-    read_genotype_csv,
-    simulate_hwe,
-    subsample,
-    write_genotype_csv,
-)
-from .phenosim import SimulationSpec, build_population, export_population
+from .genotypes import read_genotype_csv, write_genotype_csv
+from .phenosim import export_population
 
 
 class UsageError(Exception):
@@ -87,10 +81,7 @@ def _kernel_kinds(arg: str) -> tuple[str, ...]:
 
 def cmd_simulate(args) -> int:
     if args.preset is not None:
-        cfg = harness.preset_config(args.preset)
-        n, p = cfg.population_size, cfg.snp_count
-        sigma_g, sigma_eps, family = cfg.sigma_g, cfg.sigma_eps, cfg.family
-        scenario = cfg.scenario
+        base, fields = harness.preset_config(args.preset), {}
     else:
         missing = [
             name
@@ -104,32 +95,31 @@ def cmd_simulate(args) -> int:
         ]
         if missing:
             raise UsageError(f"missing {', '.join(missing)} (or use --preset)")
-        n, p = args.n_individuals, args.n_snps
-        sigma_g, sigma_eps, family = args.sigma_g, args.sigma_eps, args.family
-        scenario = "hwe"
-    try:
-        spec_probe = SimulationSpec(
-            n_individuals=n, n_snps=p, sigma_g=sigma_g, sigma_eps=sigma_eps,
-            family=family, seed=args.seed,
+        base = harness.McConfig()
+        fields = dict(
+            population_size=args.n_individuals,
+            snp_count=args.n_snps,
+            sigma_g=args.sigma_g,
+            sigma_eps=args.sigma_eps,
+            family=args.family,
+            sample_sizes=(args.n_individuals,),  # unused here; must fit the population
         )
+    try:
+        cfg = dataclasses.replace(base, population_seed=args.seed, **fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    geno_seed, pheno_seed = harness.derive_population_seeds(args.seed)
-    if scenario == "external":
+    source = None
+    if cfg.scenario == "external":
         if args.genotypes is None:
             raise UsageError("this preset samples from real data; pass --genotypes")
         source = read_genotype_csv(args.genotypes)
-        genotypes = subsample(source, n, cols=p, seed=geno_seed)
-    else:
-        genotypes = simulate_hwe(n, p, MafLaw(), seed=geno_seed)
-    spec = dataclasses.replace(spec_probe, seed=pheno_seed)
-    pop = build_population(spec, genotypes)
+    pop = harness.build_mc_population(cfg, source)
 
     prefix = args.out
     geno_path = prefix + ".genotypes.csv"
-    write_genotype_csv(genotypes, geno_path)
-    paths = export_population(pop, spec, prefix)
+    write_genotype_csv(pop.genotypes, geno_path)
+    paths = export_population(pop, harness.simulation_spec(cfg), prefix)
     print(f"wrote {geno_path}")
     for path in paths.values():
         print(f"wrote {path}")
@@ -137,19 +127,37 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_estimate(args) -> int:
+def _load_inputs(args):
+    """Phenotypes, design matrix and Gaussian bandwidth for estimate and diagnose."""
     genotypes = read_genotype_csv(args.genotypes)
     y = _read_vector(args.phenotypes)
     if y.shape[0] != genotypes.n:
         raise DataError(
             f"phenotype length {y.shape[0]} does not match genotype rows {genotypes.n}"
         )
-    if args.covariates is not None:
-        y = krr.residualize(y, _read_matrix(args.covariates))
     design = kernels.design_matrix(genotypes, args.standardize)
     bandwidth = kernels.resolve_gaussian_bandwidth(
         args.gaussian_bandwidth, args.standardize, genotypes.p
     )
+    return y, design, bandwidth
+
+
+def _write_lines(lines, out) -> int:
+    """Write report lines to ``out``, or to stdout when no path is given."""
+    text = "\n".join(lines) + "\n"
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+        print(f"wrote {out}")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+def cmd_estimate(args) -> int:
+    y, design, bandwidth = _load_inputs(args)
+    if args.covariates is not None:
+        y = krr.residualize(y, _read_matrix(args.covariates))
     grid = tuple(args.nlambda) if args.nlambda else krr.DEFAULT_NLAMBDA_GRID
 
     lines = [krr.estimate_csv_header()]
@@ -157,38 +165,21 @@ def cmd_estimate(args) -> int:
         kernel = kernels.make_kernel(kind, design, gaussian_bandwidth=bandwidth)
         for fit_res in krr.lambda_grid_fit(kernel, y, grid):
             lines.append(krr.estimate_csv_row(kind, fit_res))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_lines(lines, args.out)
 
 
 def cmd_diagnose(args) -> int:
-    genotypes = read_genotype_csv(args.genotypes)
-    y = _read_vector(args.phenotypes)
-    if y.shape[0] != genotypes.n:
-        raise DataError(
-            f"phenotype length {y.shape[0]} does not match genotype rows {genotypes.n}"
-        )
-    design = kernels.design_matrix(genotypes, args.standardize)
-    bandwidth = kernels.resolve_gaussian_bandwidth(
-        args.gaussian_bandwidth, args.standardize, genotypes.p
-    )
+    y, design, bandwidth = _load_inputs(args)
+    n = y.shape[0]
     kernel = kernels.make_kernel(args.kernel, design, gaussian_bandwidth=bandwidth)
     fit_res = krr.fit(kernel, y, args.nlambda)
     if args.true_g is not None:
         g = _read_vector(args.true_g)
-        if g.shape[0] != genotypes.n:
-            raise DataError(
-                f"signal length {g.shape[0]} does not match genotype rows {genotypes.n}"
-            )
+        if g.shape[0] != n:
+            raise DataError(f"signal length {g.shape[0]} does not match genotype rows {n}")
         proxy = False
         resid = y - g
-        sigma_eps2 = float(resid @ resid) / genotypes.n
+        sigma_eps2 = float(resid @ resid) / n
     else:
         g = fit_res.g_hat
         proxy = True
@@ -208,17 +199,12 @@ def cmd_diagnose(args) -> int:
     lines.append(f"sigma_g2_hat={fit_res.sigma_g2_hat!r}")
     lines.append(f"sigma_eps2_hat={fit_res.sigma_eps2_hat!r}")
     lines.append(f"h2_hat={fit_res.h2_hat!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_lines(lines, args.out)
 
 
 def cmd_mc(args) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     if args.config is not None:
         cfg = harness.read_config(args.config)
     elif args.preset is not None:

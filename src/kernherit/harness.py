@@ -20,14 +20,17 @@ Because subsampled row indices are sorted, drawing n = N rows always
 reproduces the whole population bitwise, so those cells have exactly
 zero standard deviation. Repetitions with identical row sets are
 computed once and shared, both serially and in parallel; parallel and
-serial runs produce bitwise identical tables.
+serial runs produce bitwise identical tables. The repetition job is a
+pure function of (config, population, rows) and reaches pool workers by
+argument, so parallel runs work under any multiprocessing start method.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import multiprocessing
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,10 +78,15 @@ class McConfig:
         for kind in self.kernels:
             if kind not in KERNEL_KINDS:
                 raise ValueError(f"unknown kernel kind {kind!r}")
-        if not self.lambda_grid or any(v <= 0 for v in self.lambda_grid):
-            raise ValueError("lambda_grid must be non-empty and positive")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        if not self.lambda_grid or not all(0 < v < math.inf for v in self.lambda_grid):
+            raise ValueError("lambda_grid must be non-empty, positive and finite")
+        if not 0 < self.sigma_g < math.inf:
+            raise ValueError(f"sigma_g must be positive and finite, got {self.sigma_g}")
+        if not 0 <= self.sigma_eps < math.inf:
+            raise ValueError(f"sigma_eps must be non-negative and finite, got {self.sigma_eps}")
+        for name in ("repetitions", "population_size", "snp_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.sample_sizes:
             raise ValueError("at least one sample size is required")
         for n in self.sample_sizes:
@@ -86,8 +94,14 @@ class McConfig:
                 raise ValueError(
                     f"sample size {n} outside [1, population size {self.population_size}]"
                 )
-        if self.gaussian_bandwidth is not None and self.gaussian_bandwidth <= 0:
-            raise ValueError("gaussian_bandwidth must be positive when given")
+        if self.gaussian_bandwidth is not None and not 0 < self.gaussian_bandwidth < math.inf:
+            raise ValueError("gaussian_bandwidth must be positive and finite when given")
+        path = self.output_path
+        if path is not None and (path != path.strip() or len(path.splitlines()) != 1):
+            raise ValueError(
+                f"output_path {path!r} must be one non-empty line "
+                "without leading or trailing whitespace"
+            )
 
     def resolved_gaussian_bandwidth(self) -> float:
         """Bandwidth actually used for the Gaussian kernel."""
@@ -128,13 +142,25 @@ def derive_sampling_seeds(sampling_seed: int, n_sizes: int, reps: int) -> np.nda
     return state.reshape(n_sizes, reps)
 
 
+def simulation_spec(cfg: McConfig) -> SimulationSpec:
+    """Phenotype recipe of the configured population, on the derived phenotype seed."""
+    return SimulationSpec(
+        n_individuals=cfg.population_size,
+        n_snps=cfg.snp_count,
+        sigma_g=cfg.sigma_g,
+        sigma_eps=cfg.sigma_eps,
+        family=cfg.family,
+        seed=derive_population_seeds(cfg.population_seed)[1],
+    )
+
+
 def build_mc_population(cfg: McConfig, genotype_source: GenotypeMatrix | None = None) -> Population:
     """Materialize the configured population once.
 
     HWE scenario simulates genotypes; the external scenario subsamples
     the supplied matrix down to (population_size, snp_count) first.
     """
-    geno_seed, pheno_seed = derive_population_seeds(cfg.population_seed)
+    geno_seed = derive_population_seeds(cfg.population_seed)[0]
     if cfg.scenario == "hwe":
         genotypes = simulate_hwe(cfg.population_size, cfg.snp_count, MafLaw(), seed=geno_seed)
     else:
@@ -148,26 +174,11 @@ def build_mc_population(cfg: McConfig, genotype_source: GenotypeMatrix | None = 
         genotypes = subsample(
             genotype_source, cfg.population_size, cols=cfg.snp_count, seed=geno_seed
         )
-    spec = SimulationSpec(
-        n_individuals=cfg.population_size,
-        n_snps=cfg.snp_count,
-        sigma_g=cfg.sigma_g,
-        sigma_eps=cfg.sigma_eps,
-        family=cfg.family,
-        seed=pheno_seed,
-    )
-    return build_population(spec, genotypes)
+    return build_population(simulation_spec(cfg), genotypes)
 
 
-# Worker state shared through fork(); set once in the parent before the
-# pool is created, read-only afterwards.
-_WORKER_STATE: dict = {}
-
-
-def _rep_estimates(row_idx: np.ndarray) -> np.ndarray:
+def _rep_estimates(cfg: McConfig, pop: Population, row_idx: np.ndarray) -> np.ndarray:
     """Heritability estimates for one subsample: shape (kernels, grid), NaN = undefined."""
-    cfg: McConfig = _WORKER_STATE["cfg"]
-    pop: Population = _WORKER_STATE["pop"]
     z_rows = GenotypeMatrix(pop.genotypes.data[row_idx], maf=pop.genotypes.maf)
     design = design_matrix(z_rows, cfg.standardize)
     y = pop.phenotypes[row_idx]
@@ -180,17 +191,14 @@ def _rep_estimates(row_idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def _task(item):
-    key, row_idx = item
-    return key, _rep_estimates(row_idx)
-
-
 def run_mc(
     cfg: McConfig,
     genotype_source: GenotypeMatrix | None = None,
     workers: int = 1,
 ) -> McResultTable:
     """Execute the Monte Carlo protocol and aggregate per-cell results."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     pop = build_mc_population(cfg, genotype_source)
     seeds = derive_sampling_seeds(cfg.sampling_seed, len(cfg.sample_sizes), cfg.repetitions)
 
@@ -206,20 +214,14 @@ def run_mc(
             rep_keys[(i, r)] = key
             unique_rows.setdefault(key, idx)
 
-    _WORKER_STATE["cfg"] = cfg
-    _WORKER_STATE["pop"] = pop
-    try:
-        items = list(unique_rows.items())
-        if workers > 1:
-            ctx = multiprocessing.get_context("fork")
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, mp_context=ctx
-            ) as pool:
-                results = dict(pool.map(_task, items, chunksize=max(1, len(items) // (4 * workers))))
-        else:
-            results = dict(_task(item) for item in items)
-    finally:
-        _WORKER_STATE.clear()
+    job = functools.partial(_rep_estimates, cfg, pop)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(unique_rows) // (4 * workers))
+            estimates = list(pool.map(job, unique_rows.values(), chunksize=chunk))
+    else:
+        estimates = list(map(job, unique_rows.values()))
+    results = dict(zip(unique_rows, estimates))
 
     rows: list[McCell] = []
     for i_kind, kind in enumerate(cfg.kernels):

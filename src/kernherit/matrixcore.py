@@ -2,10 +2,9 @@
 
 Everything downstream (kernel matrices, ridge solves, spectral
 diagnostics) is built on a symmetric eigendecomposition with
-deterministic eigenvector orientation, a definiteness check of its
-spectrum, and mean-centering. All functions are pure;
-returned arrays are marked read-only so values can be shared freely
-across threads.
+deterministic eigenvector orientation and a definiteness check of its
+spectrum. All functions are pure; returned arrays are marked read-only
+so values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -164,13 +163,3 @@ def solve_spd_shifted(a: SymMatrix | np.ndarray, shift: float, b: np.ndarray) ->
     denom = (dec.eigenvalues + shift).reshape((-1,) + (1,) * (b.ndim - 1))
     return dec.eigenvectors @ ((dec.eigenvectors.T @ b) / denom)
 
-
-def center(v: np.ndarray) -> np.ndarray:
-    """Apply the mean-removing projector: v minus its mean.
-
-    Idempotent; the output sums to zero up to roundoff.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("cannot center an empty vector")
-    return v - v.mean()

@@ -561,10 +561,3 @@ def report_text(cond: ConditionReport, bound: BoundReport) -> str:
     """key=value serialization of a diagnostic report."""
     return "\n".join(f"{key}={value}" for key, value in report_items(cond, bound)) + "\n"
 
-
-def report_csv_header(cond: ConditionReport, bound: BoundReport) -> str:
-    return ",".join(key for key, _ in report_items(cond, bound))
-
-
-def report_csv_row(cond: ConditionReport, bound: BoundReport) -> str:
-    return ",".join(value for _, value in report_items(cond, bound))

@@ -1,9 +1,12 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from kernherit.cli import main
+from kernherit.genotypes import read_genotype_csv, simulate_hwe, write_genotype_csv
+from kernherit.harness import build_mc_population, preset_config
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 FIXTURE_GENO = os.path.join(DATA, "fixture.genotypes.csv")
@@ -47,6 +50,33 @@ class TestSimulate:
         assert code == 1
         assert "--sigma-g" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--sigma-g", "0"), ("--sigma-eps", "-1"), ("--n-snps", "0"),
+                        ("--n-individuals", "0")],
+    )
+    def test_invalid_flag_is_usage_error(self, tmp_path, flag, value):
+        argv = {"--n-individuals": "10", "--n-snps": "4", "--sigma-g": "0.1",
+                "--sigma-eps": "0.5", "--family": "linear", "--seed": "1"}
+        argv[flag] = value
+        flat = [item for pair in argv.items() for item in pair]
+        assert run("simulate", *flat, "--out", str(tmp_path / "x")) == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("preset", ["desk", "kgp-linear-low"])
+    def test_preset_writes_the_monte_carlo_population(self, tmp_path, preset):
+        cfg = dataclasses.replace(preset_config(preset), population_seed=11)
+        argv = ["simulate", "--preset", preset, "--seed", "11", "--out", str(tmp_path / "pop")]
+        source = None
+        if cfg.scenario == "external":
+            write_genotype_csv(simulate_hwe(1100, 520, seed=5), tmp_path / "source.csv")
+            source = read_genotype_csv(tmp_path / "source.csv")
+            argv += ["--genotypes", str(tmp_path / "source.csv")]
+        assert run(*argv) == 0
+        pop = build_mc_population(cfg, source)
+        written = read_genotype_csv(tmp_path / "pop.genotypes.csv")
+        assert np.array_equal(written.data, pop.genotypes.data)
+        assert np.array_equal(np.loadtxt(tmp_path / "pop.phenotypes.csv"), pop.phenotypes)
+
     def test_preset_dimensions(self, tmp_path):
         prefix = tmp_path / "stock"
         assert run("simulate", "--preset", "hwe-linear-low", "--seed", "1", "--out", str(prefix)) == 0
@@ -66,8 +96,6 @@ class TestSimulate:
         code = run("simulate", "--preset", "kgp-linear-low", "--seed", "2", "--out", str(prefix))
         assert code == 1
         assert "--genotypes" in capsys.readouterr().err
-
-        from kernherit.genotypes import simulate_hwe, write_genotype_csv
 
         source_path = tmp_path / "source.csv"
         write_genotype_csv(simulate_hwe(1100, 520, seed=5), source_path)
@@ -239,6 +267,15 @@ class TestMc:
         assert run("mc", "--config", str(cfg), "--out", str(out_a)) == 0
         assert run("mc", "--config", str(cfg), "--out", str(out_b)) == 0
         assert (out_a / "table.csv").read_bytes() == (out_b / "table.csv").read_bytes()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_is_usage_error(self, tmp_path, capsys, workers):
+        out = tmp_path / "out"
+        code = run("mc", "--preset", "desk", "--reps", "1", "--sizes", "100",
+                   "--workers", workers, "--out", str(out))
+        assert code == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_parse_error_reports_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import kernherit
 from kernherit.exceptions import DataError
 from kernherit.genotypes import GenotypeMatrix, subsample_indices
 from kernherit.harness import (
@@ -8,6 +16,7 @@ from kernherit.harness import (
     McConfig,
     McResultTable,
     PRESETS,
+    SCENARIOS,
     build_mc_population,
     derive_sampling_seeds,
     parse_config,
@@ -19,8 +28,9 @@ from kernherit.harness import (
     write_manifest,
     write_table_csv,
 )
-from kernherit.kernels import make_kernel
+from kernherit.kernels import KERNEL_KINDS, make_kernel
 from kernherit.krr import lambda_grid_fit
+from kernherit.phenosim import FAMILIES
 
 
 def tiny_config(**overrides) -> McConfig:
@@ -58,6 +68,32 @@ class TestRunMc:
         write_table_csv(serial, ps)
         write_table_csv(parallel, pp)
         assert ps.read_bytes() == pp.read_bytes()
+
+    def test_parallel_matches_serial_under_spawn(self, tmp_path):
+        # The job reaches the workers by argument, so no start method is assumed.
+        cfg_path, ps, pp = tmp_path / "run.cfg", tmp_path / "s.csv", tmp_path / "p.csv"
+        cfg_path.write_text(serialize_config(tiny_config()))
+        code = (
+            "import multiprocessing, sys\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "from kernherit.harness import read_config, run_mc, write_table_csv\n"
+            "cfg = read_config(sys.argv[1])\n"
+            "write_table_csv(run_mc(cfg, workers=1), sys.argv[2])\n"
+            "write_table_csv(run_mc(cfg, workers=2), sys.argv[3])\n"
+        )
+        src = str(Path(kernherit.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        subprocess.run(
+            [sys.executable, "-c", code, str(cfg_path), str(ps), str(pp)],
+            env=env, check=True, timeout=300,
+        )
+        assert ps.read_bytes() == pp.read_bytes()
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_mc(tiny_config(), workers=workers)
 
     def test_full_population_cells_have_zero_sd(self):
         cfg = tiny_config(repetitions=4)
@@ -234,6 +270,27 @@ class TestConfigFile:
         with pytest.raises(DataError, match="sample size"):
             parse_config("population_size=10\nsample_sizes=20\n")
 
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("sigma_g=0", "sigma_g"),
+            ("sigma_g=-1", "sigma_g"),
+            ("sigma_g=nan", "sigma_g"),
+            ("sigma_eps=-0.5", "sigma_eps"),
+            ("population_size=0", "population_size"),
+            ("snp_count=0", "snp_count"),
+            ("lambda_grid=1.0,inf", "lambda_grid"),
+        ],
+    )
+    def test_invalid_field_names_source(self, line, field):
+        with pytest.raises(DataError, match=f"^run.cfg: {field} must be"):
+            parse_config(f"{line}\n", source="run.cfg")
+
+    @pytest.mark.parametrize("path", ["", " x", "x ", "a\nb", "x\n", "a\x1cb"])
+    def test_output_path_must_survive_the_line_format(self, path):
+        with pytest.raises(ValueError, match="output_path"):
+            McConfig(output_path=path)
+
     def test_read_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(serialize_config(tiny_config()))
@@ -246,6 +303,42 @@ class TestConfigFile:
         assert cfg.resolved_gaussian_bandwidth() == cfg.snp_count / 2.0
         raw = tiny_config(standardize=False)
         assert raw.resolved_gaussian_bandwidth() == 1.0
+
+
+@st.composite
+def mc_configs(draw):
+    """Any valid McConfig; candidates the constructor rejects are discarded."""
+    population_size = draw(st.integers(1, 10**6))
+    floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    kwargs = dict(
+        scenario=draw(st.sampled_from(SCENARIOS)),
+        family=draw(st.sampled_from(FAMILIES)),
+        kernels=tuple(draw(st.lists(st.sampled_from(KERNEL_KINDS), min_size=1, max_size=4))),
+        lambda_grid=tuple(draw(st.lists(floats, min_size=1, max_size=5))),
+        sample_sizes=tuple(
+            draw(st.lists(st.integers(1, population_size), min_size=1, max_size=5))
+        ),
+        repetitions=draw(st.integers(1, 10**6)),
+        population_seed=draw(st.integers(0, 2**63)),
+        sampling_seed=draw(st.integers(0, 2**63)),
+        population_size=population_size,
+        snp_count=draw(st.integers(1, 10**6)),
+        sigma_g=draw(floats),
+        sigma_eps=draw(floats | st.just(0.0)),
+        standardize=draw(st.booleans()),
+        gaussian_bandwidth=draw(st.none() | floats),
+        output_path=draw(st.none() | st.text()),
+    )
+    try:
+        return McConfig(**kwargs)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mc_configs())
+def test_config_round_trip_property(cfg):
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 class TestPresets:

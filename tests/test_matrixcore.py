@@ -3,7 +3,7 @@ import pytest
 
 from kernherit import matrixcore
 from kernherit.exceptions import NumericalError
-from kernherit.matrixcore import SymMatrix, center, eigh, solve_spd_shifted, symmetrize
+from kernherit.matrixcore import SymMatrix, eigh, solve_spd_shifted, symmetrize
 
 from helpers import charpoly_roots, cramer_solve, random_psd, random_symmetric
 
@@ -125,36 +125,6 @@ class TestSolveSpdShifted:
         a = SymMatrix(np.diag([1.0, -5.0]))
         with pytest.raises(NumericalError, match="eigenvalue"):
             solve_spd_shifted(a, 1.0, np.ones(2))
-
-
-class TestCenter:
-    def test_constant_vector_killed(self):
-        assert np.allclose(center(np.ones(3)), 0.0, atol=1e-15)
-
-    def test_mean_subtraction(self):
-        assert np.allclose(center(np.array([1.0, 2.0, 3.0])), [-1.0, 0.0, 1.0])
-
-    def test_matches_explicit_mean_loop(self):
-        rng = np.random.default_rng(7)
-        v = rng.normal(size=31)
-        total = 0.0
-        for value in v:
-            total += value
-        expected = np.array([value - total / len(v) for value in v])
-        assert np.allclose(center(v), expected, atol=1e-12)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(8)
-        v = rng.normal(size=50) * 100
-        once = center(v)
-        twice = center(once)
-        n = len(v)
-        assert np.max(np.abs(twice - once)) <= 1e-12 * n * np.max(np.abs(v))
-        assert abs(once.sum()) <= 1e-12 * n * np.max(np.abs(v))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            center(np.array([]))
 
 
 def test_psd_tolerance_constant_exported():

@@ -14,8 +14,6 @@ from kernherit.spectra import (
     esd_integrals,
     prop3_check,
     prop4_check,
-    report_csv_header,
-    report_csv_row,
     report_text,
 )
 
@@ -302,11 +300,3 @@ class TestReportSerialization:
         assert "c_star.proxy=" in text
         assert "i1g.proxy=" in text
 
-    def test_csv_row_aligns_with_header(self):
-        kernel, g, y = genotype_instance(36)
-        rep = check_conditions(kernel, g)
-        rpt = bound_report(kernel, y, g, 1.0, 0.25, rep)
-        header = report_csv_header(rep, rpt).split(",")
-        row = report_csv_row(rep, rpt).split(",")
-        assert len(header) == len(row)
-        assert header[0] == "signal_source" and row[0] == "true_g"
