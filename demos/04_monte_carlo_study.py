@@ -12,28 +12,35 @@ from pathlib import Path
 
 from kernherit.harness import preset_config, run_mc, serialize_config, write_table_csv
 
-cfg = dataclasses.replace(preset_config("desk"), population_seed=12, sampling_seed=13)
-print("configuration:")
-print("  " + "\n  ".join(serialize_config(cfg).strip().splitlines()[:10]))
-print()
 
-table = run_mc(cfg)
-print(f"realized heritability of the population: {table.true_h2:.4f}\n")
-print(f"{'kernel':>9} {'nlambda':>8} {'n':>5} {'mean':>8} {'sd':>8} {'excl':>5}")
-for cell in table.rows:
-    if cell.nlambda != 2.3:
-        continue  # print one regularization column; the table has them all
-    print(f"{cell.kernel:>9} {cell.nlambda:8.2f} {cell.n:5d} "
-          f"{cell.mean:8.4f} {cell.sd:8.4f} {cell.excluded:5d}")
-print("\nnote the sd column hitting exactly 0 at n = N: every repetition of "
-      "a full-population sample draws the same rows.")
+def main():
+    cfg = dataclasses.replace(preset_config("desk"), population_seed=12, sampling_seed=13)
+    print("configuration:")
+    print("  " + "\n  ".join(serialize_config(cfg).strip().splitlines()[:10]))
+    print()
 
-with tempfile.TemporaryDirectory() as tmp:
-    paths = [Path(tmp) / name for name in ("a.csv", "b.csv", "c.csv")]
-    write_table_csv(table, paths[0])
-    write_table_csv(run_mc(cfg), paths[1])
-    write_table_csv(run_mc(cfg, workers=4), paths[2])
-    rerun = paths[0].read_bytes() == paths[1].read_bytes()
-    parallel = paths[0].read_bytes() == paths[2].read_bytes()
-print(f"\nrerun bitwise identical:    {rerun}")
-print(f"parallel bitwise identical: {parallel}")
+    table = run_mc(cfg)
+    print(f"realized heritability of the population: {table.true_h2:.4f}\n")
+    print(f"{'kernel':>9} {'nlambda':>8} {'n':>5} {'mean':>8} {'sd':>8} {'excl':>5}")
+    for cell in table.rows:
+        if cell.nlambda != 2.3:
+            continue  # print one regularization column; the table has them all
+        print(f"{cell.kernel:>9} {cell.nlambda:8.2f} {cell.n:5d} "
+              f"{cell.mean:8.4f} {cell.sd:8.4f} {cell.excluded:5d}")
+    print("\nnote the sd column hitting exactly 0 at n = N: every repetition of "
+          "a full-population sample draws the same rows.")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / name for name in ("a.csv", "b.csv", "c.csv")]
+        write_table_csv(table, paths[0])
+        write_table_csv(run_mc(cfg), paths[1])
+        write_table_csv(run_mc(cfg, workers=2), paths[2])
+        rerun = paths[0].read_bytes() == paths[1].read_bytes()
+        parallel = paths[0].read_bytes() == paths[2].read_bytes()
+    print(f"\nrerun bitwise identical:    {rerun}")
+    print(f"parallel bitwise identical: {parallel}")
+
+
+# The guard keeps worker processes started by `spawn` from rerunning the study.
+if __name__ == "__main__":
+    main()

@@ -10,6 +10,7 @@ seed.
 from __future__ import annotations
 
 import gzip
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -161,8 +162,29 @@ def read_genotype_csv(path, header: bool = False) -> GenotypeMatrix:
 
     Rejects ragged rows and out-of-domain values, naming the 1-based
     (row, column) of the first offender. Accepts gzip files by the
-    ``.gz`` suffix.
+    ``.gz`` suffix. Blank lines are skipped; with ``header`` the first
+    line is too.
+
+    The file is parsed in one vectorised pass; only when that pass fails
+    or finds a value outside {0,1,2} is it scanned field by field, which
+    names the first offender (or accepts what the fast pass could not
+    parse, such as a line of spaces).
     """
+    try:
+        with _open_text(path, "r") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty input; the scan reports it
+            data = np.loadtxt(
+                fh, delimiter=",", dtype=np.int8, comments=None, ndmin=2, skiprows=int(header)
+            )
+    except ValueError:
+        data = None
+    if data is None or data.size == 0 or not np.isin(data, (0, 1, 2)).all():
+        data = _scan_genotype_csv(path, header)
+    return GenotypeMatrix(data)
+
+
+def _scan_genotype_csv(path, header: bool) -> np.ndarray:
+    """Field-by-field parse that raises at the first offending field."""
     rows: list[list[int]] = []
     width = None
     with _open_text(path, "r") as fh:
@@ -197,7 +219,7 @@ def read_genotype_csv(path, header: bool = False) -> GenotypeMatrix:
             rows.append(parsed)
     if not rows:
         raise DataError(f"{path}: no genotype rows found")
-    return GenotypeMatrix(np.array(rows, dtype=np.int8))
+    return np.array(rows, dtype=np.int8)
 
 
 def write_genotype_csv(g: GenotypeMatrix, path) -> None:

@@ -87,6 +87,9 @@ class McConfig:
         for name in ("repetitions", "population_size", "snp_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("population_seed", "sampling_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not self.sample_sizes:
             raise ValueError("at least one sample size is required")
         for n in self.sample_sizes:

@@ -11,13 +11,18 @@ design matrix):
 The Gaussian bandwidth defaults to 1. The eigendecomposition of a kernel
 is computed lazily, exactly once even under concurrent access, checked
 to be numerically PSD, and reused by every ridge fit over a
-regularization grid. :func:`design_matrix` and
+regularization grid. Ridge fits read it as ``eig`` and check their own
+solve residual; spectral diagnostics read it as ``verified_eig``, which
+also checks once that it reconstructs the kernel from an orthonormal
+basis. :func:`design_matrix` and
 :func:`resolve_gaussian_bandwidth` turn genotypes and pipeline settings
 into kernel inputs, for the CLI and the Monte Carlo harness alike.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import threading
 
 import numpy as np
@@ -66,6 +71,7 @@ class KernelMatrix:
         self.kind = kind
         self.matrix = matrix
         self._eig: EigenDecomposition | None = None
+        self._eig_verified = False
         self._eig_lock = threading.Lock()
 
     @property
@@ -80,7 +86,8 @@ class KernelMatrix:
     def eig(self) -> EigenDecomposition:
         """Spectral factorization, computed on first access (single-flight).
 
-        Raises NumericalError if the matrix is not numerically PSD.
+        Raises NumericalError if the matrix is not numerically PSD. The
+        factorization is not re-multiplied; see ``verified_eig``.
         """
         if self._eig is None:
             with self._eig_lock:
@@ -89,6 +96,28 @@ class KernelMatrix:
                     matrixcore.require_psd(dec)
                     self._eig = dec
         return self._eig
+
+    @property
+    def verified_eig(self) -> EigenDecomposition:
+        """``eig``, checked once to reconstruct the kernel orthonormally.
+
+        The check (:func:`matrixcore.verify_eigh`) is O(n^3), so it runs
+        on the first read only, under the same lock as the factorization.
+        Use this wherever the eigenvectors serve as a basis.
+        """
+        dec = self.eig
+        if not self._eig_verified:
+            with self._eig_lock:
+                if not self._eig_verified:
+                    matrixcore.verify_eigh(self.matrix, dec)
+                    self._eig_verified = True
+        return dec
+
+    @functools.cached_property
+    def frobenius_norm(self) -> float:
+        """||K||_F, computed once (einsum: no BLAS thread start-up)."""
+        a = self.matrix.data
+        return math.sqrt(float(np.einsum("ij,ij->", a, a)))
 
 
 def _linear_gram(x) -> SymMatrix:

@@ -14,7 +14,8 @@ the fitted signal is g_hat = K alpha, and the variance components are
 
 Every fit solves over the kernel's cached eigendecomposition, so a
 sweep over a grid of nlambda values (the dominant workload) factors the
-kernel once.
+kernel once. Each fit is checked by its own solve residual (see
+:func:`_finalize`) rather than by re-multiplying the factorization.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .exceptions import NumericalError
 from .kernels import KernelMatrix
 
 # Candidate values of n*lambda swept by the stock estimation protocol.
@@ -32,6 +34,9 @@ DEFAULT_NLAMBDA_GRID = (0.1, 0.5, 0.8, 1.0, 1.3, 1.5, 2.0, 2.3, 2.5, 3.0, 5.0)
 # Below this total variance the heritability ratio is 0/0 and flagged
 # undefined instead of raising, so grid sweeps survive degenerate draws.
 _H2_DENOM_FLOOR = 1e-300
+
+# Relative tolerance on the ridge solve residual; see _finalize.
+_SOLVE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -65,8 +70,29 @@ def _validate_fit_inputs(k: KernelMatrix, y: np.ndarray, nlambda: float) -> np.n
 
 
 def _finalize(k: KernelMatrix, y: np.ndarray, nlambda: float, alpha: np.ndarray) -> KrrFit:
+    """Check ``alpha`` by its residual and derive the estimates from it.
+
+    With r = (K + nlambda I) alpha - y, the fit raises NumericalError
+    unless ||r|| <= 1e-10 ((||K||_F + nlambda) ||alpha|| + ||y||), so NaN
+    or a corrupted factorization fails. That is at least as strict, for
+    what a fit returns, as verifying the factorization: a reconstruction
+    error up to 1e-8 ||K||_F (what that check admitted) leaves ||r|| up
+    to about 1e-8 ||K||_F ||alpha||, 100x the bound here. For PSD K the
+    smallest eigenvalue of K + nlambda I is at least nlambda, so
+    ||alpha - alpha*|| <= ||r|| / nlambda for the exact solution alpha*.
+    The check costs O(n): g_hat = K alpha is needed anyway.
+    """
     n = k.n
     g_hat = k.matrix.data @ alpha
+    r_norm = float(np.linalg.norm(g_hat + nlambda * alpha - y))
+    bound = _SOLVE_RTOL * (
+        (k.frobenius_norm + nlambda) * float(np.linalg.norm(alpha)) + float(np.linalg.norm(y))
+    )
+    if not r_norm <= bound:
+        raise NumericalError(
+            f"ridge solve at nlambda={nlambda!r} failed its residual check "
+            f"(||(K + nlambda I) alpha - y|| = {r_norm:.3e}, bound {bound:.3e})"
+        )
     resid = y - g_hat
     sigma_eps2 = float(resid @ resid) / n
     if n > 1:

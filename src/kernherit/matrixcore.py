@@ -5,6 +5,13 @@ diagnostics) is built on a symmetric eigendecomposition with
 deterministic eigenvector orientation and a definiteness check of its
 spectrum. All functions are pure; returned arrays are marked read-only
 so values can be shared freely across threads.
+
+Checks: :func:`eigh` rejects a non-converged or non-finite result, and
+:func:`require_psd` a spectrum no kernel can have. The O(n^3)
+reconstruction and orthonormality check, :func:`verify_eigh`, is left to
+the callers that use the eigenvectors as a basis (spectral diagnostics
+and :func:`solve_spd_shifted`); a ridge fit checks its own solve
+residual instead (see ``krr``).
 """
 
 from __future__ import annotations
@@ -92,7 +99,8 @@ def eigh(a: SymMatrix | np.ndarray) -> EigenDecomposition:
     """Eigendecompose a symmetric matrix, descending, deterministically.
 
     Raises NumericalError if the underlying solver does not converge or
-    the factorization fails the reconstruction / orthonormality checks.
+    returns non-finite values. The factorization itself is not
+    re-multiplied here; see :func:`verify_eigh`.
     """
     A = _as_array(a)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -106,6 +114,10 @@ def eigh(a: SymMatrix | np.ndarray) -> EigenDecomposition:
             f"symmetric eigensolver did not converge for order {n} matrix "
             f"(max off-diagonal magnitude {off:.3e})"
         ) from exc
+    if not (np.isfinite(w).all() and np.isfinite(v).all()):
+        raise NumericalError(
+            f"symmetric eigensolver returned non-finite values for order {n} matrix"
+        )
 
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
@@ -114,7 +126,18 @@ def eigh(a: SymMatrix | np.ndarray) -> EigenDecomposition:
     signs = np.sign(v[lead, np.arange(n)])
     signs[signs == 0] = 1.0
     v *= signs
+    return EigenDecomposition(w, v)
 
+
+def verify_eigh(a: SymMatrix | np.ndarray, dec: EigenDecomposition) -> None:
+    """Raise NumericalError unless ``dec`` reconstructs ``a`` orthonormally.
+
+    Checks ||V diag(l) V^T - A||_F <= 1e-8 max(1, ||A||_F) and
+    ||V^T V - I||_F <= 1e-10, at O(n^3).
+    """
+    A = _as_array(a)
+    w, v = dec.eigenvalues, dec.eigenvectors
+    n = dec.order
     a_norm = float(np.linalg.norm(A))
     recon = float(np.linalg.norm((v * w) @ v.T - A))
     ortho = float(np.linalg.norm(v.T @ v - np.eye(n)))
@@ -123,7 +146,6 @@ def eigh(a: SymMatrix | np.ndarray) -> EigenDecomposition:
             f"eigendecomposition of order {n} matrix failed verification "
             f"(reconstruction residual {recon:.3e}, orthogonality residual {ortho:.3e})"
         )
-    return EigenDecomposition(w, v)
 
 
 def require_psd(dec: EigenDecomposition) -> None:
@@ -146,7 +168,8 @@ def solve_spd_shifted(a: SymMatrix | np.ndarray, shift: float, b: np.ndarray) ->
     """Solve (A + shift*I) x = b spectrally for PSD A and shift > 0.
 
     A must be numerically PSD (see :func:`require_psd`); anything worse
-    raises NumericalError since PSD kernels cannot produce it.
+    raises NumericalError since PSD kernels cannot produce it, as does a
+    factorization that fails :func:`verify_eigh`.
     """
     A = _as_array(a)
     if shift <= 0:
@@ -159,6 +182,7 @@ def solve_spd_shifted(a: SymMatrix | np.ndarray, shift: float, b: np.ndarray) ->
             f"dimension mismatch: matrix order {A.shape[0]} vs vector length {b.shape[0]}"
         )
     dec = eigh(A)
+    verify_eigh(A, dec)
     require_psd(dec)
     denom = (dec.eigenvalues + shift).reshape((-1,) + (1,) * (b.ndim - 1))
     return dec.eigenvectors @ ((dec.eigenvectors.T @ b) / denom)

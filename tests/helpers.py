@@ -2,12 +2,16 @@
 
 These stay deliberately naive and independent of the library's own
 linear-algebra paths: explicit cofactor determinants, Laplace-expansion
-solves, rational characteristic polynomials, and double loops.
+solves, rational characteristic polynomials, double loops, and a
+field-by-field genotype CSV parser.
 """
 
+import gzip
 from fractions import Fraction
 
 import numpy as np
+
+from kernherit.exceptions import DataError
 
 
 def det_cofactor(a: list[list]) -> object:
@@ -94,3 +98,48 @@ def random_psd(n: int, rng: np.random.Generator, rank: int | None = None) -> np.
 def rel_err(a: float, b: float) -> float:
     denom = max(abs(a), abs(b), 1e-300)
     return abs(a - b) / denom
+
+
+def naive_read_genotype_csv(path, header: bool = False) -> np.ndarray:
+    """Genotype CSV parsed one field at a time with int(), as int8.
+
+    Raises DataError naming the first ragged row, non-integer field or
+    value outside {0,1,2}; skips blank lines, and the first line when
+    ``header`` is set.
+    """
+    rows: list[list[int]] = []
+    width = None
+    opener = gzip.open(path, "rt") if str(path).endswith(".gz") else open(path)
+    with opener as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if lineno == 1 and header:
+                continue
+            if not line:
+                continue
+            fields = line.split(",")
+            if width is None:
+                width = len(fields)
+            elif len(fields) != width:
+                raise DataError(
+                    f"{path}: ragged row at line {lineno} "
+                    f"({len(fields)} fields, expected {width})"
+                )
+            parsed = []
+            for col, field in enumerate(fields, start=1):
+                try:
+                    value = int(field)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: non-integer genotype {field!r} at row {lineno}, column {col}"
+                    ) from None
+                if value not in (0, 1, 2):
+                    raise DataError(
+                        f"{path}: genotype value {value} outside {{0,1,2}} "
+                        f"at row {lineno}, column {col}"
+                    )
+                parsed.append(value)
+            rows.append(parsed)
+    if not rows:
+        raise DataError(f"{path}: no genotype rows found")
+    return np.array(rows, dtype=np.int8)

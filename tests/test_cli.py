@@ -52,14 +52,17 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "flag, value", [("--sigma-g", "0"), ("--sigma-eps", "-1"), ("--n-snps", "0"),
-                        ("--n-individuals", "0")],
+                        ("--n-individuals", "0"), ("--seed", "-1")],
     )
-    def test_invalid_flag_is_usage_error(self, tmp_path, flag, value):
+    def test_invalid_flag_is_usage_error(self, tmp_path, capsys, flag, value):
+        field = {"--sigma-g": "sigma_g", "--sigma-eps": "sigma_eps", "--n-snps": "snp_count",
+                 "--n-individuals": "population_size", "--seed": "population_seed"}[flag]
         argv = {"--n-individuals": "10", "--n-snps": "4", "--sigma-g": "0.1",
                 "--sigma-eps": "0.5", "--family": "linear", "--seed": "1"}
         argv[flag] = value
         flat = [item for pair in argv.items() for item in pair]
         assert run("simulate", *flat, "--out", str(tmp_path / "x")) == 1
+        assert f"usage error: {field} must be" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("preset", ["desk", "kgp-linear-low"])
@@ -275,6 +278,18 @@ class TestMc:
                    "--workers", workers, "--out", str(out))
         assert code == 1
         assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--population-seed", "-1", "population_seed"), ("--sampling-seed", "-2", "sampling_seed")],
+    )
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "out"
+        code = run("mc", "--preset", "desk", "--reps", "1", "--sizes", "100",
+                   flag, value, "--out", str(out))
+        assert code == 1
+        assert f"{field} must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_parse_error_reports_line(self, tmp_path, capsys):

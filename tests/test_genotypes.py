@@ -1,5 +1,11 @@
+import gzip
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from kernherit.exceptions import DataError
@@ -12,6 +18,8 @@ from kernherit.genotypes import (
     subsample,
     write_genotype_csv,
 )
+
+from helpers import naive_read_genotype_csv
 
 
 class TestHweProbabilities:
@@ -176,6 +184,59 @@ class TestCsvRoundTrip:
         path.write_text("snp1,snp2\n0,1\n")
         g = read_genotype_csv(path, header=True)
         assert np.array_equal(g.data, [[0, 1]])
+
+
+# Fields that int() and a vectorised parser may treat differently.
+_ODD_TOKENS = ["x", "", " ", "\t", "3", "-1", "255", "257", "1.0", "1e0", "+1", "-0", "01",
+               " 2", "2 ", "1_0", "0x1", "\x0b1", "1 1", "nan"]
+
+
+@st.composite
+def genotype_files(draw):
+    """(text, header flag, gzip flag) of a small genotype CSV, maybe corrupted."""
+    n, p = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = [[str(draw(st.integers(0, 2))) for _ in range(p)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["token", "ragged", "blank", "empty"]))
+        i = draw(st.integers(0, len(rows) - 1))
+        if kind == "token":
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(_ODD_TOKENS))
+        elif kind == "ragged":
+            if len(rows[i]) > 1 and draw(st.booleans()):
+                rows[i].pop()
+            else:
+                rows[i].append("0")
+        elif kind == "blank":
+            rows.insert(i, [draw(st.sampled_from(["", "  ", "\t"]))])
+        else:
+            rows = [[""]]
+    lines = [",".join(r) for r in rows]
+    header = draw(st.booleans())
+    if header:
+        lines.insert(0, draw(st.sampled_from(["snp1,snp2", "", "0,1", "x"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return text, header, draw(st.booleans())
+
+
+def _outcome(read, path, header):
+    try:
+        return "ok", read(path, header).tolist()
+    except DataError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(genotype_files())
+def test_reader_matches_field_scan_oracle(case):
+    text, header, gz = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.csv.gz" if gz else "g.csv")
+        with (gzip.open if gz else open)(path, "wt", newline="") as fh:
+            fh.write(text)
+        expected = _outcome(naive_read_genotype_csv, path, header)
+        got = _outcome(lambda p, h: read_genotype_csv(p, header=h).data, path, header)
+    assert got == expected
 
 
 class TestGenotypeMatrix:

@@ -280,6 +280,8 @@ class TestConfigFile:
             ("population_size=0", "population_size"),
             ("snp_count=0", "snp_count"),
             ("lambda_grid=1.0,inf", "lambda_grid"),
+            ("population_seed=-3", "population_seed"),
+            ("sampling_seed=-1", "sampling_seed"),
         ],
     )
     def test_invalid_field_names_source(self, line, field):

@@ -3,7 +3,8 @@ import threading
 import numpy as np
 import pytest
 
-from kernherit import matrixcore
+from kernherit import krr, matrixcore, spectra
+from kernherit.exceptions import NumericalError
 from kernherit.genotypes import GenotypeMatrix, simulate_hwe
 from kernherit.kernels import (
     KERNEL_KINDS,
@@ -151,3 +152,75 @@ class TestEigCaching:
             t.join()
         assert len(calls) == 1
         assert all(r is results[0] for r in results)
+
+    def test_basis_verified_once_and_never_for_fits(self, monkeypatch):
+        calls = []
+        real = matrixcore.verify_eigh
+
+        def counting(a, dec):
+            calls.append(1)
+            return real(a, dec)
+
+        from kernherit import kernels as kernels_mod
+
+        monkeypatch.setattr(kernels_mod.matrixcore, "verify_eigh", counting)
+        k = linear_kernel(simulate_hwe(30, 5, seed=2))
+        y = np.arange(30.0)
+        krr.lambda_grid_fit(k, y, (0.5, 1.0))
+        assert calls == []
+        spectra.check_conditions(k, y)
+        spectra.decompose_terms(k, y, y / 2.0, 1.0)
+        spectra.esd_integrals(k, 1.0)
+        assert calls == [1]
+        assert k.verified_eig is k.eig
+
+
+class TestCorruptedFactorization:
+    """Eigenvectors off by about 1e-6 must not pass silently anywhere."""
+
+    @staticmethod
+    def corrupt_eigh(monkeypatch):
+        real = np.linalg.eigh
+
+        def corrupted(a):
+            w, v = real(a)
+            return w, v + 1e-6 * np.random.default_rng(0).standard_normal(v.shape)
+
+        monkeypatch.setattr(np.linalg, "eigh", corrupted)  # what matrixcore.eigh calls
+
+    @staticmethod
+    def instance():
+        g = simulate_hwe(40, 12, seed=4)
+        y = np.random.default_rng(1).normal(size=40)
+        return linear_kernel(g.standardized()), y
+
+    def test_ridge_sweep_fails_its_residual_check(self, monkeypatch):
+        self.corrupt_eigh(monkeypatch)
+        k, y = self.instance()
+        with pytest.raises(NumericalError, match="residual check"):
+            krr.lambda_grid_fit(k, y, krr.DEFAULT_NLAMBDA_GRID)
+
+    def test_nonfinite_eigenvectors_rejected(self, monkeypatch):
+        real = np.linalg.eigh
+
+        def poisoned(a):
+            w, v = real(a)
+            v = v.copy()
+            v[0, 0] = np.nan
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", poisoned)
+        k, y = self.instance()
+        with pytest.raises(NumericalError, match="non-finite"):
+            krr.fit(k, y, 1.0)
+
+    def test_nan_solution_fails_residual_check(self):
+        k, y = self.instance()
+        with pytest.raises(NumericalError, match="residual check"):
+            krr._finalize(k, y, 1.0, np.full(k.n, np.nan))
+
+    def test_spectra_fail_basis_verification(self, monkeypatch):
+        self.corrupt_eigh(monkeypatch)
+        k, y = self.instance()
+        with pytest.raises(NumericalError, match="failed verification"):
+            spectra.check_conditions(k, y)

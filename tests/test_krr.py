@@ -265,7 +265,11 @@ def gram_instances(draw):
 def test_fit_matches_dense_solve_property(instance):
     kernel, y, nlambda = instance
     res = fit(kernel, y, nlambda)
-    alpha, sigma_g2, sigma_eps2 = dense_fit(kernel.matrix.data, y, nlambda)
+    k = kernel.matrix.data
+    residual = np.linalg.norm(k @ res.alpha_hat + nlambda * res.alpha_hat - y)
+    scale = (np.linalg.norm(k) + nlambda) * np.linalg.norm(res.alpha_hat) + np.linalg.norm(y)
+    assert residual <= 1e-12 * scale
+    alpha, sigma_g2, sigma_eps2 = dense_fit(k, y, nlambda)
     assert np.max(np.abs(res.alpha_hat - alpha)) <= 1e-8 * max(1.0, np.max(np.abs(alpha)))
     total = max(sigma_g2 + sigma_eps2, 1e-300)
     assert abs(res.sigma_g2_hat - sigma_g2) <= 1e-8 * total
