@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -46,16 +47,27 @@ def _read_matrix(path) -> np.ndarray:
     return data
 
 
-def _gaussian_bandwidth_arg(raw: str):
-    if raw == "auto":
-        return None
+def _positive_float_arg(raw: str) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {raw!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("bandwidth must be positive")
+        raise argparse.ArgumentTypeError(f"expected a number, got {raw!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {raw!r}")
     return value
+
+
+def _gaussian_bandwidth_arg(raw: str):
+    return None if raw == "auto" else _positive_float_arg(raw)
+
+
+def _sizes_arg(raw: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in raw.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {raw!r}"
+        ) from None
 
 
 def _add_pipeline_flags(parser) -> None:
@@ -219,7 +231,7 @@ def cmd_mc(args) -> int:
     if args.nlambda:
         overrides["lambda_grid"] = tuple(args.nlambda)
     if args.sizes is not None:
-        overrides["sample_sizes"] = tuple(int(s) for s in args.sizes.split(","))
+        overrides["sample_sizes"] = args.sizes
     if args.population_seed is not None:
         overrides["population_seed"] = args.population_seed
     if args.sampling_seed is not None:
@@ -275,7 +287,7 @@ def build_parser() -> _Parser:
     p_est.add_argument("--covariates", default=None)
     p_est.add_argument("--kernel", choices=kernels.KERNEL_KINDS + ("all",), default="all")
     p_est.add_argument(
-        "--nlambda", type=float, action="append", default=None,
+        "--nlambda", type=_positive_float_arg, action="append", default=None,
         help="regularization strength n*lambda (repeatable; default: stock grid)",
     )
     _add_pipeline_flags(p_est)
@@ -286,7 +298,7 @@ def build_parser() -> _Parser:
     p_diag.add_argument("--genotypes", required=True)
     p_diag.add_argument("--phenotypes", required=True)
     p_diag.add_argument("--kernel", choices=kernels.KERNEL_KINDS, required=True)
-    p_diag.add_argument("--nlambda", type=float, required=True)
+    p_diag.add_argument("--nlambda", type=_positive_float_arg, required=True)
     p_diag.add_argument("--true-g", default=None, help="signal values from simulation")
     _add_pipeline_flags(p_diag)
     p_diag.add_argument("--out", default=None)
@@ -298,8 +310,8 @@ def build_parser() -> _Parser:
     p_mc.add_argument("--genotypes", default=None, help="matrix for the external scenario")
     p_mc.add_argument("--reps", type=int, default=None)
     p_mc.add_argument("--kernels", default=None, help="comma-separated kernel kinds")
-    p_mc.add_argument("--nlambda", type=float, action="append", default=None)
-    p_mc.add_argument("--sizes", default=None, help="comma-separated sample sizes")
+    p_mc.add_argument("--nlambda", type=_positive_float_arg, action="append", default=None)
+    p_mc.add_argument("--sizes", type=_sizes_arg, default=None, help="comma-separated sample sizes")
     p_mc.add_argument("--population-seed", type=int, default=None)
     p_mc.add_argument("--sampling-seed", type=int, default=None)
     p_mc.add_argument("--workers", type=int, default=1)

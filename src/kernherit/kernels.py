@@ -14,7 +14,14 @@ to be numerically PSD, and reused by every ridge fit over a
 regularization grid. Ridge fits read it as ``eig`` and check their own
 solve residual; spectral diagnostics read it as ``verified_eig``, which
 also checks once that it reconstructs the kernel from an orthonormal
-basis. :func:`design_matrix` and
+basis.
+
+A linear kernel built from a design with fewer columns than rows (p < n)
+has rank at most p. It also keeps its factor F = X / sqrt(p), so that
+K = F F^T, and ridge fits on it factor the p-by-p dual Gram matrix F^T F
+(``dual_eig``, cached the same way) instead of the n-by-n K.
+``eig`` and ``verified_eig`` stay the full decomposition of K, which
+the spectral diagnostics need. :func:`design_matrix` and
 :func:`resolve_gaussian_bandwidth` turn genotypes and pipeline settings
 into kernel inputs, for the CLI and the Monte Carlo harness alike.
 """
@@ -63,14 +70,21 @@ def resolve_gaussian_bandwidth(bandwidth: float | None, standardize: bool, n_snp
 
 
 class KernelMatrix:
-    """A named symmetric PSD kernel with a cached eigendecomposition."""
+    """A named symmetric PSD kernel with a cached eigendecomposition.
 
-    def __init__(self, kind: str, matrix: SymMatrix):
+    ``factor``, when given, is an n-by-r matrix F with K = F F^T (r < n);
+    ridge fits then solve through the r-by-r ``dual_eig``. Their residual
+    check is against ``matrix``, so a factor that does not match fails it.
+    """
+
+    def __init__(self, kind: str, matrix: SymMatrix, factor: np.ndarray | None = None):
         if kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {kind!r}; choose one of {KERNEL_KINDS}")
         self.kind = kind
         self.matrix = matrix
+        self.factor = factor
         self._eig: EigenDecomposition | None = None
+        self._dual_eig: EigenDecomposition | None = None
         self._eig_verified = False
         self._eig_lock = threading.Lock()
 
@@ -113,6 +127,22 @@ class KernelMatrix:
                     self._eig_verified = True
         return dec
 
+    @property
+    def dual_eig(self) -> EigenDecomposition:
+        """Spectral factorization of F^T F, computed on first access (single-flight).
+
+        Raises NumericalError if it is not numerically PSD. Only kernels
+        built with a ``factor`` have one.
+        """
+        if self._dual_eig is None:
+            with self._eig_lock:
+                if self._dual_eig is None:
+                    f = self.factor
+                    dec = matrixcore.eigh(matrixcore.symmetrize(f.T @ f))
+                    matrixcore.require_psd(dec)
+                    self._dual_eig = dec
+        return self._dual_eig
+
     @functools.cached_property
     def frobenius_norm(self) -> float:
         """||K||_F, computed once (einsum: no BLAS thread start-up)."""
@@ -120,19 +150,27 @@ class KernelMatrix:
         return math.sqrt(float(np.einsum("ij,ij->", a, a)))
 
 
-def _linear_gram(x) -> SymMatrix:
-    z = _as_design(x)
+def _linear_gram(z: np.ndarray) -> SymMatrix:
     return matrixcore.symmetrize(z @ z.T / z.shape[1])
 
 
 def linear_kernel(x) -> KernelMatrix:
-    """Inner-product kernel scaled by the number of columns: X X^T / p."""
-    return KernelMatrix("linear", _linear_gram(x))
+    """Inner-product kernel scaled by the number of columns: X X^T / p.
+
+    With p < n the kernel keeps its factor X / sqrt(p) for ridge fits.
+    """
+    z = _as_design(x)
+    n, p = z.shape
+    factor = None
+    if p < n:
+        factor = z / math.sqrt(p)
+        factor.setflags(write=False)
+    return KernelMatrix("linear", _linear_gram(z), factor=factor)
 
 
 def polynomial_kernel(x) -> KernelMatrix:
     """Degree-2 polynomial kernel: elementwise square of (1 + X X^T / p)."""
-    gram = _linear_gram(x).data
+    gram = _linear_gram(_as_design(x)).data
     return KernelMatrix("poly2", SymMatrix((1.0 + gram) ** 2))
 
 
@@ -142,8 +180,8 @@ def gaussian_kernel(x, bandwidth: float = 1.0) -> KernelMatrix:
     The diagonal is exactly 1. ``bandwidth`` rescales squared distances;
     the default of 1 leaves them unscaled.
     """
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    if not 0 < bandwidth < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
     z = _as_design(x)
     sq = np.einsum("ij,ij->i", z, z)
     cross = matrixcore.symmetrize(z @ z.T).data

@@ -12,14 +12,24 @@ the fitted signal is g_hat = K alpha, and the variance components are
     sigma_eps2_hat = mean squared residual ||Y - g_hat||^2 / n
     h2_hat         = sigma_g2_hat / (sigma_g2_hat + sigma_eps2_hat).
 
-Every fit solves over the kernel's cached eigendecomposition, so a
-sweep over a grid of nlambda values (the dominant workload) factors the
-kernel once. Each fit is checked by its own solve residual (see
+Every fit solves over a cached eigendecomposition, so a sweep over a
+grid of nlambda values (the dominant workload) factors the kernel once.
+A kernel that carries a factor F with K = F F^T and fewer columns than
+rows (a linear kernel with p < n SNPs) is solved in the dual: with
+mu = nlambda, the Woodbury identity
+
+    (K + mu I)^-1 = (I - F (F^T F + mu I)^-1 F^T) / mu
+
+needs only the p-by-p eigendecomposition of F^T F, followed by one step
+of iterative refinement against the dense K (see :func:`_dual_solve`).
+Any other kernel is solved over its own n-by-n eigendecomposition. Each
+fit, by either route, is checked by its own solve residual (see
 :func:`_finalize`) rather than by re-multiplying the factorization.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,8 +67,8 @@ class KrrFit:
 
 
 def _validate_fit_inputs(k: KernelMatrix, y: np.ndarray, nlambda: float) -> np.ndarray:
-    if nlambda <= 0:
-        raise ValueError(f"nlambda must be positive, got {nlambda}")
+    if not 0 < nlambda < math.inf:
+        raise ValueError(f"nlambda must be positive and finite, got {nlambda}")
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.shape[0] != k.n:
         raise ValueError(
@@ -117,13 +127,34 @@ def _finalize(k: KernelMatrix, y: np.ndarray, nlambda: float, alpha: np.ndarray)
     )
 
 
+def _dual_solve(k: KernelMatrix, y: np.ndarray, nlambda: float) -> np.ndarray:
+    """Solve (K + nlambda I) alpha = y through the p-by-p ``k.dual_eig``.
+
+    The Woodbury form subtracts two nearly equal vectors when nlambda is
+    small against the spectrum of F^T F, which loses digits; one step of
+    iterative refinement against the dense K recovers them at O(n^2).
+    """
+    f = k.factor
+    dual = k.dual_eig
+    w, s = dual.eigenvectors, dual.eigenvalues
+
+    def solve(r):
+        return (r - f @ (w @ ((w.T @ (f.T @ r)) / (s + nlambda)))) / nlambda
+
+    alpha = solve(y)
+    return alpha + solve(y - (k.matrix.data @ alpha + nlambda * alpha))
+
+
 def fit(k: KernelMatrix, y, nlambda: float) -> KrrFit:
     """Fit kernel ridge regression at one regularization strength.
 
-    Solves over ``k.eig``, which is computed on first use and shared by
-    later fits on the same kernel.
+    Solves over ``k.dual_eig`` when the kernel has a factor, else over
+    ``k.eig``; either is computed on first use and shared by later fits
+    on the same kernel.
     """
     y = _validate_fit_inputs(k, y, nlambda)
+    if k.factor is not None:
+        return _finalize(k, y, nlambda, _dual_solve(k, y, nlambda))
     eig = k.eig
     coeffs = (eig.eigenvectors.T @ y) / (eig.eigenvalues + nlambda)
     alpha = eig.eigenvectors @ coeffs
@@ -135,8 +166,9 @@ def lambda_grid_fit(k: KernelMatrix, y, grid: Sequence[float]) -> list[KrrFit]:
     grid = tuple(float(v) for v in grid)
     if not grid:
         raise ValueError("nlambda grid must be non-empty")
-    if any(v <= 0 for v in grid):
-        raise ValueError("all nlambda values must be positive")
+    bad = [v for v in grid if not 0 < v < math.inf]
+    if bad:
+        raise ValueError(f"all nlambda values must be positive and finite, got {bad[0]}")
     return [fit(k, y, nlam) for nlam in grid]
 
 

@@ -171,6 +171,18 @@ class TestEstimate:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--nlambda", "nan"), ("--nlambda", "inf"), ("--nlambda", "0"),
+         ("--gaussian-bandwidth", "nan"), ("--gaussian-bandwidth", "inf"),
+         ("--gaussian-bandwidth", "-1")],
+    )
+    def test_bad_number_is_usage_error(self, capsys, flag, value):
+        code = run("estimate", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO,
+                   flag, value)
+        assert code == 1
+        assert f"argument {flag}: must be positive and finite" in capsys.readouterr().err
+
     def test_dimension_mismatch_is_data_error(self, tmp_path, capsys):
         short = tmp_path / "short.csv"
         short.write_text("1.0\n2.0\n")
@@ -245,6 +257,14 @@ class TestDiagnose:
         assert "sigma_g2_lower=unavailable" in out
 
 
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_nlambda_is_usage_error(self, capsys, value):
+        code = run("diagnose", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO,
+                   "--kernel", "linear", "--nlambda", value)
+        assert code == 1
+        assert "argument --nlambda: must be positive and finite" in capsys.readouterr().err
+
+
 class TestMc:
     CFG = (
         "family=linear\nkernels=linear\nlambda_grid=1.0,2.0\n"
@@ -290,6 +310,20 @@ class TestMc:
                    flag, value, "--out", str(out))
         assert code == 1
         assert f"{field} must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--nlambda", "nan", "must be positive and finite"),
+         ("--nlambda", "-2", "must be positive and finite"),
+         ("--sizes", "abc", "expected comma-separated integers"),
+         ("--sizes", "100,x", "expected comma-separated integers")],
+    )
+    def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "out"
+        code = run("mc", "--preset", "desk", "--reps", "1", flag, value, "--out", str(out))
+        assert code == 1
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_parse_error_reports_line(self, tmp_path, capsys):

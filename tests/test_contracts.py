@@ -2,11 +2,13 @@
 
 ``perfbench/spans.py`` wraps layer functions by looking them up in their
 owners' ``__dict__``; a rename under ``src/`` would break its traced run
-without failing anything else. The CLI must also start without scipy,
-which the package no longer depends on at run time.
+without failing anything else. The benchmark must run and pass its
+independent oracle's check on the smallest workload. The CLI must also
+start without scipy, which the package no longer depends on at run time.
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -39,3 +41,15 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_bench_smoke_run():
+    argv = [sys.executable, "perfbench/run.py", "--workload", "mc-desk",
+            "--seed", "1", "--seconds", "0", "--trace", "0"]
+    out = subprocess.run(argv, cwd=REPO, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    declared = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
+    assert {m["name"] for m in declared} <= set(result["metrics"])

@@ -31,6 +31,16 @@ class TestLinearKernel:
         k = linear_kernel(g)
         assert np.max(np.abs(k.matrix.data - naive_linear_kernel(g.as_float()))) < 1e-12
 
+    def test_factor_kept_only_with_fewer_columns_than_rows(self):
+        z = simulate_hwe(6, 4, seed=5).standardized()
+        k = linear_kernel(z)
+        assert not k.factor.flags.writeable
+        assert np.allclose(k.factor @ k.factor.T, k.matrix.data, rtol=0, atol=1e-12)
+        assert linear_kernel(z[:4]).factor is None  # p == n
+        assert linear_kernel(z[:3]).factor is None  # p > n
+        assert polynomial_kernel(z).factor is None
+        assert gaussian_kernel(z).factor is None
+
 
 class TestPolynomialKernel:
     def test_zero_matrix_gives_all_ones(self):
@@ -82,8 +92,9 @@ class TestGaussianKernel:
         assert np.all(k.matrix.data > 0.0) and np.all(k.matrix.data <= 1.0)
 
     def test_rejects_bad_bandwidth(self):
-        with pytest.raises(ValueError, match="bandwidth"):
-            gaussian_kernel(np.zeros((2, 2)), bandwidth=0.0)
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="bandwidth"):
+                gaussian_kernel(np.zeros((2, 2)), bandwidth=bad)
 
 
 class TestSharedProperties:
@@ -137,21 +148,23 @@ class TestEigCaching:
         from kernherit import kernels as kernels_mod
 
         monkeypatch.setattr(kernels_mod.matrixcore, "eigh", counting)
-        k = linear_kernel(simulate_hwe(30, 5, seed=2))
+        k = linear_kernel(simulate_hwe(30, 5, seed=2))  # p < n: has dual_eig too
         barrier = threading.Barrier(8)
         results = []
 
         def grab():
             barrier.wait()
-            results.append(k.eig)
+            results.append((k.eig, k.dual_eig))
 
         threads = [threading.Thread(target=grab) for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        assert len(calls) == 1
-        assert all(r is results[0] for r in results)
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8 and len(calls) == 2
+        assert all(r[0] is results[0][0] and r[1] is results[0][1] for r in results)
+        assert results[0][0].order == 30 and results[0][1].order == 5
 
     def test_basis_verified_once_and_never_for_fits(self, monkeypatch):
         calls = []
@@ -189,16 +202,19 @@ class TestCorruptedFactorization:
         monkeypatch.setattr(np.linalg, "eigh", corrupted)  # what matrixcore.eigh calls
 
     @staticmethod
-    def instance():
-        g = simulate_hwe(40, 12, seed=4)
+    def instances():
+        """A linear kernel solved in the p-by-p dual and a poly2 one solved in full."""
+        z = simulate_hwe(40, 12, seed=4).standardized()
         y = np.random.default_rng(1).normal(size=40)
-        return linear_kernel(g.standardized()), y
+        linear, poly2 = linear_kernel(z), polynomial_kernel(z)
+        assert linear.factor is not None and poly2.factor is None
+        return [(linear, y), (poly2, y)]
 
     def test_ridge_sweep_fails_its_residual_check(self, monkeypatch):
         self.corrupt_eigh(monkeypatch)
-        k, y = self.instance()
-        with pytest.raises(NumericalError, match="residual check"):
-            krr.lambda_grid_fit(k, y, krr.DEFAULT_NLAMBDA_GRID)
+        for k, y in self.instances():
+            with pytest.raises(NumericalError, match="residual check"):
+                krr.lambda_grid_fit(k, y, krr.DEFAULT_NLAMBDA_GRID)
 
     def test_nonfinite_eigenvectors_rejected(self, monkeypatch):
         real = np.linalg.eigh
@@ -210,17 +226,29 @@ class TestCorruptedFactorization:
             return w, v
 
         monkeypatch.setattr(np.linalg, "eigh", poisoned)
-        k, y = self.instance()
-        with pytest.raises(NumericalError, match="non-finite"):
-            krr.fit(k, y, 1.0)
+        for k, y in self.instances():
+            with pytest.raises(NumericalError, match="non-finite"):
+                krr.fit(k, y, 1.0)
+
+    def test_indefinite_spectrum_rejected(self, monkeypatch):
+        real = np.linalg.eigh
+
+        def negated(a):
+            w, v = real(a)
+            return -w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", negated)
+        for k, y in self.instances():
+            with pytest.raises(NumericalError, match="not positive semidefinite"):
+                krr.fit(k, y, 1.0)
 
     def test_nan_solution_fails_residual_check(self):
-        k, y = self.instance()
-        with pytest.raises(NumericalError, match="residual check"):
-            krr._finalize(k, y, 1.0, np.full(k.n, np.nan))
+        for k, y in self.instances():
+            with pytest.raises(NumericalError, match="residual check"):
+                krr._finalize(k, y, 1.0, np.full(k.n, np.nan))
 
     def test_spectra_fail_basis_verification(self, monkeypatch):
         self.corrupt_eigh(monkeypatch)
-        k, y = self.instance()
-        with pytest.raises(NumericalError, match="failed verification"):
-            spectra.check_conditions(k, y)
+        for k, y in self.instances():
+            with pytest.raises(NumericalError, match="failed verification"):
+                spectra.check_conditions(k, y)

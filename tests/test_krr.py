@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from kernherit import kernels
 from kernherit.exceptions import NumericalError
 from kernherit.genotypes import simulate_hwe
-from kernherit.kernels import KERNEL_KINDS, KernelMatrix, make_kernel
+from kernherit.kernels import KERNEL_KINDS, KernelMatrix, linear_kernel, make_kernel
 from kernherit.krr import (
     DEFAULT_NLAMBDA_GRID,
     CovariateMatrix,
@@ -120,8 +121,9 @@ class TestFit:
         assert np.isnan(res.h2_hat)
 
     def test_rejects_bad_nlambda(self):
-        with pytest.raises(ValueError, match="nlambda"):
-            fit(identity_kernel(3), np.ones(3), 0.0)
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="nlambda"):
+                fit(identity_kernel(3), np.ones(3), bad)
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -163,8 +165,9 @@ class TestLambdaGrid:
         kernel, pop = random_instance(10)
         with pytest.raises(ValueError):
             lambda_grid_fit(kernel, pop.phenotypes, [])
-        with pytest.raises(ValueError):
-            lambda_grid_fit(kernel, pop.phenotypes, [1.0, -1.0])
+        for bad in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="all nlambda values"):
+                lambda_grid_fit(kernel, pop.phenotypes, [1.0, bad])
 
 
 class TestResidualize:
@@ -249,6 +252,12 @@ def test_indefinite_kernel_raises():
         lambda_grid_fit(kernel, np.array([1.0, 2.0]), [1.0])
 
 
+def _relative_residual(k: np.ndarray, y: np.ndarray, nlambda: float, alpha: np.ndarray) -> float:
+    residual = np.linalg.norm(k @ alpha + nlambda * alpha - y)
+    scale = (np.linalg.norm(k) + nlambda) * np.linalg.norm(alpha) + np.linalg.norm(y)
+    return residual / scale if scale > 0 else residual
+
+
 @st.composite
 def gram_instances(draw):
     n = draw(st.integers(2, 12))
@@ -266,9 +275,7 @@ def test_fit_matches_dense_solve_property(instance):
     kernel, y, nlambda = instance
     res = fit(kernel, y, nlambda)
     k = kernel.matrix.data
-    residual = np.linalg.norm(k @ res.alpha_hat + nlambda * res.alpha_hat - y)
-    scale = (np.linalg.norm(k) + nlambda) * np.linalg.norm(res.alpha_hat) + np.linalg.norm(y)
-    assert residual <= 1e-12 * scale
+    assert _relative_residual(k, y, nlambda, res.alpha_hat) <= 1e-12
     alpha, sigma_g2, sigma_eps2 = dense_fit(k, y, nlambda)
     assert np.max(np.abs(res.alpha_hat - alpha)) <= 1e-8 * max(1.0, np.max(np.abs(alpha)))
     total = max(sigma_g2 + sigma_eps2, 1e-300)
@@ -276,3 +283,93 @@ def test_fit_matches_dense_solve_property(instance):
     assert abs(res.sigma_eps2_hat - sigma_eps2) <= 1e-8 * total
     if res.h2_defined:
         assert 0.0 <= res.h2_hat <= 1.0
+
+
+@st.composite
+def dual_instances(draw):
+    """Linear designs with p < n, with duplicated and all-zero columns.
+
+    A standardized monomorphic SNP is an all-zero column.
+    """
+    n = draw(st.integers(2, 12))
+    p = draw(st.integers(1, n - 1))
+    x = draw(arrays(np.float64, (n, p), elements=st.floats(-3.0, 3.0)))
+    x = x[:, draw(st.lists(st.integers(0, p - 1), min_size=p, max_size=p))]
+    x[:, draw(arrays(np.bool_, p))] = 0.0
+    y = draw(arrays(np.float64, n, elements=st.floats(-5.0, 5.0)))
+    nlambda = draw(st.floats(1e-3, 1e3))
+    return x, y, nlambda
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dual_instances())
+def test_dual_route_matches_full_route_property(instance):
+    x, y, nlambda = instance
+    k = linear_kernel(x)
+    full = KernelMatrix("linear", k.matrix)
+    assert k.factor is not None and full.factor is None
+    res, ref = fit(k, y, nlambda), fit(full, y, nlambda)
+    assert _relative_residual(k.matrix.data, y, nlambda, res.alpha_hat) <= 1e-12
+    scale = max(1.0, np.max(np.abs(ref.alpha_hat)))
+    assert np.max(np.abs(res.alpha_hat - ref.alpha_hat)) <= 1e-8 * scale
+    total = ref.sigma_g2_hat + ref.sigma_eps2_hat
+    assert abs(res.sigma_g2_hat - ref.sigma_g2_hat) <= 1e-10 * total
+    assert abs(res.sigma_eps2_hat - ref.sigma_eps2_hat) <= 1e-10 * total
+
+
+def test_dual_route_factors_only_the_gram(monkeypatch):
+    orders = []
+    real = kernels.matrixcore.eigh
+
+    def recording(a):
+        orders.append(np.shape(getattr(a, "data", a)))
+        return real(a)
+
+    monkeypatch.setattr(kernels.matrixcore, "eigh", recording)
+    k = linear_kernel(simulate_hwe(30, 5, seed=2).standardized())
+    y = np.random.default_rng(3).normal(size=30)
+    lambda_grid_fit(k, y, DEFAULT_NLAMBDA_GRID)
+    assert orders == [(5, 5)]
+    assert not k.has_eig
+
+
+@st.composite
+def invariance_instances(draw):
+    """Any kernel on either side of p < n, a permutation and a scale for y.
+
+    nlambda spans the stock grid; far below it (nlambda = 1e-3) rounding
+    alone moves the estimates of a permuted problem by about 1e-11.
+    """
+    n = draw(st.integers(3, 12))
+    p = draw(st.integers(1, n - 1)) if draw(st.booleans()) else draw(st.integers(n, n + 4))
+    x = draw(arrays(np.float64, (n, p), elements=st.floats(-3.0, 3.0)))
+    y = draw(arrays(np.float64, n, elements=st.floats(-5.0, 5.0)))
+    assume(np.linalg.norm(y) >= 1e-3)
+    kind = draw(st.sampled_from(KERNEL_KINDS))
+    nlambda = draw(st.floats(0.1, 10.0))
+    perm = np.array(draw(st.permutations(range(n))))
+    c = draw(st.floats(1e-3, 1e3)) * draw(st.sampled_from((-1.0, 1.0)))
+    return kind, x, y, nlambda, perm, c
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(invariance_instances())
+def test_permuting_individuals_leaves_estimates_unchanged(instance):
+    kind, x, y, nlambda, perm, _ = instance
+    a = fit(make_kernel(kind, x), y, nlambda)
+    b = fit(make_kernel(kind, x[perm]), y[perm], nlambda)
+    total = a.sigma_g2_hat + a.sigma_eps2_hat
+    assert abs(a.sigma_g2_hat - b.sigma_g2_hat) <= 1e-12 * total
+    assert abs(a.sigma_eps2_hat - b.sigma_eps2_hat) <= 1e-12 * total
+    assert a.h2_defined and b.h2_defined
+    assert abs(a.h2_hat - b.h2_hat) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(invariance_instances())
+def test_scaling_phenotypes_leaves_h2_unchanged(instance):
+    kind, x, y, nlambda, _, c = instance
+    k = make_kernel(kind, x)
+    a, b = fit(k, y, nlambda), fit(k, c * y, nlambda)
+    assert a.h2_defined and b.h2_defined
+    assert abs(a.h2_hat - b.h2_hat) <= 1e-12
