@@ -9,19 +9,11 @@ design matrix):
     gaussian    K_ij = exp(-||x_i - x_j||^2 / (2 * bandwidth)), unit diagonal
 
 The Gaussian bandwidth defaults to 1. The eigendecomposition of a kernel
-is computed lazily, exactly once even under concurrent access, checked
-to be numerically PSD, and reused by every ridge fit over a
-regularization grid. Ridge fits read it as ``eig`` and check their own
-solve residual; spectral diagnostics read it as ``verified_eig``, which
-also checks once that it reconstructs the kernel from an orthonormal
-basis.
-
-A linear kernel built from a design with fewer columns than rows (p < n)
-has rank at most p. It also keeps its factor F = X / sqrt(p), so that
-K = F F^T, and ridge fits on it factor the p-by-p dual Gram matrix F^T F
-(``dual_eig``, cached the same way) instead of the n-by-n K.
-``eig`` and ``verified_eig`` stay the full decomposition of K, which
-the spectral diagnostics need. :func:`design_matrix` and
+is computed lazily, exactly once even under concurrent access, and
+checked to be numerically PSD. Only the spectral diagnostics read it,
+as ``verified_eig``, which also checks once that it reconstructs the
+kernel from an orthonormal basis; ridge fits need none (``krr`` solves
+them by a Krylov sweep over ``matrix``). :func:`design_matrix` and
 :func:`resolve_gaussian_bandwidth` turn genotypes and pipeline settings
 into kernel inputs, for the CLI and the Monte Carlo harness alike.
 """
@@ -70,21 +62,14 @@ def resolve_gaussian_bandwidth(bandwidth: float | None, standardize: bool, n_snp
 
 
 class KernelMatrix:
-    """A named symmetric PSD kernel with a cached eigendecomposition.
+    """A named symmetric PSD kernel with a cached eigendecomposition."""
 
-    ``factor``, when given, is an n-by-r matrix F with K = F F^T (r < n);
-    ridge fits then solve through the r-by-r ``dual_eig``. Their residual
-    check is against ``matrix``, so a factor that does not match fails it.
-    """
-
-    def __init__(self, kind: str, matrix: SymMatrix, factor: np.ndarray | None = None):
+    def __init__(self, kind: str, matrix: SymMatrix):
         if kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {kind!r}; choose one of {KERNEL_KINDS}")
         self.kind = kind
         self.matrix = matrix
-        self.factor = factor
         self._eig: EigenDecomposition | None = None
-        self._dual_eig: EigenDecomposition | None = None
         self._eig_verified = False
         self._eig_lock = threading.Lock()
 
@@ -127,22 +112,6 @@ class KernelMatrix:
                     self._eig_verified = True
         return dec
 
-    @property
-    def dual_eig(self) -> EigenDecomposition:
-        """Spectral factorization of F^T F, computed on first access (single-flight).
-
-        Raises NumericalError if it is not numerically PSD. Only kernels
-        built with a ``factor`` have one.
-        """
-        if self._dual_eig is None:
-            with self._eig_lock:
-                if self._dual_eig is None:
-                    f = self.factor
-                    dec = matrixcore.eigh(matrixcore.symmetrize(f.T @ f))
-                    matrixcore.require_psd(dec)
-                    self._dual_eig = dec
-        return self._dual_eig
-
     @functools.cached_property
     def frobenius_norm(self) -> float:
         """||K||_F, computed once (einsum: no BLAS thread start-up)."""
@@ -155,17 +124,8 @@ def _linear_gram(z: np.ndarray) -> SymMatrix:
 
 
 def linear_kernel(x) -> KernelMatrix:
-    """Inner-product kernel scaled by the number of columns: X X^T / p.
-
-    With p < n the kernel keeps its factor X / sqrt(p) for ridge fits.
-    """
-    z = _as_design(x)
-    n, p = z.shape
-    factor = None
-    if p < n:
-        factor = z / math.sqrt(p)
-        factor.setflags(write=False)
-    return KernelMatrix("linear", _linear_gram(z), factor=factor)
+    """Inner-product kernel scaled by the number of columns: X X^T / p."""
+    return KernelMatrix("linear", _linear_gram(_as_design(x)))
 
 
 def polynomial_kernel(x) -> KernelMatrix:

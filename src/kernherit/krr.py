@@ -12,19 +12,18 @@ the fitted signal is g_hat = K alpha, and the variance components are
     sigma_eps2_hat = mean squared residual ||Y - g_hat||^2 / n
     h2_hat         = sigma_g2_hat / (sigma_g2_hat + sigma_eps2_hat).
 
-Every fit solves over a cached eigendecomposition, so a sweep over a
-grid of nlambda values (the dominant workload) factors the kernel once.
-A kernel that carries a factor F with K = F F^T and fewer columns than
-rows (a linear kernel with p < n SNPs) is solved in the dual: with
-mu = nlambda, the Woodbury identity
+Every fit solves by one Krylov multi-shift sweep (see :func:`_sweep`):
+Lanczos with full reorthogonalization, started at Y, builds an
+orthonormal basis Q_k and a k-by-k tridiagonal T_k with
+K Q_k = Q_k T_k + beta_k q_k e_k^T, and for each nlambda = mu
 
-    (K + mu I)^-1 = (I - F (F^T F + mu I)^-1 F^T) / mu
+    alpha = Q_k (T_k + mu I)^-1 ||Y|| e_1,
 
-needs only the p-by-p eigendecomposition of F^T F, followed by one step
-of iterative refinement against the dense K (see :func:`_dual_solve`).
-Any other kernel is solved over its own n-by-n eigendecomposition. Each
-fit, by either route, is checked by its own solve residual (see
-:func:`_finalize`) rather than by re-multiplying the factorization.
+whose residual has norm beta_k |last entry of (T_k + mu I)^-1 ||Y|| e_1|.
+One basis serves the whole grid, at k matrix-vector products with K
+plus O(n k^2) of reorthogonalization instead of an n-by-n
+eigendecomposition. Each fit is checked by its own solve residual (see
+:func:`_finalize`) rather than by re-multiplying a factorization.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import matrixcore
 from .exceptions import NumericalError
 from .kernels import KernelMatrix
 
@@ -47,6 +47,12 @@ _H2_DENOM_FLOOR = 1e-300
 
 # Relative tolerance on the ridge solve residual; see _finalize.
 _SOLVE_RTOL = 1e-10
+
+# A shift's sweep stops once its residual estimate is below
+# _STOP_RTOL * 2 ||y||, and the Krylov space counts as exhausted once the
+# next Lanczos vector has norm below _BREAKDOWN_RTOL * ||K||_F; see _sweep.
+_STOP_RTOL = 1e-14
+_BREAKDOWN_RTOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -127,49 +133,105 @@ def _finalize(k: KernelMatrix, y: np.ndarray, nlambda: float, alpha: np.ndarray)
     )
 
 
-def _dual_solve(k: KernelMatrix, y: np.ndarray, nlambda: float) -> np.ndarray:
-    """Solve (K + nlambda I) alpha = y through the p-by-p ``k.dual_eig``.
+def _orthogonalize(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Remove from ``w``, in place, its components along the rows of ``basis``.
 
-    The Woodbury form subtracts two nearly equal vectors when nlambda is
-    small against the spectrum of F^T F, which loses digits; one step of
-    iterative refinement against the dense K recovers them at O(n^2).
+    Two classical Gram-Schmidt passes against orthonormal rows; returns
+    the summed coefficients of both passes.
     """
-    f = k.factor
-    dual = k.dual_eig
-    w, s = dual.eigenvectors, dual.eigenvalues
+    h = basis @ w
+    w -= h @ basis
+    h2 = basis @ w
+    w -= h2 @ basis
+    return h + h2
 
-    def solve(r):
-        return (r - f @ (w @ ((w.T @ (f.T @ r)) / (s + nlambda)))) / nlambda
 
-    alpha = solve(y)
-    return alpha + solve(y - (k.matrix.data @ alpha + nlambda * alpha))
+def _sweep(k: KernelMatrix, y: np.ndarray, grid: Sequence[float]) -> list[np.ndarray]:
+    """Solve (K + mu I) alpha = y for every mu in ``grid`` from one Lanczos run.
+
+    The basis rows q_0 = y / ||y||, q_1, ... are kept orthonormal by
+    :func:`_orthogonalize`. After j + 1 steps the residual of shift mu has
+    norm beta_j |c_j|, where c solves (T_{j+1} + mu I) c = ||y|| e_1; its
+    last entry c_j comes from the LDL^T recurrence of T_{j+1} + mu I at
+    O(len(grid)) per step. Shift mu stops at the first k_mu = j + 1 with
+    beta_j |c_j| <= 1e-14 * 2 ||y||. Because ||c|| >= ||y|| / (||K||_F + mu),
+    that bound is never looser than 1e-14 ((||K||_F + mu) ||c|| + ||y||),
+    and far tighter than the check in :func:`_finalize`. Every shift still
+    pending stops when beta_j <= 1e-15 ||K||_F or j + 1 = n (the Krylov
+    space is exhausted) and leaves the verdict to :func:`_finalize`.
+
+    alpha_mu depends only on the first k_mu basis rows and on T_{k_mu},
+    which do not depend on the grid, so a single fit and a grid sweep
+    agree bitwise. T_k is solved through ``matrixcore.eigh`` once per
+    distinct stopping index; its Ritz values must pass
+    ``matrixcore.require_psd``. A direction of K that y does not excite
+    is invisible here, but it cannot move alpha either.
+    """
+    n = k.n
+    y_norm = float(np.linalg.norm(y))
+    if y_norm == 0.0:
+        return [np.zeros(n) for _ in grid]
+    a = k.matrix.data
+    mus = np.asarray(grid, dtype=np.float64)
+    stop = np.zeros(mus.size, dtype=np.intp)  # k_mu, 0 while mu is pending
+    target = _STOP_RTOL * 2.0 * y_norm
+    floor = _BREAKDOWN_RTOL * k.frobenius_norm
+    basis = np.empty((n, n))  # rows are touched (and paid for) only once used
+    basis[0] = y / y_norm
+    diag: list[float] = []
+    off: list[float] = []
+    for j in range(n):
+        w = a @ basis[j]
+        diag.append(float(_orthogonalize(basis[: j + 1], w)[j]))
+        beta = float(np.linalg.norm(w))
+        if j == 0:
+            d = diag[0] + mus  # pivots of LDL^T(T_{j+1} + mu I)
+            z = np.full(mus.size, y_norm)  # c_j = z / d
+        else:
+            lower = off[-1] / d
+            z = -lower * z
+            d = diag[j] + mus - off[-1] * lower
+        stop[(stop == 0) & (beta * np.abs(z / d) <= target)] = j + 1
+        if beta <= floor or j + 1 == n:
+            stop[stop == 0] = j + 1
+        if stop.all():
+            break
+        off.append(beta)
+        basis[j + 1] = w / beta
+
+    alphas: list = [None] * mus.size
+    for kk in np.unique(stop):
+        t = np.diag(diag[:kk]) + np.diag(off[: kk - 1], 1) + np.diag(off[: kk - 1], -1)
+        dec = matrixcore.eigh(t)
+        matrixcore.require_psd(dec)
+        head = y_norm * dec.eigenvectors[0]
+        for i in np.flatnonzero(stop == kk):
+            c = dec.eigenvectors @ (head / (dec.eigenvalues + mus[i]))
+            alphas[i] = c @ basis[:kk]
+    return alphas
 
 
 def fit(k: KernelMatrix, y, nlambda: float) -> KrrFit:
     """Fit kernel ridge regression at one regularization strength.
 
-    Solves over ``k.dual_eig`` when the kernel has a factor, else over
-    ``k.eig``; either is computed on first use and shared by later fits
-    on the same kernel.
+    Runs the Krylov sweep for this one shift; the result is bitwise the
+    same as the matching point of :func:`lambda_grid_fit`.
     """
     y = _validate_fit_inputs(k, y, nlambda)
-    if k.factor is not None:
-        return _finalize(k, y, nlambda, _dual_solve(k, y, nlambda))
-    eig = k.eig
-    coeffs = (eig.eigenvectors.T @ y) / (eig.eigenvalues + nlambda)
-    alpha = eig.eigenvectors @ coeffs
+    (alpha,) = _sweep(k, y, (nlambda,))
     return _finalize(k, y, nlambda, alpha)
 
 
 def lambda_grid_fit(k: KernelMatrix, y, grid: Sequence[float]) -> list[KrrFit]:
-    """Fit once per nlambda in ``grid``, sharing one eigendecomposition."""
+    """Fit once per nlambda in ``grid``, sharing one Krylov sweep."""
     grid = tuple(float(v) for v in grid)
     if not grid:
         raise ValueError("nlambda grid must be non-empty")
     bad = [v for v in grid if not 0 < v < math.inf]
     if bad:
         raise ValueError(f"all nlambda values must be positive and finite, got {bad[0]}")
-    return [fit(k, y, nlam) for nlam in grid]
+    y = _validate_fit_inputs(k, y, grid[0])
+    return [_finalize(k, y, mu, alpha) for mu, alpha in zip(grid, _sweep(k, y, grid))]
 
 
 @dataclass(frozen=True)

@@ -152,10 +152,11 @@ def require_psd(dec: EigenDecomposition) -> None:
     """Raise NumericalError unless the spectrum is numerically PSD.
 
     A PSD kernel has min eigenvalue >= -PSD_RTOL * max(l_1, 0); anything
-    worse cannot come from a kernel and indicates corrupted input.
+    worse cannot come from a kernel and indicates corrupted input. The
+    extremes are searched for, not read off the ends of the spectrum.
     """
     w = dec.eigenvalues
-    l1, lmin = float(w[0]), float(w[-1])
+    l1, lmin = float(w.max()), float(w.min())
     tol = -PSD_RTOL * max(l1, 0.0)
     if lmin < tol:
         raise NumericalError(

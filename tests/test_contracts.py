@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` wraps layer functions by looking them up in their
 owners' ``__dict__``; a rename under ``src/`` would break its traced run
 without failing anything else. The benchmark must run and pass its
-independent oracle's check on the smallest workload. The CLI must also
+independent oracle's check on the smallest workload and on the one that
+fits every kernel at n = 1092 and runs the diagnostics. The CLI must also
 start without scipy, which the package no longer depends on at run time.
 """
 
@@ -13,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import kernherit
 
@@ -43,8 +46,9 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
-def test_bench_smoke_run():
-    argv = [sys.executable, "perfbench/run.py", "--workload", "mc-desk",
+@pytest.mark.parametrize("workload", ["mc-desk", "files"])
+def test_bench_smoke_run(workload):
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", "1", "--seconds", "0", "--trace", "0"]
     out = subprocess.run(argv, cwd=REPO, capture_output=True, text=True, timeout=600)
     assert out.returncode == 0, out.stderr

@@ -31,16 +31,6 @@ class TestLinearKernel:
         k = linear_kernel(g)
         assert np.max(np.abs(k.matrix.data - naive_linear_kernel(g.as_float()))) < 1e-12
 
-    def test_factor_kept_only_with_fewer_columns_than_rows(self):
-        z = simulate_hwe(6, 4, seed=5).standardized()
-        k = linear_kernel(z)
-        assert not k.factor.flags.writeable
-        assert np.allclose(k.factor @ k.factor.T, k.matrix.data, rtol=0, atol=1e-12)
-        assert linear_kernel(z[:4]).factor is None  # p == n
-        assert linear_kernel(z[:3]).factor is None  # p > n
-        assert polynomial_kernel(z).factor is None
-        assert gaussian_kernel(z).factor is None
-
 
 class TestPolynomialKernel:
     def test_zero_matrix_gives_all_ones(self):
@@ -148,13 +138,13 @@ class TestEigCaching:
         from kernherit import kernels as kernels_mod
 
         monkeypatch.setattr(kernels_mod.matrixcore, "eigh", counting)
-        k = linear_kernel(simulate_hwe(30, 5, seed=2))  # p < n: has dual_eig too
+        k = linear_kernel(simulate_hwe(30, 5, seed=2))
         barrier = threading.Barrier(8)
         results = []
 
         def grab():
             barrier.wait()
-            results.append((k.eig, k.dual_eig))
+            results.append(k.eig)
 
         threads = [threading.Thread(target=grab) for _ in range(8)]
         for t in threads:
@@ -162,9 +152,9 @@ class TestEigCaching:
         for t in threads:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
-        assert len(results) == 8 and len(calls) == 2
-        assert all(r[0] is results[0][0] and r[1] is results[0][1] for r in results)
-        assert results[0][0].order == 30 and results[0][1].order == 5
+        assert len(results) == 8 and len(calls) == 1
+        assert all(r is results[0] for r in results)
+        assert results[0].order == 30
 
     def test_basis_verified_once_and_never_for_fits(self, monkeypatch):
         calls = []
@@ -189,7 +179,7 @@ class TestEigCaching:
 
 
 class TestCorruptedFactorization:
-    """Eigenvectors off by about 1e-6 must not pass silently anywhere."""
+    """Eigenvectors or Lanczos vectors off by about 1e-6 must not pass silently anywhere."""
 
     @staticmethod
     def corrupt_eigh(monkeypatch):
@@ -203,15 +193,29 @@ class TestCorruptedFactorization:
 
     @staticmethod
     def instances():
-        """A linear kernel solved in the p-by-p dual and a poly2 one solved in full."""
+        """A linear kernel of rank below n and a full-rank poly2 one, on one design."""
         z = simulate_hwe(40, 12, seed=4).standardized()
         y = np.random.default_rng(1).normal(size=40)
-        linear, poly2 = linear_kernel(z), polynomial_kernel(z)
-        assert linear.factor is not None and poly2.factor is None
-        return [(linear, y), (poly2, y)]
+        return [(linear_kernel(z), y), (polynomial_kernel(z), y)]
 
     def test_ridge_sweep_fails_its_residual_check(self, monkeypatch):
         self.corrupt_eigh(monkeypatch)
+        for k, y in self.instances():
+            with pytest.raises(NumericalError, match="residual check"):
+                krr.lambda_grid_fit(k, y, krr.DEFAULT_NLAMBDA_GRID)
+
+    def test_perturbed_lanczos_vectors_fail_residual_check(self, monkeypatch):
+        real = krr._orthogonalize
+        rng = np.random.default_rng(0)
+
+        def perturbed(basis, w):
+            h = real(basis, w)
+            w += 1e-6 * np.linalg.norm(w) / np.sqrt(w.size) * rng.standard_normal(w.size)
+            return h
+
+        monkeypatch.setattr(krr, "_orthogonalize", perturbed)
+        # The residual check alone must catch it; the Ritz PSD check may fire first.
+        monkeypatch.setattr(matrixcore, "require_psd", lambda dec: None)
         for k, y in self.instances():
             with pytest.raises(NumericalError, match="residual check"):
                 krr.lambda_grid_fit(k, y, krr.DEFAULT_NLAMBDA_GRID)

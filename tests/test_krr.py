@@ -4,10 +4,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kernherit import kernels
+from kernherit import matrixcore
 from kernherit.exceptions import NumericalError
 from kernherit.genotypes import simulate_hwe
-from kernherit.kernels import KERNEL_KINDS, KernelMatrix, linear_kernel, make_kernel
+from kernherit.kernels import KERNEL_KINDS, KernelMatrix, linear_kernel, make_kernel, polynomial_kernel
 from kernherit.krr import (
     DEFAULT_NLAMBDA_GRID,
     CovariateMatrix,
@@ -15,7 +15,7 @@ from kernherit.krr import (
     lambda_grid_fit,
     residualize,
 )
-from kernherit.matrixcore import SymMatrix
+from kernherit.matrixcore import SymMatrix, symmetrize
 from kernherit.phenosim import SimulationSpec, build_population
 
 from helpers import cramer_solve, rel_err
@@ -138,7 +138,7 @@ class TestLambdaGrid:
     def test_singleton_equals_fit(self):
         kernel, pop = random_instance(6)
         grid_res = lambda_grid_fit(kernel, pop.phenotypes, [1.0])
-        single = fit(kernel, pop.phenotypes, 1.0)  # spectral: eig now cached
+        single = fit(kernel, pop.phenotypes, 1.0)
         assert len(grid_res) == 1
         assert np.array_equal(grid_res[0].alpha_hat, single.alpha_hat)
 
@@ -233,11 +233,12 @@ class TestCovariateMatrix:
 
 
 def test_fit_uses_cached_spectrum_automatically():
+    """A fit computes no eigendecomposition of K, and repeats bitwise."""
     kernel, pop = random_instance(11)
-    assert not kernel.has_eig
     first = fit(kernel, pop.phenotypes, 1.0)
-    assert kernel.has_eig
+    assert not kernel.has_eig
     second = fit(kernel, pop.phenotypes, 1.0)
+    assert not kernel.has_eig
     assert np.array_equal(first.alpha_hat, second.alpha_hat)
     assert first.h2_hat == second.h2_hat
 
@@ -286,51 +287,155 @@ def test_fit_matches_dense_solve_property(instance):
 
 
 @st.composite
-def dual_instances(draw):
-    """Linear designs with p < n, with duplicated and all-zero columns.
-
-    A standardized monomorphic SNP is an all-zero column.
-    """
+def design_instances(draw):
+    """Any kernel on a design with p on either side of n, with duplicated
+    and all-zero columns (a standardized monomorphic SNP is all zero)."""
     n = draw(st.integers(2, 12))
-    p = draw(st.integers(1, n - 1))
+    p = draw(st.integers(1, n - 1)) if draw(st.booleans()) else draw(st.integers(n, n + 4))
     x = draw(arrays(np.float64, (n, p), elements=st.floats(-3.0, 3.0)))
     x = x[:, draw(st.lists(st.integers(0, p - 1), min_size=p, max_size=p))]
     x[:, draw(arrays(np.bool_, p))] = 0.0
     y = draw(arrays(np.float64, n, elements=st.floats(-5.0, 5.0)))
+    kind = draw(st.sampled_from(KERNEL_KINDS))
     nlambda = draw(st.floats(1e-3, 1e3))
-    return x, y, nlambda
+    return make_kernel(kind, x), y, nlambda
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(dual_instances())
-def test_dual_route_matches_full_route_property(instance):
-    x, y, nlambda = instance
-    k = linear_kernel(x)
-    full = KernelMatrix("linear", k.matrix)
-    assert k.factor is not None and full.factor is None
-    res, ref = fit(k, y, nlambda), fit(full, y, nlambda)
-    assert _relative_residual(k.matrix.data, y, nlambda, res.alpha_hat) <= 1e-12
-    scale = max(1.0, np.max(np.abs(ref.alpha_hat)))
-    assert np.max(np.abs(res.alpha_hat - ref.alpha_hat)) <= 1e-8 * scale
-    total = ref.sigma_g2_hat + ref.sigma_eps2_hat
-    assert abs(res.sigma_g2_hat - ref.sigma_g2_hat) <= 1e-10 * total
-    assert abs(res.sigma_eps2_hat - ref.sigma_eps2_hat) <= 1e-10 * total
+@given(design_instances())
+def test_sweep_matches_spectral_solve_property(instance):
+    kernel, y, nlambda = instance
+    res = fit(kernel, y, nlambda)
+    k = kernel.matrix.data
+    eig = kernel.verified_eig
+    alpha = eig.eigenvectors @ ((eig.eigenvectors.T @ y) / (eig.eigenvalues + nlambda))
+    g = k @ alpha
+    sigma_g2, sigma_eps2 = float(np.var(g, ddof=1)), float(np.sum((y - g) ** 2)) / len(y)
+    assert _relative_residual(k, y, nlambda, res.alpha_hat) <= 1e-12
+    assert np.max(np.abs(res.alpha_hat - alpha)) <= 1e-8 * max(1.0, np.max(np.abs(alpha)))
+    total = sigma_g2 + sigma_eps2
+    assert abs(res.sigma_g2_hat - sigma_g2) <= 1e-10 * total
+    assert abs(res.sigma_eps2_hat - sigma_eps2) <= 1e-10 * total
+
+
+def _recorded_eigh_orders(monkeypatch) -> list[int]:
+    """Record the order of every matrix ``matrixcore.eigh`` factors."""
+    orders = []
+    real = matrixcore.eigh
+
+    def recording(a):
+        orders.append(np.shape(getattr(a, "data", a))[0])
+        return real(a)
+
+    monkeypatch.setattr(matrixcore, "eigh", recording)
+    return orders
 
 
 def test_dual_route_factors_only_the_gram(monkeypatch):
-    orders = []
-    real = kernels.matrixcore.eigh
-
-    def recording(a):
-        orders.append(np.shape(getattr(a, "data", a)))
-        return real(a)
-
-    monkeypatch.setattr(kernels.matrixcore, "eigh", recording)
+    """A linear-kernel sweep with p < n factors only small tridiagonals."""
+    orders = _recorded_eigh_orders(monkeypatch)
     k = linear_kernel(simulate_hwe(30, 5, seed=2).standardized())
     y = np.random.default_rng(3).normal(size=30)
     lambda_grid_fit(k, y, DEFAULT_NLAMBDA_GRID)
-    assert orders == [(5, 5)]
+    assert orders and max(orders) < 30
     assert not k.has_eig
+
+
+def test_sweep_stops_before_the_krylov_space_is_exhausted(monkeypatch):
+    orders = _recorded_eigh_orders(monkeypatch)
+    k = polynomial_kernel(simulate_hwe(200, 50, seed=5).standardized())
+    y = np.random.default_rng(6).normal(size=200)
+    for res in lambda_grid_fit(k, y, DEFAULT_NLAMBDA_GRID):
+        assert _relative_residual(k.matrix.data, y, res.nlambda, res.alpha_hat) <= 1e-12
+    assert orders and max(orders) < 200
+    assert not k.has_eig
+
+
+@st.composite
+def sweep_instances(draw):
+    """Genotype kernels large enough for the sweep to stop early, with whole grids."""
+    n = draw(st.integers(30, 150))
+    p = draw(st.integers(5, 2 * n))
+    kind = draw(st.sampled_from(KERNEL_KINDS))
+    seed = draw(st.integers(0, 2**32 - 1))
+    grid = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=11))
+    return n, p, kind, seed, grid
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sweep_instances())
+def test_sweep_matches_dense_solve_over_grids_property(instance):
+    n, p, kind, seed, grid = instance
+    x = simulate_hwe(n, p, seed=seed).standardized()
+    kernel = make_kernel(kind, x, gaussian_bandwidth=p / 2.0)
+    y = np.random.default_rng(seed).normal(size=n)
+    k = kernel.matrix.data
+    for nlambda, res in zip(grid, lambda_grid_fit(kernel, y, grid)):
+        assert _relative_residual(k, y, nlambda, res.alpha_hat) <= 1e-12
+        alpha = np.linalg.solve(k + nlambda * np.eye(n), y)
+        assert np.max(np.abs(res.alpha_hat - alpha)) <= 1e-8 * max(1.0, np.max(np.abs(alpha)))
+
+
+@st.composite
+def population_instances(draw):
+    """A simulated population's kernel and an ascending nlambda grid."""
+    n = draw(st.integers(3, 120))
+    p = draw(st.integers(1, 150))
+    kind = draw(st.sampled_from(KERNEL_KINDS))
+    seed = draw(st.integers(0, 2**32 - 1))
+    grid = sorted(draw(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=11)))
+    kernel, pop = random_instance(seed, n=n, p=p, kind=kind)
+    return kernel, pop.phenotypes, grid
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(population_instances())
+def test_h2_in_unit_interval_property(instance):
+    kernel, y, grid = instance
+    for res in lambda_grid_fit(kernel, y, grid):
+        assert res.h2_defined
+        assert 0.0 <= res.h2_hat <= 1.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(population_instances())
+def test_sigma_eps2_nondecreasing_property(instance):
+    kernel, y, grid = instance
+    values = [r.sigma_eps2_hat for r in lambda_grid_fit(kernel, y, grid)]
+    for a, b in zip(values, values[1:]):
+        assert b >= a - 1e-12 * max(1.0, abs(a))
+
+
+@st.composite
+def planted_negative_instances(draw):
+    """A spectrum with one eigenvalue -c l_max that y excites by >= 10% of its norm.
+
+    l_max = 1 and nlambda <= l_max, as with kernels on the stock grids.
+    Far above l_max the sweep may converge before it resolves the
+    negative eigenvalue (3 misses in 153 random cases with nlambda from
+    l_max to 10 l_max).
+    """
+    n = draw(st.integers(20, 160))
+    c = draw(st.floats(1e-3, 1.0))
+    share = draw(st.floats(0.1, 1.0))
+    nlambda = draw(st.floats(1e-3, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    lam = rng.uniform(0.0, 1.0, size=n)
+    lam[0], lam[-1] = 1.0, -c
+    kernel = KernelMatrix("linear", symmetrize((v * lam) @ v.T))
+    rest = v[:, :-1] @ rng.normal(size=n - 1)
+    y = share * v[:, -1] + np.sqrt(1.0 - share**2) * rest / np.linalg.norm(rest)
+    return kernel, y, nlambda
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(planted_negative_instances())
+def test_ritz_values_reveal_a_negative_eigenvalue_property(instance):
+    kernel, y, nlambda = instance
+    with pytest.raises(NumericalError, match="eigenvalue"):
+        fit(kernel, y, nlambda)
 
 
 @st.composite
