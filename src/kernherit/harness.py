@@ -97,6 +97,12 @@ class McConfig:
                 raise ValueError(
                     f"sample size {n} outside [1, population size {self.population_size}]"
                 )
+        for name in ("kernels", "lambda_grid", "sample_sizes"):
+            seen = set()
+            for value in getattr(self, name):
+                if value in seen:
+                    raise ValueError(f"{name} must be distinct, got {value!r} more than once")
+                seen.add(value)
         if self.gaussian_bandwidth is not None and not 0 < self.gaussian_bandwidth < math.inf:
             raise ValueError("gaussian_bandwidth must be positive and finite when given")
         path = self.output_path

@@ -8,14 +8,18 @@ design matrix):
     poly2       K = elementwise square of (1 + X X^T / p)
     gaussian    K_ij = exp(-||x_i - x_j||^2 / (2 * bandwidth)), unit diagonal
 
-The Gaussian bandwidth defaults to 1. The eigendecomposition of a kernel
-is computed lazily, exactly once even under concurrent access, and
-checked to be numerically PSD. Only the spectral diagnostics read it,
-as ``verified_eig``, which also checks once that it reconstructs the
-kernel from an orthonormal basis; ridge fits need none (``krr`` solves
-them by a Krylov sweep over ``matrix``). :func:`design_matrix` and
-:func:`resolve_gaussian_bandwidth` turn genotypes and pipeline settings
-into kernel inputs, for the CLI and the Monte Carlo harness alike.
+The Gaussian bandwidth defaults to 1. :func:`design_matrix` turns
+genotypes into a :class:`Design`, which computes the Gram matrix
+X X^T once and shares it with every kernel built from it; each kernel
+is then an elementwise map of that Gram, done in place.
+:func:`resolve_gaussian_bandwidth` picks the bandwidth. The CLI and the
+Monte Carlo harness build their kernels alike through these.
+
+The eigendecomposition of a kernel, ``KernelMatrix.eig``, is computed
+lazily, exactly once even under concurrent access, and checked to be
+numerically PSD and to reconstruct the kernel from an orthonormal
+basis. Only the spectral diagnostics read it; ridge fits need none
+(``krr`` solves them by a Krylov sweep over ``matrix``).
 """
 
 from __future__ import annotations
@@ -33,20 +37,49 @@ from .matrixcore import EigenDecomposition, SymMatrix
 KERNEL_KINDS = ("linear", "poly2", "gaussian")
 
 
-def _as_design(x) -> np.ndarray:
+class Design:
+    """A read-only n-by-p kernel input and its Gram matrix Z Z^T.
+
+    The Gram is computed on first use and shared by every kernel built
+    from this design. The design keeps a read-only view of ``data``
+    without copying it, so the array must not change afterwards.
+    """
+
+    def __init__(self, data):
+        z = np.asarray(data, dtype=np.float64)
+        if z.ndim != 2:
+            raise ValueError(f"design matrix must be 2-D, got shape {z.shape}")
+        if z.shape[0] < 1 or z.shape[1] < 1:
+            raise ValueError(f"design matrix must be non-empty, got shape {z.shape}")
+        z = z.view()
+        z.setflags(write=False)
+        self.data = z
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.data.shape
+
+    @property
+    def p(self) -> int:
+        return self.data.shape[1]
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """Z Z^T, exactly symmetric and read-only."""
+        return matrixcore.symmetrize(self.data @ self.data.T).data
+
+
+def _as_design(x) -> Design:
+    if isinstance(x, Design):
+        return x
     if isinstance(x, GenotypeMatrix):
-        return x.as_float()
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"design matrix must be 2-D, got shape {x.shape}")
-    if x.shape[0] < 1 or x.shape[1] < 1:
-        raise ValueError(f"design matrix must be non-empty, got shape {x.shape}")
-    return x
+        return Design(x.as_float())
+    return Design(x)
 
 
-def design_matrix(g: GenotypeMatrix, standardize: bool) -> np.ndarray:
+def design_matrix(g: GenotypeMatrix, standardize: bool) -> Design:
     """Kernel input: column-standardized genotypes, or raw allele counts."""
-    return g.standardized() if standardize else g.as_float()
+    return Design(g.standardized() if standardize else g.as_float())
 
 
 def resolve_gaussian_bandwidth(bandwidth: float | None, standardize: bool, n_snps: int) -> float:
@@ -70,7 +103,6 @@ class KernelMatrix:
         self.kind = kind
         self.matrix = matrix
         self._eig: EigenDecomposition | None = None
-        self._eig_verified = False
         self._eig_lock = threading.Lock()
 
     @property
@@ -83,34 +115,21 @@ class KernelMatrix:
 
     @property
     def eig(self) -> EigenDecomposition:
-        """Spectral factorization, computed on first access (single-flight).
+        """Spectral factorization, computed and checked on first access.
 
-        Raises NumericalError if the matrix is not numerically PSD. The
-        factorization is not re-multiplied; see ``verified_eig``.
+        Single-flight under concurrent access. Raises NumericalError if
+        the matrix is not numerically PSD or if the factorization does
+        not reconstruct it from an orthonormal basis
+        (:func:`matrixcore.verify_eigh`, O(n^3), run once).
         """
         if self._eig is None:
             with self._eig_lock:
                 if self._eig is None:
                     dec = matrixcore.eigh(self.matrix)
                     matrixcore.require_psd(dec)
+                    matrixcore.verify_eigh(self.matrix, dec)
                     self._eig = dec
         return self._eig
-
-    @property
-    def verified_eig(self) -> EigenDecomposition:
-        """``eig``, checked once to reconstruct the kernel orthonormally.
-
-        The check (:func:`matrixcore.verify_eigh`) is O(n^3), so it runs
-        on the first read only, under the same lock as the factorization.
-        Use this wherever the eigenvectors serve as a basis.
-        """
-        dec = self.eig
-        if not self._eig_verified:
-            with self._eig_lock:
-                if not self._eig_verified:
-                    matrixcore.verify_eigh(self.matrix, dec)
-                    self._eig_verified = True
-        return dec
 
     @functools.cached_property
     def frobenius_norm(self) -> float:
@@ -119,19 +138,19 @@ class KernelMatrix:
         return math.sqrt(float(np.einsum("ij,ij->", a, a)))
 
 
-def _linear_gram(z: np.ndarray) -> SymMatrix:
-    return matrixcore.symmetrize(z @ z.T / z.shape[1])
-
-
 def linear_kernel(x) -> KernelMatrix:
     """Inner-product kernel scaled by the number of columns: X X^T / p."""
-    return KernelMatrix("linear", _linear_gram(_as_design(x)))
+    d = _as_design(x)
+    return KernelMatrix("linear", SymMatrix(d.gram / d.p))
 
 
 def polynomial_kernel(x) -> KernelMatrix:
     """Degree-2 polynomial kernel: elementwise square of (1 + X X^T / p)."""
-    gram = _linear_gram(_as_design(x)).data
-    return KernelMatrix("poly2", SymMatrix((1.0 + gram) ** 2))
+    d = _as_design(x)
+    k = d.gram / d.p
+    k += 1.0
+    np.square(k, out=k)
+    return KernelMatrix("poly2", SymMatrix(k))
 
 
 def gaussian_kernel(x, bandwidth: float = 1.0) -> KernelMatrix:
@@ -142,13 +161,16 @@ def gaussian_kernel(x, bandwidth: float = 1.0) -> KernelMatrix:
     """
     if not 0 < bandwidth < math.inf:
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
-    z = _as_design(x)
-    sq = np.einsum("ij,ij->i", z, z)
-    cross = matrixcore.symmetrize(z @ z.T).data
-    d2 = sq[:, None] + sq[None, :] - 2.0 * cross
+    d = _as_design(x)
+    sq = np.einsum("ij,ij->i", d.data, d.data)
+    d2 = sq[:, None] + sq[None, :]
+    d2 -= 2.0 * d.gram
     np.fill_diagonal(d2, 0.0)
     np.maximum(d2, 0.0, out=d2)
-    return KernelMatrix("gaussian", SymMatrix(np.exp(-0.5 * d2 / bandwidth)))
+    d2 *= -0.5
+    d2 /= bandwidth
+    np.exp(d2, out=d2)
+    return KernelMatrix("gaussian", SymMatrix(d2))
 
 
 def make_kernel(kind: str, x, gaussian_bandwidth: float = 1.0) -> KernelMatrix:

@@ -17,7 +17,7 @@ Checks that require the alignment/gap conditions refuse to run when
 those preconditions fail (raising ConditionNotMet naming the failed
 condition) rather than reporting a meaningless boolean.
 
-Every function reads the spectrum through ``KernelMatrix.verified_eig``,
+Every function reads the spectrum through ``KernelMatrix.eig``,
 so the eigenbasis is checked once per kernel, on first use, before any
 diagnostic relies on it.
 
@@ -49,7 +49,7 @@ _SLACK = 1e-10
 
 def clipped_eigenvalues(k: KernelMatrix) -> np.ndarray:
     """Eigenvalues of the kernel, descending, negatives clipped to zero."""
-    return np.maximum(k.verified_eig.eigenvalues, 0.0)
+    return np.maximum(k.eig.eigenvalues, 0.0)
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ def check_conditions(k: KernelMatrix, g, g_is_proxy: bool = False) -> ConditionR
         raise ValueError("signal vector is identically zero")
 
     n = k.n
-    eig = k.verified_eig
+    eig = k.eig
     lam = clipped_eigenvalues(k)
     l1 = float(lam[0])
     l2 = float(lam[1]) if n > 1 else 0.0
@@ -213,7 +213,7 @@ def decompose_terms(k: KernelMatrix, y, g, nlambda: float) -> TermDecomposition:
         raise ValueError(f"nlambda must be positive, got {nlambda}")
     n = k.n
     eps = y - g
-    eig = k.verified_eig
+    eig = k.eig
     lam = clipped_eigenvalues(k)
     w = lam / (lam + nlambda)  # smoother weights l/(l + nlambda)
     d = nlambda / (lam + nlambda)  # residual weights
@@ -270,7 +270,7 @@ def prop3_check(k: KernelMatrix, g, nlambda: float, report: ConditionReport) -> 
     """
     g = np.asarray(g, dtype=np.float64)
     report.require(nlambda)
-    eig = k.verified_eig
+    eig = k.eig
     lam = clipped_eigenvalues(k)
     w = lam / (lam + nlambda)
     s1 = eig.eigenvectors.T @ np.ones(k.n)
@@ -297,7 +297,7 @@ def prop4_check(k: KernelMatrix, g, nlambda: float, report: ConditionReport) -> 
     """
     g = np.asarray(g, dtype=np.float64)
     report.require(nlambda)
-    eig = k.verified_eig
+    eig = k.eig
     lam = clipped_eigenvalues(k)
     w = lam / (lam + nlambda)
     s1 = eig.eigenvectors.T @ np.ones(k.n)
@@ -383,7 +383,7 @@ def bound_report(
     if sigma_eps2 < 0:
         raise ValueError(f"sigma_eps2 must be non-negative, got {sigma_eps2}")
     n = k.n
-    eig = k.verified_eig
+    eig = k.eig
     lam = clipped_eigenvalues(k)
     w = lam / (lam + nlambda)
     d = 1.0 - w

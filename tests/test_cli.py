@@ -326,6 +326,19 @@ class TestMc:
         assert f"argument {flag}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(("--kernels", "linear,linear"), "kernels must be distinct, got 'linear'"),
+         (("--nlambda", "1", "--nlambda", "1.0"), "lambda_grid must be distinct, got 1.0"),
+         (("--sizes", "100,100"), "sample_sizes must be distinct, got 100")],
+    )
+    def test_repeated_value_is_usage_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        code = run("mc", "--preset", "desk", "--reps", "2", *flags, "--out", str(out))
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_parse_error_reports_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("family=linear\nwhat=1\n")

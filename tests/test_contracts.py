@@ -2,7 +2,8 @@
 
 ``perfbench/spans.py`` wraps layer functions by looking them up in their
 owners' ``__dict__``; a rename under ``src/`` would break its traced run
-without failing anything else. The benchmark must run and pass its
+without failing anything else, and so would a kernel input whose
+shape it cannot read. The benchmark must run and pass its
 independent oracle's check on the smallest workload and on the one that
 fits every kernel at n = 1092 and runs the diagnostics. The CLI must also
 start without scipy, which the package no longer depends on at run time.
@@ -15,9 +16,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kernherit
+from kernherit import kernels
+from kernherit.genotypes import simulate_hwe
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -33,6 +37,17 @@ def _load_spans():
 def test_bench_layer_targets_exist():
     for owner, attr, name, _ in _load_spans().layer_targets():
         assert attr in owner.__dict__, f"{name}: {owner.__name__} has no {attr!r}"
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+def test_design_has_the_shape_the_bench_reads(standardize):
+    """``spans._design`` sizes a kernel span by ``np.shape`` of its input."""
+    g = simulate_hwe(9, 4, seed=0)
+    design = kernels.design_matrix(g, standardize)
+    assert np.shape(design) == (g.n, g.p)
+    assert _load_spans()._design("linear", design) == {"n": g.n, "p": g.p}
+    for kind in kernels.KERNEL_KINDS:
+        assert kernels.make_kernel(kind, design).n == g.n
 
 
 def test_cli_import_does_not_load_scipy():

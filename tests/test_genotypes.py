@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from kernherit.exceptions import DataError
@@ -255,3 +256,17 @@ class TestGenotypeMatrix:
         # Monomorphic column maps to zeros instead of dividing by zero.
         assert np.allclose(w[:, 1], 0.0)
         assert np.allclose(w[:, 0].std(), 1.0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        st.tuples(st.integers(1, 40), st.integers(1, 40)).flatmap(
+            lambda shape: arrays(np.int8, shape, elements=st.integers(0, 2))
+        ),
+        st.integers(0, 2),
+    )
+    def test_standardized_equals_mean_and_std_formula_bitwise(self, counts, fill):
+        counts[:, :: max(1, counts.shape[1] // 3)] = fill  # monomorphic columns
+        z = counts.astype(np.float64)
+        sd = z.std(axis=0)
+        expected = (z - z.mean(axis=0)) / np.where(sd == 0.0, 1.0, sd)
+        assert np.array_equal(GenotypeMatrix(counts).standardized(), expected)

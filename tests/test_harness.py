@@ -282,6 +282,9 @@ class TestConfigFile:
             ("lambda_grid=1.0,inf", "lambda_grid"),
             ("population_seed=-3", "population_seed"),
             ("sampling_seed=-1", "sampling_seed"),
+            ("kernels=linear,poly2,linear", "kernels"),
+            ("lambda_grid=1.0,2.0,1", "lambda_grid"),
+            ("sample_sizes=100,100", "sample_sizes"),
         ],
     )
     def test_invalid_field_names_source(self, line, field):
@@ -308,11 +311,11 @@ class TestConfigFile:
 
 
 @st.composite
-def mc_configs(draw):
-    """Any valid McConfig; candidates the constructor rejects are discarded."""
+def mc_config_fields(draw):
+    """Keyword arguments for McConfig; the lists may repeat a value."""
     population_size = draw(st.integers(1, 10**6))
     floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-    kwargs = dict(
+    return dict(
         scenario=draw(st.sampled_from(SCENARIOS)),
         family=draw(st.sampled_from(FAMILIES)),
         kernels=tuple(draw(st.lists(st.sampled_from(KERNEL_KINDS), min_size=1, max_size=4))),
@@ -331,15 +334,25 @@ def mc_configs(draw):
         gaussian_bandwidth=draw(st.none() | floats),
         output_path=draw(st.none() | st.text()),
     )
-    try:
-        return McConfig(**kwargs)
-    except ValueError:
-        assume(False)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(mc_configs())
-def test_config_round_trip_property(cfg):
+@given(mc_config_fields())
+def test_config_round_trip_property(fields):
+    """A config with a repeated kernel, nlambda or sample size is rejected
+    naming that field; every other valid config round-trips."""
+    repeated = [
+        name for name in ("kernels", "lambda_grid", "sample_sizes")
+        if len(set(fields[name])) < len(fields[name])
+    ]
+    if repeated:
+        with pytest.raises(ValueError, match=f"^{repeated[0]} must be distinct, got "):
+            McConfig(**fields)
+        return
+    try:
+        cfg = McConfig(**fields)
+    except ValueError:
+        assume(False)
     assert parse_config(serialize_config(cfg)) == cfg
 
 

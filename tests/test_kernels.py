@@ -2,16 +2,21 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kernherit import krr, matrixcore, spectra
 from kernherit.exceptions import NumericalError
 from kernherit.genotypes import GenotypeMatrix, simulate_hwe
 from kernherit.kernels import (
     KERNEL_KINDS,
+    design_matrix,
     gaussian_kernel,
     linear_kernel,
     make_kernel,
     polynomial_kernel,
+    resolve_gaussian_bandwidth,
 )
 
 from helpers import naive_gaussian_kernel, naive_linear_kernel
@@ -119,6 +124,83 @@ class TestSharedProperties:
             linear_kernel(np.zeros((0, 3)))
 
 
+@st.composite
+def genotype_designs(draw):
+    """Genotypes with p on either side of n, duplicated and all-zero
+    columns, taken standardized or raw."""
+    n = draw(st.integers(2, 12))
+    p = draw(st.integers(1, n - 1)) if draw(st.booleans()) else draw(st.integers(n, n + 6))
+    counts = draw(arrays(np.int8, (n, p), elements=st.integers(0, 2)))
+    counts = counts[:, draw(st.lists(st.integers(0, p - 1), min_size=p, max_size=p))]
+    counts[:, draw(arrays(np.bool_, p))] = 0
+    return GenotypeMatrix(counts), draw(st.booleans())
+
+
+def _out_of_place_kernel(kind, z, bandwidth):
+    """Each kernel written as one out-of-place expression from its own Gram."""
+    a = z @ z.T
+    gram = (a + a.T) / 2.0
+    if kind == "linear":
+        return gram / z.shape[1]
+    if kind == "poly2":
+        return (1.0 + gram / z.shape[1]) ** 2
+    sq = np.einsum("ij,ij->i", z, z)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
+    np.fill_diagonal(d2, 0.0)
+    np.maximum(d2, 0.0, out=d2)
+    return np.exp(-0.5 * d2 / bandwidth)
+
+
+def _dense_kernel(kind, z, bandwidth):
+    """The defining formulas, with distances taken from row differences."""
+    if kind == "gaussian":
+        d2 = ((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2)
+        return np.exp(-d2 / (2.0 * bandwidth))
+    linear = np.einsum("ik,jk->ij", z, z) / z.shape[1]
+    return linear if kind == "linear" else (1.0 + linear) ** 2
+
+
+class TestSharedDesign:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(genotype_designs())
+    def test_shared_gram_matches_fresh_and_dense_kernels(self, instance):
+        g, standardize = instance
+        design = design_matrix(g, standardize)
+        bandwidth = resolve_gaussian_bandwidth(None, standardize, g.p)
+        z = np.array(design.data)
+        for kind in KERNEL_KINDS:
+            shared = make_kernel(kind, design, gaussian_bandwidth=bandwidth).matrix.data
+            fresh = make_kernel(kind, z, gaussian_bandwidth=bandwidth).matrix.data
+            assert np.array_equal(shared, fresh)
+            assert np.array_equal(shared, _out_of_place_kernel(kind, z, bandwidth))
+            assert np.max(np.abs(shared - _dense_kernel(kind, z, bandwidth))) <= 1e-12
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_one_gram_product_per_design(self, monkeypatch, standardize):
+        orders = []
+        real = matrixcore.symmetrize
+
+        def recording(a):
+            orders.append(np.shape(a))
+            return real(a)
+
+        monkeypatch.setattr(matrixcore, "symmetrize", recording)
+        g = simulate_hwe(20, 7, seed=3)
+        design = design_matrix(g, standardize)
+        assert np.shape(design) == (20, 7) and orders == []
+        for kind in KERNEL_KINDS:
+            make_kernel(kind, design, gaussian_bandwidth=3.5)
+        assert orders == [(20, 20)]
+
+    def test_design_is_read_only_and_leaves_its_input_writable(self):
+        g = simulate_hwe(6, 3, seed=1)
+        design = design_matrix(g, True)
+        assert not design.data.flags.writeable and not design.gram.flags.writeable
+        z = g.standardized()
+        linear_kernel(z)
+        assert z.flags.writeable
+
+
 class TestEigCaching:
     def test_lazy_and_cached(self):
         k = linear_kernel(simulate_hwe(6, 3, seed=1))
@@ -128,16 +210,21 @@ class TestEigCaching:
         assert k.eig is first
 
     def test_single_flight_under_concurrency(self, monkeypatch):
-        calls = []
-        real = matrixcore.eigh
+        calls, checks = [], []
+        real, real_check = matrixcore.eigh, matrixcore.verify_eigh
 
         def counting(a):
             calls.append(1)
             return real(a)
 
+        def counting_check(a, dec):
+            checks.append(1)
+            return real_check(a, dec)
+
         from kernherit import kernels as kernels_mod
 
         monkeypatch.setattr(kernels_mod.matrixcore, "eigh", counting)
+        monkeypatch.setattr(kernels_mod.matrixcore, "verify_eigh", counting_check)
         k = linear_kernel(simulate_hwe(30, 5, seed=2))
         barrier = threading.Barrier(8)
         results = []
@@ -152,7 +239,7 @@ class TestEigCaching:
         for t in threads:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
-        assert len(results) == 8 and len(calls) == 1
+        assert len(results) == 8 and len(calls) == 1 and len(checks) == 1
         assert all(r is results[0] for r in results)
         assert results[0].order == 30
 
@@ -175,7 +262,7 @@ class TestEigCaching:
         spectra.decompose_terms(k, y, y / 2.0, 1.0)
         spectra.esd_integrals(k, 1.0)
         assert calls == [1]
-        assert k.verified_eig is k.eig
+        assert k.eig is k.eig and calls == [1]
 
 
 class TestCorruptedFactorization:
@@ -256,3 +343,6 @@ class TestCorruptedFactorization:
         for k, y in self.instances():
             with pytest.raises(NumericalError, match="failed verification"):
                 spectra.check_conditions(k, y)
+            with pytest.raises(NumericalError, match="failed verification"):
+                k.eig
+            assert not k.has_eig

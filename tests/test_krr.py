@@ -307,7 +307,7 @@ def test_sweep_matches_spectral_solve_property(instance):
     kernel, y, nlambda = instance
     res = fit(kernel, y, nlambda)
     k = kernel.matrix.data
-    eig = kernel.verified_eig
+    eig = kernel.eig
     alpha = eig.eigenvectors @ ((eig.eigenvectors.T @ y) / (eig.eigenvalues + nlambda))
     g = k @ alpha
     sigma_g2, sigma_eps2 = float(np.var(g, ddof=1)), float(np.sum((y - g) ** 2)) / len(y)
