@@ -30,21 +30,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_vector(path) -> np.ndarray:
-    try:
-        data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=1)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"{path}: could not parse numeric column: {exc}") from None
-    if data.ndim != 1:
-        raise DataError(f"{path}: expected a single column, got shape {data.shape}")
-    return data
+def _read_numeric(path, column: bool) -> np.ndarray:
+    """One numeric column as a vector, or a matrix, from a comma-separated file.
 
-def _read_matrix(path) -> np.ndarray:
+    A NaN or infinite value is a DataError naming its 1-based data row
+    and, for a matrix, its column.
+    """
+    shape = "column" if column else "matrix"
     try:
         data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except (OSError, ValueError) as exc:
-        raise DataError(f"{path}: could not parse numeric matrix: {exc}") from None
-    return data
+        raise DataError(f"{path}: could not parse numeric {shape}: {exc}") from None
+    if column and data.shape[1] != 1:
+        raise DataError(f"{path}: expected a single column, got shape {data.shape}")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = (int(i) for i in bad[0])
+        where = f"row {row + 1}" if column else f"row {row + 1}, column {col + 1}"
+        raise DataError(f"{path}: non-finite value {float(data[row, col])} at {where}")
+    return data[:, 0] if column else data
 
 
 def _positive_float_arg(raw: str) -> float:
@@ -142,7 +146,7 @@ def cmd_simulate(args) -> int:
 def _load_inputs(args):
     """Phenotypes, design matrix and Gaussian bandwidth for estimate and diagnose."""
     genotypes = read_genotype_csv(args.genotypes)
-    y = _read_vector(args.phenotypes)
+    y = _read_numeric(args.phenotypes, column=True)
     if y.shape[0] != genotypes.n:
         raise DataError(
             f"phenotype length {y.shape[0]} does not match genotype rows {genotypes.n}"
@@ -169,7 +173,7 @@ def _write_lines(lines, out) -> int:
 def cmd_estimate(args) -> int:
     y, design, bandwidth = _load_inputs(args)
     if args.covariates is not None:
-        y = krr.residualize(y, _read_matrix(args.covariates))
+        y = krr.residualize(y, _read_numeric(args.covariates, column=False))
     grid = tuple(args.nlambda) if args.nlambda else krr.DEFAULT_NLAMBDA_GRID
 
     lines = [krr.estimate_csv_header()]
@@ -186,7 +190,7 @@ def cmd_diagnose(args) -> int:
     kernel = kernels.make_kernel(args.kernel, design, gaussian_bandwidth=bandwidth)
     fit_res = krr.fit(kernel, y, args.nlambda)
     if args.true_g is not None:
-        g = _read_vector(args.true_g)
+        g = _read_numeric(args.true_g, column=True)
         if g.shape[0] != n:
             raise DataError(f"signal length {g.shape[0]} does not match genotype rows {n}")
         proxy = False

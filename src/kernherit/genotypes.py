@@ -168,10 +168,10 @@ def read_genotype_csv(path, header: bool = False) -> GenotypeMatrix:
     ``.gz`` suffix. Blank lines are skipped; with ``header`` the first
     line is too.
 
-    The file is parsed in one vectorised pass; only when that pass fails
-    or finds a value outside {0,1,2} is it scanned field by field, which
-    names the first offender (or accepts what the fast pass could not
-    parse, such as a line of spaces).
+    The file is parsed in one vectorised pass and checked once, by
+    :class:`GenotypeMatrix`; only when either fails is it scanned field
+    by field, which names the first offender (or accepts what the fast
+    pass could not parse, such as a line of spaces).
     """
     try:
         with _open_text(path, "r") as fh, warnings.catch_warnings():
@@ -179,11 +179,10 @@ def read_genotype_csv(path, header: bool = False) -> GenotypeMatrix:
             data = np.loadtxt(
                 fh, delimiter=",", dtype=np.int8, comments=None, ndmin=2, skiprows=int(header)
             )
+        return GenotypeMatrix(data)
     except ValueError:
-        data = None
-    if data is None or data.size == 0 or not np.isin(data, (0, 1, 2)).all():
-        data = _scan_genotype_csv(path, header)
-    return GenotypeMatrix(data)
+        pass
+    return GenotypeMatrix(_scan_genotype_csv(path, header))
 
 
 def _scan_genotype_csv(path, header: bool) -> np.ndarray:

@@ -15,9 +15,10 @@ is then an elementwise map of that Gram, done in place.
 :func:`resolve_gaussian_bandwidth` picks the bandwidth. The CLI and the
 Monte Carlo harness build their kernels alike through these.
 
-The eigendecomposition of a kernel, ``KernelMatrix.eig``, is computed
-lazily, exactly once even under concurrent access, and checked to be
-numerically PSD and to reconstruct the kernel from an orthonormal
+:class:`KernelMatrix`, the one kernel type, checks its matrix where it
+enters and owns a read-only copy. Its eigendecomposition, ``eig``, is
+computed lazily, exactly once even under concurrent access, and checked
+to be numerically PSD and to reconstruct the kernel from an orthonormal
 basis. Only the spectral diagnostics read it; ridge fits need none
 (``krr`` solves them by a Krylov sweep over ``matrix``).
 """
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import matrixcore
 from .genotypes import GenotypeMatrix
-from .matrixcore import EigenDecomposition, SymMatrix
+from .matrixcore import EigenDecomposition
 
 KERNEL_KINDS = ("linear", "poly2", "gaussian")
 
@@ -65,8 +66,12 @@ class Design:
 
     @functools.cached_property
     def gram(self) -> np.ndarray:
-        """Z Z^T, exactly symmetric and read-only."""
-        return matrixcore.symmetrize(self.data @ self.data.T).data
+        """Z Z^T, exactly symmetric, finite and read-only."""
+        g = matrixcore.symmetrize(self.data @ self.data.T)
+        if not np.all(np.isfinite(g)):  # the Gaussian map can hide an overflow
+            raise ValueError("matrix entries must be finite")
+        g.setflags(write=False)
+        return g
 
 
 def _as_design(x) -> Design:
@@ -95,19 +100,32 @@ def resolve_gaussian_bandwidth(bandwidth: float | None, standardize: bool, n_snp
 
 
 class KernelMatrix:
-    """A named symmetric PSD kernel with a cached eigendecomposition."""
+    """A named symmetric PSD kernel with a cached eigendecomposition.
 
-    def __init__(self, kind: str, matrix: SymMatrix):
+    Rejects a non-square, non-finite or not exactly symmetric matrix
+    (see :func:`matrixcore.symmetrize`) and keeps a read-only float64
+    copy as ``matrix``, which the caller's array cannot change.
+    """
+
+    def __init__(self, kind: str, matrix: np.ndarray):
         if kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {kind!r}; choose one of {KERNEL_KINDS}")
+        a = np.array(matrix, dtype=np.float64)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix entries must be finite")
+        if not np.array_equal(a, a.T):
+            raise ValueError("matrix is not exactly symmetric")
+        a.setflags(write=False)
         self.kind = kind
-        self.matrix = matrix
+        self.matrix = a
         self._eig: EigenDecomposition | None = None
         self._eig_lock = threading.Lock()
 
     @property
     def n(self) -> int:
-        return self.matrix.order
+        return self.matrix.shape[0]
 
     @property
     def has_eig(self) -> bool:
@@ -134,14 +152,14 @@ class KernelMatrix:
     @functools.cached_property
     def frobenius_norm(self) -> float:
         """||K||_F, computed once (einsum: no BLAS thread start-up)."""
-        a = self.matrix.data
+        a = self.matrix
         return math.sqrt(float(np.einsum("ij,ij->", a, a)))
 
 
 def linear_kernel(x) -> KernelMatrix:
     """Inner-product kernel scaled by the number of columns: X X^T / p."""
     d = _as_design(x)
-    return KernelMatrix("linear", SymMatrix(d.gram / d.p))
+    return KernelMatrix("linear", d.gram / d.p)
 
 
 def polynomial_kernel(x) -> KernelMatrix:
@@ -150,7 +168,7 @@ def polynomial_kernel(x) -> KernelMatrix:
     k = d.gram / d.p
     k += 1.0
     np.square(k, out=k)
-    return KernelMatrix("poly2", SymMatrix(k))
+    return KernelMatrix("poly2", k)
 
 
 def gaussian_kernel(x, bandwidth: float = 1.0) -> KernelMatrix:
@@ -170,7 +188,7 @@ def gaussian_kernel(x, bandwidth: float = 1.0) -> KernelMatrix:
     d2 *= -0.5
     d2 /= bandwidth
     np.exp(d2, out=d2)
-    return KernelMatrix("gaussian", SymMatrix(d2))
+    return KernelMatrix("gaussian", d2)
 
 
 def make_kernel(kind: str, x, gaussian_bandwidth: float = 1.0) -> KernelMatrix:

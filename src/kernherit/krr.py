@@ -99,7 +99,7 @@ def _finalize(k: KernelMatrix, y: np.ndarray, nlambda: float, alpha: np.ndarray)
     The check costs O(n): g_hat = K alpha is needed anyway.
     """
     n = k.n
-    g_hat = k.matrix.data @ alpha
+    g_hat = k.matrix @ alpha
     r_norm = float(np.linalg.norm(g_hat + nlambda * alpha - y))
     bound = _SOLVE_RTOL * (
         (k.frobenius_norm + nlambda) * float(np.linalg.norm(alpha)) + float(np.linalg.norm(y))
@@ -171,7 +171,7 @@ def _sweep(k: KernelMatrix, y: np.ndarray, grid: Sequence[float]) -> list[np.nda
     y_norm = float(np.linalg.norm(y))
     if y_norm == 0.0:
         return [np.zeros(n) for _ in grid]
-    a = k.matrix.data
+    a = k.matrix
     mus = np.asarray(grid, dtype=np.float64)
     stop = np.zeros(mus.size, dtype=np.intp)  # k_mu, 0 while mu is pending
     target = _STOP_RTOL * 2.0 * y_norm
@@ -282,6 +282,8 @@ class CovariateMatrix:
             raise ValueError(
                 f"covariates have {raw.shape[0]} rows but phenotypes have {n}"
             )
+        if not np.all(np.isfinite(raw)):  # before np.ptp, which is NaN for such a column
+            raise ValueError("covariates must be finite")
         varying = np.ptp(raw, axis=0) > 0.0
         return cls(np.hstack([intercept, raw[:, varying]]))
 

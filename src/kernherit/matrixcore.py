@@ -3,8 +3,10 @@
 Everything downstream (kernel matrices, ridge solves, spectral
 diagnostics) is built on a symmetric eigendecomposition with
 deterministic eigenvector orientation and a definiteness check of its
-spectrum. All functions are pure; returned arrays are marked read-only
-so values can be shared freely across threads.
+spectrum. All functions are pure and take plain arrays; the checks
+that make an array a kernel (square, finite, exactly symmetric) live
+with the one kernel type, ``kernels.KernelMatrix``. Factorizations are
+returned read-only so they can be shared freely across threads.
 
 Checks: :func:`eigh` rejects a non-converged or non-finite result, and
 :func:`require_psd` a spectrum no kernel can have. The O(n^3)
@@ -35,42 +37,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SymMatrix:
-    """A real symmetric matrix with exact (bitwise) symmetry.
+def symmetrize(a: np.ndarray) -> np.ndarray:
+    """(A + A^T) / 2 of an almost-symmetric array, e.g. a BLAS product.
 
-    Construction rejects non-square, non-finite, or asymmetric input;
-    use :func:`symmetrize` first when an operation (e.g. a BLAS product)
-    may have produced one-ulp asymmetry.
+    Exactly (bitwise) symmetric, because floating-point addition commutes.
     """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.data, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        if not np.array_equal(a, a.T):
-            raise ValueError("matrix is not exactly symmetric")
-        object.__setattr__(self, "data", _freeze(a.copy()))
-
-    @property
-    def order(self) -> int:
-        return self.data.shape[0]
-
-
-def symmetrize(a: np.ndarray) -> SymMatrix:
-    """Build a SymMatrix from an almost-symmetric array via (A + A.T)/2."""
     a = np.asarray(a, dtype=np.float64)
-    return SymMatrix((a + a.T) / 2.0)
-
-
-def _as_array(a) -> np.ndarray:
-    if isinstance(a, SymMatrix):
-        return a.data
-    return np.asarray(a, dtype=np.float64)
+    return (a + a.T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -95,14 +68,14 @@ class EigenDecomposition:
         return self.eigenvalues.shape[0]
 
 
-def eigh(a: SymMatrix | np.ndarray) -> EigenDecomposition:
+def eigh(a: np.ndarray) -> EigenDecomposition:
     """Eigendecompose a symmetric matrix, descending, deterministically.
 
     Raises NumericalError if the underlying solver does not converge or
     returns non-finite values. The factorization itself is not
     re-multiplied here; see :func:`verify_eigh`.
     """
-    A = _as_array(a)
+    A = np.asarray(a, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     n = A.shape[0]
@@ -129,13 +102,13 @@ def eigh(a: SymMatrix | np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(w, v)
 
 
-def verify_eigh(a: SymMatrix | np.ndarray, dec: EigenDecomposition) -> None:
+def verify_eigh(a: np.ndarray, dec: EigenDecomposition) -> None:
     """Raise NumericalError unless ``dec`` reconstructs ``a`` orthonormally.
 
     Checks ||V diag(l) V^T - A||_F <= 1e-8 max(1, ||A||_F) and
     ||V^T V - I||_F <= 1e-10, at O(n^3).
     """
-    A = _as_array(a)
+    A = np.asarray(a, dtype=np.float64)
     w, v = dec.eigenvalues, dec.eigenvectors
     n = dec.order
     a_norm = float(np.linalg.norm(A))
@@ -165,14 +138,14 @@ def require_psd(dec: EigenDecomposition) -> None:
         )
 
 
-def solve_spd_shifted(a: SymMatrix | np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:
+def solve_spd_shifted(a: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:
     """Solve (A + shift*I) x = b spectrally for PSD A and shift > 0.
 
     A must be numerically PSD (see :func:`require_psd`); anything worse
     raises NumericalError since PSD kernels cannot produce it, as does a
     factorization that fails :func:`verify_eigh`.
     """
-    A = _as_array(a)
+    A = np.asarray(a, dtype=np.float64)
     if shift <= 0:
         raise ValueError(f"shift must be positive, got {shift}")
     b = np.asarray(b, dtype=np.float64)

@@ -105,6 +105,8 @@ def check_conditions(k: KernelMatrix, g, g_is_proxy: bool = False) -> ConditionR
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 1 or g.shape[0] != k.n:
         raise ValueError(f"signal shape {g.shape} does not match kernel order {k.n}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("signal must be finite")
     norm_g = float(np.linalg.norm(g))
     if norm_g == 0.0:
         raise ValueError("signal vector is identically zero")
@@ -209,8 +211,8 @@ def decompose_terms(k: KernelMatrix, y, g, nlambda: float) -> TermDecomposition:
         raise ValueError(
             f"dimension mismatch: kernel order {k.n}, phenotypes {y.shape}, signal {g.shape}"
         )
-    if nlambda <= 0:
-        raise ValueError(f"nlambda must be positive, got {nlambda}")
+    if not 0 < nlambda < math.inf:
+        raise ValueError(f"nlambda must be positive and finite, got {nlambda}")
     n = k.n
     eps = y - g
     eig = k.eig
@@ -245,8 +247,8 @@ def esd_integrals(k: KernelMatrix, nlambda: float) -> tuple[float, float]:
     Returns ((1/n) sum_i (l_i/(l_i+nlambda))^2,
              (1/(n-1)) sum_{i>=2} (l_i/(l_i+nlambda))^2).
     """
-    if nlambda <= 0:
-        raise ValueError(f"nlambda must be positive, got {nlambda}")
+    if not 0 < nlambda < math.inf:
+        raise ValueError(f"nlambda must be positive and finite, got {nlambda}")
     lam = clipped_eigenvalues(k)
     w2 = (lam / (lam + nlambda)) ** 2
     n = lam.shape[0]
@@ -378,8 +380,8 @@ def bound_report(
     """
     y = np.asarray(y, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
-    if nlambda <= 0:
-        raise ValueError(f"nlambda must be positive, got {nlambda}")
+    if not 0 < nlambda < math.inf:
+        raise ValueError(f"nlambda must be positive and finite, got {nlambda}")
     if sigma_eps2 < 0:
         raise ValueError(f"sigma_eps2 must be non-negative, got {sigma_eps2}")
     n = k.n

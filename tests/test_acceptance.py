@@ -30,7 +30,7 @@ from kernherit.harness import (
 )
 from kernherit.kernels import KERNEL_KINDS, KernelMatrix, make_kernel
 from kernherit.krr import DEFAULT_NLAMBDA_GRID, fit, lambda_grid_fit
-from kernherit.matrixcore import SymMatrix, eigh, symmetrize
+from kernherit.matrixcore import eigh, symmetrize
 from kernherit.phenosim import FAMILIES, SimulationSpec, build_population
 from kernherit.spectra import (
     bound_report,
@@ -162,7 +162,7 @@ def test_criterion_1_algebraic_identities():
     checked = 0
     for kernel, pop, fits in identity_instances():
         n = kernel.n
-        k = kernel.matrix.data
+        k = kernel.matrix
         y = np.asarray(pop.phenotypes)
         cmat = np.eye(n) - np.ones((n, n)) / n
         for nlam, res in zip(DEFAULT_NLAMBDA_GRID, fits):
@@ -189,13 +189,13 @@ def test_criterion_2_oracle_equivalence():
         y = rng.normal(size=n) * 3.0
         nlam = float(rng.choice(DEFAULT_NLAMBDA_GRID))
         res = fit(kernel, y, nlam)
-        expected = cramer_solve(kernel.matrix.data + nlam * np.eye(n), y)
+        expected = cramer_solve(kernel.matrix + nlam * np.eye(n), y)
         assert np.max(np.abs(res.alpha_hat - expected)) <= 1e-9
 
     for order in (3, 4):
         for case in range(25):
             a = random_symmetric(order, np.random.default_rng(1000 * order + case), scale=2.0)
-            dec = eigh(SymMatrix(a))
+            dec = eigh(a)
             assert np.max(np.abs(dec.eigenvalues - charpoly_roots(a))) <= 1e-8
     _passed(2, "ridge solve matches Cramer on 100 small systems; eigensolver "
                "matches the characteristic-polynomial oracle on 50 matrices")

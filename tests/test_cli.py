@@ -221,6 +221,42 @@ class TestEstimate:
         assert "numerical error" in capsys.readouterr().err
 
 
+class TestNonFiniteInput:
+    """A NaN or infinite value in an input file is a data error naming where it is."""
+
+    @staticmethod
+    def poison(source, path, row, value):
+        lines = open(source).read().splitlines()
+        lines[row - 1] = value
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_phenotypes(self, tmp_path, capsys, value):
+        pheno = self.poison(FIXTURE_PHENO, tmp_path / "y.csv", 7, value)
+        code = run("estimate", "--genotypes", FIXTURE_GENO, "--phenotypes", pheno,
+                   "--kernel", "linear", "--nlambda", "1.0")
+        assert code == 2
+        assert f"data error: {pheno}: non-finite value" in capsys.readouterr().err
+
+    def test_true_signal(self, tmp_path, capsys):
+        g = self.poison(FIXTURE_G, tmp_path / "g.csv", 7, "nan")
+        code = run("diagnose", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO,
+                   "--true-g", g, "--kernel", "poly2", "--nlambda", "1.0")
+        assert code == 2
+        assert f"data error: {g}: non-finite value nan at row 7\n" in capsys.readouterr().err
+
+    def test_covariates(self, tmp_path, capsys):
+        cov = tmp_path / "cov.csv"
+        rows = [f"{i % 5}.5,{1.0 if i < 15 else 2.0}" for i in range(30)]
+        rows[6] = "3.5,nan"
+        cov.write_text("\n".join(rows) + "\n")
+        code = run("estimate", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO,
+                   "--covariates", str(cov), "--kernel", "linear", "--nlambda", "1.0")
+        assert code == 2
+        assert f"{cov}: non-finite value nan at row 7, column 2" in capsys.readouterr().err
+
+
 class TestDiagnose:
     def test_true_signal_report(self, capsys):
         code = run(

@@ -50,6 +50,13 @@ def test_design_has_the_shape_the_bench_reads(standardize):
         assert kernels.make_kernel(kind, design).n == g.n
 
 
+@pytest.mark.parametrize("kind", kernels.KERNEL_KINDS)
+def test_kernel_matrix_has_the_order_the_bench_reads(kind):
+    """``spans._order`` sizes an ``eigh`` span by the plain kernel array it gets."""
+    k = kernels.make_kernel(kind, simulate_hwe(9, 4, seed=0))
+    assert _load_spans()._order(k.matrix) == {"n": k.n}
+
+
 def test_cli_import_does_not_load_scipy():
     src = str(Path(kernherit.__file__).resolve().parents[1])
     env = dict(os.environ)

@@ -11,6 +11,8 @@ from kernherit.exceptions import NumericalError
 from kernherit.genotypes import GenotypeMatrix, simulate_hwe
 from kernherit.kernels import (
     KERNEL_KINDS,
+    Design,
+    KernelMatrix,
     design_matrix,
     gaussian_kernel,
     linear_kernel,
@@ -22,31 +24,75 @@ from kernherit.kernels import (
 from helpers import naive_gaussian_kernel, naive_linear_kernel
 
 
+class TestKernelMatrix:
+    """The one kernel type checks its matrix where it enters and owns a copy."""
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match="not exactly symmetric"):
+            KernelMatrix("linear", np.array([[1.0, 2.0], [2.0 + 1e-14, 1.0]]))
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError, match="finite"):
+            KernelMatrix("linear", np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    def test_rejects_nonsquare(self):
+        with pytest.raises(ValueError, match="square"):
+            KernelMatrix("linear", np.zeros((2, 3)))
+
+    def test_symmetrize_produces_exact_symmetry(self):
+        a = np.random.default_rng(0).normal(size=(5, 5))
+        m = matrixcore.symmetrize(a)
+        assert np.array_equal(m, m.T)
+        assert np.array_equal(KernelMatrix("linear", m).matrix, m)
+
+    def test_data_is_readonly(self):
+        k = KernelMatrix("linear", np.eye(3))
+        with pytest.raises(ValueError):
+            k.matrix[0, 0] = 2.0
+
+    def test_caller_mutation_leaves_kernel_and_eig_unchanged(self):
+        a = np.diag([3.0, 2.0, 1.0])
+        k = KernelMatrix("linear", a)
+        eigenvalues = k.eig.eigenvalues.copy()
+        a[0, 0] = 7.0
+        a[0, 1] = a[1, 0] = 0.5
+        assert np.array_equal(k.matrix, np.diag([3.0, 2.0, 1.0]))
+        assert np.array_equal(k.eig.eigenvalues, eigenvalues)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_overflowed_gram_rejected(self, kind):
+        """Without the Gram's own check this Gaussian kernel would be a finite identity."""
+        design = Design(np.array([[1e200], [-1e200], [1.0]]))
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            make_kernel(kind, design)
+
+
 class TestLinearKernel:
     def test_identity_like(self):
         k = linear_kernel(GenotypeMatrix(np.eye(2, dtype=np.int8)))
-        assert np.allclose(k.matrix.data, [[0.5, 0.0], [0.0, 0.5]])
+        assert np.allclose(k.matrix, [[0.5, 0.0], [0.0, 0.5]])
 
     def test_single_snp_outer_product(self):
         k = linear_kernel(GenotypeMatrix(np.array([[2], [1]], dtype=np.int8)))
-        assert np.allclose(k.matrix.data, [[4.0, 2.0], [2.0, 1.0]])
+        assert np.allclose(k.matrix, [[4.0, 2.0], [2.0, 1.0]])
 
     def test_matches_naive_double_loop(self):
         g = simulate_hwe(6, 4, seed=5)
         k = linear_kernel(g)
-        assert np.max(np.abs(k.matrix.data - naive_linear_kernel(g.as_float()))) < 1e-12
+        assert np.max(np.abs(k.matrix - naive_linear_kernel(g.as_float()))) < 1e-12
 
 
 class TestPolynomialKernel:
     def test_zero_matrix_gives_all_ones(self):
         k = polynomial_kernel(np.zeros((3, 2)))
-        assert np.array_equal(k.matrix.data, np.ones((3, 3)))
+        assert np.array_equal(k.matrix, np.ones((3, 3)))
 
     def test_entrywise_square_of_one_plus_linear(self):
         z = np.eye(2)  # linear diagonal entries 0.5
         k = polynomial_kernel(z)
-        assert np.allclose(np.diag(k.matrix.data), 2.25)
-        assert np.allclose(k.matrix.data[0, 1], 1.0)
+        assert np.allclose(np.diag(k.matrix), 2.25)
+        assert np.allclose(k.matrix[0, 1], 1.0)
 
     def test_numerically_psd(self):
         g = simulate_hwe(15, 6, seed=7)
@@ -59,32 +105,32 @@ class TestGaussianKernel:
     def test_identical_rows(self):
         z = np.array([[1.0, 2.0], [1.0, 2.0]])
         k = gaussian_kernel(z)
-        assert k.matrix.data[0, 1] == 1.0
+        assert k.matrix[0, 1] == 1.0
 
     def test_one_snp_apart(self):
         z = np.array([[1.0, 0.0], [1.0, 1.0]])
         k = gaussian_kernel(z)
-        assert np.isclose(k.matrix.data[0, 1], np.exp(-0.5))
+        assert np.isclose(k.matrix[0, 1], np.exp(-0.5))
 
     def test_unit_diagonal_exact(self):
         g = simulate_hwe(10, 5, seed=2)
         k = gaussian_kernel(g)
-        assert np.array_equal(np.diag(k.matrix.data), np.ones(10))
+        assert np.array_equal(np.diag(k.matrix), np.ones(10))
 
     def test_matches_naive_distance_loop(self):
         g = simulate_hwe(7, 4, seed=9)
         k = gaussian_kernel(g)
-        assert np.max(np.abs(k.matrix.data - naive_gaussian_kernel(g.as_float()))) < 1e-12
+        assert np.max(np.abs(k.matrix - naive_gaussian_kernel(g.as_float()))) < 1e-12
 
     def test_bandwidth_rescales_distances(self):
         z = np.array([[0.0], [2.0]])
         k = gaussian_kernel(z, bandwidth=4.0)
-        assert np.isclose(k.matrix.data[0, 1], np.exp(-0.5 * 4.0 / 4.0))
+        assert np.isclose(k.matrix[0, 1], np.exp(-0.5 * 4.0 / 4.0))
 
     def test_entries_in_unit_interval(self):
         g = simulate_hwe(12, 6, seed=3)
         k = gaussian_kernel(g)
-        assert np.all(k.matrix.data > 0.0) and np.all(k.matrix.data <= 1.0)
+        assert np.all(k.matrix > 0.0) and np.all(k.matrix <= 1.0)
 
     def test_rejects_bad_bandwidth(self):
         for bad in (0.0, -1.0, np.nan, np.inf):
@@ -97,7 +143,7 @@ class TestSharedProperties:
     def test_exact_bit_symmetry(self, kind):
         g = simulate_hwe(9, 5, seed=4)
         k = make_kernel(kind, g)
-        assert np.array_equal(k.matrix.data, k.matrix.data.T)
+        assert np.array_equal(k.matrix, k.matrix.T)
 
     @pytest.mark.parametrize("kind", KERNEL_KINDS)
     def test_permuting_rows_permutes_kernel(self, kind):
@@ -105,14 +151,14 @@ class TestSharedProperties:
         perm = np.random.default_rng(0).permutation(8)
         k = make_kernel(kind, g.as_float())
         kp = make_kernel(kind, g.as_float()[perm])
-        assert np.allclose(kp.matrix.data, k.matrix.data[np.ix_(perm, perm)], atol=1e-13)
+        assert np.allclose(kp.matrix, k.matrix[np.ix_(perm, perm)], atol=1e-13)
 
     @pytest.mark.parametrize("kind", ["linear", "poly2"])
     def test_column_order_invariance(self, kind):
         g = simulate_hwe(8, 6, seed=8)
         shuffled = g.as_float()[:, ::-1]
-        a = make_kernel(kind, g).matrix.data
-        b = make_kernel(kind, shuffled).matrix.data
+        a = make_kernel(kind, g).matrix
+        b = make_kernel(kind, shuffled).matrix
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
     def test_unknown_kind_rejected(self):
@@ -169,8 +215,8 @@ class TestSharedDesign:
         bandwidth = resolve_gaussian_bandwidth(None, standardize, g.p)
         z = np.array(design.data)
         for kind in KERNEL_KINDS:
-            shared = make_kernel(kind, design, gaussian_bandwidth=bandwidth).matrix.data
-            fresh = make_kernel(kind, z, gaussian_bandwidth=bandwidth).matrix.data
+            shared = make_kernel(kind, design, gaussian_bandwidth=bandwidth).matrix
+            fresh = make_kernel(kind, z, gaussian_bandwidth=bandwidth).matrix
             assert np.array_equal(shared, fresh)
             assert np.array_equal(shared, _out_of_place_kernel(kind, z, bandwidth))
             assert np.max(np.abs(shared - _dense_kernel(kind, z, bandwidth))) <= 1e-12

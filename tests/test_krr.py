@@ -15,14 +15,14 @@ from kernherit.krr import (
     lambda_grid_fit,
     residualize,
 )
-from kernherit.matrixcore import SymMatrix, symmetrize
+from kernherit.matrixcore import symmetrize
 from kernherit.phenosim import SimulationSpec, build_population
 
 from helpers import cramer_solve, rel_err
 
 
 def identity_kernel(n: int) -> KernelMatrix:
-    return KernelMatrix("linear", SymMatrix(np.eye(n)))
+    return KernelMatrix("linear", np.eye(n))
 
 
 def random_instance(seed: int, n: int = 12, p: int = 5, kind: str = "poly2"):
@@ -68,7 +68,7 @@ class TestFit:
         nlam = 0.8
         res = fit(kernel, pop.phenotypes, nlam)
         expected = cramer_solve(
-            kernel.matrix.data + nlam * np.eye(n), np.asarray(pop.phenotypes)
+            kernel.matrix + nlam * np.eye(n), np.asarray(pop.phenotypes)
         )
         assert np.max(np.abs(res.alpha_hat - expected)) < 1e-9
 
@@ -76,7 +76,7 @@ class TestFit:
         kernel, pop = random_instance(2, n=25)
         y = np.asarray(pop.phenotypes)
         res = fit(kernel, y, 1.3)
-        alpha, sigma_g2, sigma_eps2 = dense_fit(kernel.matrix.data, y, 1.3)
+        alpha, sigma_g2, sigma_eps2 = dense_fit(kernel.matrix, y, 1.3)
         scale = max(1.0, np.max(np.abs(alpha)))
         assert np.max(np.abs(res.alpha_hat - alpha)) <= 1e-8 * scale
         assert rel_err(res.sigma_g2_hat, sigma_g2) < 1e-8
@@ -87,14 +87,14 @@ class TestFit:
         nlam = 2.3
         res = fit(kernel, pop.phenotypes, nlam)
         y = np.asarray(pop.phenotypes)
-        m = np.linalg.inv(kernel.matrix.data + nlam * np.eye(10))
+        m = np.linalg.inv(kernel.matrix + nlam * np.eye(10))
         spectral = nlam**2 * float(y @ m @ m @ y) / 10.0
         assert rel_err(res.sigma_eps2_hat, spectral) < 1e-10
 
     def test_sigma_g2_is_centering_sandwich(self):
         kernel, pop = random_instance(4, n=14)
         res = fit(kernel, pop.phenotypes, 0.5)
-        k = kernel.matrix.data
+        k = kernel.matrix
         n = 14
         c = np.eye(n) - np.ones((n, n)) / n
         sandwich = float(res.alpha_hat @ k @ c @ k @ res.alpha_hat) / (n - 1)
@@ -104,7 +104,7 @@ class TestFit:
         kernel, pop = random_instance(5, n=16)
         nlam = 1.5
         res = fit(kernel, pop.phenotypes, nlam)
-        k = kernel.matrix.data
+        k = kernel.matrix
         grad = k @ ((k + nlam * np.eye(16)) @ res.alpha_hat - pop.phenotypes)
         assert np.max(np.abs(grad)) <= 1e-8 * max(1.0, np.max(np.abs(pop.phenotypes)))
 
@@ -231,6 +231,12 @@ class TestCovariateMatrix:
         with pytest.raises(ValueError, match="rows"):
             CovariateMatrix.from_raw(np.zeros((3, 1)), 4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_column_rejected_not_dropped_as_constant(self, bad):
+        raw = np.array([1.0] * 6 + [bad] + [2.0] * 13)
+        with pytest.raises(ValueError, match="covariates must be finite"):
+            CovariateMatrix.from_raw(raw, 20)
+
 
 def test_fit_uses_cached_spectrum_automatically():
     """A fit computes no eigendecomposition of K, and repeats bitwise."""
@@ -246,7 +252,7 @@ def test_fit_uses_cached_spectrum_automatically():
 def test_indefinite_kernel_raises():
     # diag(1, -0.5) + I is positive definite, so a shifted solve alone
     # would not notice; the spectrum itself is not a kernel's.
-    kernel = KernelMatrix("linear", SymMatrix(np.diag([1.0, -0.5])))
+    kernel = KernelMatrix("linear", np.diag([1.0, -0.5]))
     with pytest.raises(NumericalError, match="eigenvalue"):
         fit(kernel, np.array([1.0, 2.0]), 1.0)
     with pytest.raises(NumericalError, match="eigenvalue"):
@@ -275,7 +281,7 @@ def gram_instances(draw):
 def test_fit_matches_dense_solve_property(instance):
     kernel, y, nlambda = instance
     res = fit(kernel, y, nlambda)
-    k = kernel.matrix.data
+    k = kernel.matrix
     assert _relative_residual(k, y, nlambda, res.alpha_hat) <= 1e-12
     alpha, sigma_g2, sigma_eps2 = dense_fit(k, y, nlambda)
     assert np.max(np.abs(res.alpha_hat - alpha)) <= 1e-8 * max(1.0, np.max(np.abs(alpha)))
@@ -306,7 +312,7 @@ def design_instances(draw):
 def test_sweep_matches_spectral_solve_property(instance):
     kernel, y, nlambda = instance
     res = fit(kernel, y, nlambda)
-    k = kernel.matrix.data
+    k = kernel.matrix
     eig = kernel.eig
     alpha = eig.eigenvectors @ ((eig.eigenvectors.T @ y) / (eig.eigenvalues + nlambda))
     g = k @ alpha
@@ -346,7 +352,7 @@ def test_sweep_stops_before_the_krylov_space_is_exhausted(monkeypatch):
     k = polynomial_kernel(simulate_hwe(200, 50, seed=5).standardized())
     y = np.random.default_rng(6).normal(size=200)
     for res in lambda_grid_fit(k, y, DEFAULT_NLAMBDA_GRID):
-        assert _relative_residual(k.matrix.data, y, res.nlambda, res.alpha_hat) <= 1e-12
+        assert _relative_residual(k.matrix, y, res.nlambda, res.alpha_hat) <= 1e-12
     assert orders and max(orders) < 200
     assert not k.has_eig
 
@@ -369,7 +375,7 @@ def test_sweep_matches_dense_solve_over_grids_property(instance):
     x = simulate_hwe(n, p, seed=seed).standardized()
     kernel = make_kernel(kind, x, gaussian_bandwidth=p / 2.0)
     y = np.random.default_rng(seed).normal(size=n)
-    k = kernel.matrix.data
+    k = kernel.matrix
     for nlambda, res in zip(grid, lambda_grid_fit(kernel, y, grid)):
         assert _relative_residual(k, y, nlambda, res.alpha_hat) <= 1e-12
         alpha = np.linalg.solve(k + nlambda * np.eye(n), y)

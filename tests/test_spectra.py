@@ -5,7 +5,7 @@ from kernherit.exceptions import ConditionNotMet
 from kernherit.genotypes import simulate_hwe
 from kernherit.kernels import KernelMatrix, make_kernel
 from kernherit.krr import fit
-from kernherit.matrixcore import SymMatrix, symmetrize
+from kernherit.matrixcore import symmetrize
 from kernherit.phenosim import SimulationSpec, build_population
 from kernherit.spectra import (
     bound_report,
@@ -21,11 +21,11 @@ from helpers import rel_err
 
 
 def ones_kernel(n: int) -> KernelMatrix:
-    return KernelMatrix("linear", SymMatrix(np.ones((n, n))))
+    return KernelMatrix("linear", np.ones((n, n)))
 
 
 def diag_kernel(values) -> KernelMatrix:
-    return KernelMatrix("linear", SymMatrix(np.diag(np.asarray(values, dtype=float))))
+    return KernelMatrix("linear", np.diag(np.asarray(values, dtype=float)))
 
 
 def genotype_instance(seed: int, n: int = 14, p: int = 4):
@@ -87,6 +87,11 @@ class TestCheckConditions:
         with pytest.raises(ValueError, match="kernel order"):
             check_conditions(ones_kernel(4), np.ones(5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_signal_rejected(self, bad):
+        with pytest.raises(ValueError, match="signal must be finite"):
+            check_conditions(ones_kernel(4), np.array([1.0, bad, 1.0, 1.0]))
+
     def test_alpha_respects_gap_margin(self):
         kernel, g, _ = genotype_instance(5)
         rep = check_conditions(kernel, g)
@@ -124,7 +129,7 @@ class TestDecomposeTerms:
         kernel, g, y = genotype_instance(9, n=5, p=3)
         nlam = 0.7
         n = 5
-        k = kernel.matrix.data
+        k = kernel.matrix
         m = np.linalg.inv(k + nlam * np.eye(n))
         a = k @ m
         c = np.eye(n) - np.ones((n, n)) / n
@@ -149,6 +154,23 @@ class TestDecomposeTerms:
         res = fit(kernel, y, nlam)
         assert rel_err(terms.sigma_g2, res.sigma_g2_hat) < 1e-8
         assert rel_err(terms.sigma_eps2, res.sigma_eps2_hat) < 1e-8
+
+
+@pytest.mark.parametrize("nlambda", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda k, nlambda: decompose_terms(k, np.ones(3), np.ones(3), nlambda),
+        esd_integrals,
+        lambda k, nlambda: bound_report(
+            k, np.ones(3), np.ones(3), nlambda, 0.1, check_conditions(k, np.ones(3))
+        ),
+    ],
+    ids=["decompose_terms", "esd_integrals", "bound_report"],
+)
+def test_nlambda_must_be_positive_and_finite(entry, nlambda):
+    with pytest.raises(ValueError, match="nlambda must be positive and finite"):
+        entry(diag_kernel([3.0, 2.0, 1.0]), nlambda)
 
 
 class TestEsdIntegrals:
@@ -265,7 +287,7 @@ class TestBoundReport:
         n, p = 16, 3
         g_mat = simulate_hwe(n, p, seed=41)
         kernel = make_kernel("linear", g_mat.standardized())
-        rank = np.linalg.matrix_rank(kernel.matrix.data)
+        rank = np.linalg.matrix_rank(kernel.matrix)
         g = np.ones(n) + 0.1 * np.random.default_rng(0).normal(size=n)
         rep = check_conditions(kernel, g)
         sigma_eps2 = 0.49
