@@ -12,6 +12,7 @@ import dataclasses
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -33,14 +34,19 @@ class _Parser(argparse.ArgumentParser):
 def _read_numeric(path, column: bool) -> np.ndarray:
     """One numeric column as a vector, or a matrix, from a comma-separated file.
 
-    A NaN or infinite value is a DataError naming its 1-based data row
-    and, for a matrix, its column.
+    A file without data rows, or a NaN or infinite value, is a DataError
+    naming the file and, for the latter, its 1-based data row and, for a
+    matrix, its column.
     """
     shape = "column" if column else "matrix"
     try:
-        data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except (OSError, ValueError) as exc:
         raise DataError(f"{path}: could not parse numeric {shape}: {exc}") from None
+    if data.shape[0] == 0:
+        raise DataError(f"{path}: no data rows")
     if column and data.shape[1] != 1:
         raise DataError(f"{path}: expected a single column, got shape {data.shape}")
     bad = np.argwhere(~np.isfinite(data))

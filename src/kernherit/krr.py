@@ -20,9 +20,11 @@ K Q_k = Q_k T_k + beta_k q_k e_k^T, and for each nlambda = mu
     alpha = Q_k (T_k + mu I)^-1 ||Y|| e_1,
 
 whose residual has norm beta_k |last entry of (T_k + mu I)^-1 ||Y|| e_1|.
-One basis serves the whole grid, at k matrix-vector products with K
-plus O(n k^2) of reorthogonalization instead of an n-by-n
-eigendecomposition. Each fit is checked by its own solve residual (see
+Both come from the LDL^T recurrence of T_k + mu I, carried one row per
+step, and the PSD check of T_k is the inertia of the same recurrence, so
+a fit calls no eigendecomposition at all. One basis serves the whole
+grid, at k matrix-vector products with K plus O(n k^2) of
+reorthogonalization. Each fit is checked by its own solve residual (see
 :func:`_finalize`) rather than by re-multiplying a factorization.
 """
 
@@ -146,69 +148,99 @@ def _orthogonalize(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
     return h + h2
 
 
+def _back_substitute(lower: list[float], v: list[float]) -> np.ndarray:
+    """Solve L^T c = v, where L is unit lower bidiagonal with L[j + 1, j] = lower[j].
+
+    c_{k-1} = v_{k-1}, then c_j = v_j - lower[j] c_{j+1}.
+    """
+    c = list(v)
+    for j in range(len(c) - 2, -1, -1):
+        c[j] -= lower[j] * c[j + 1]
+    return np.array(c)
+
+
 def _sweep(k: KernelMatrix, y: np.ndarray, grid: Sequence[float]) -> list[np.ndarray]:
     """Solve (K + mu I) alpha = y for every mu in ``grid`` from one Lanczos run.
 
     The basis rows q_0 = y / ||y||, q_1, ... are kept orthonormal by
-    :func:`_orthogonalize`. After j + 1 steps the residual of shift mu has
-    norm beta_j |c_j|, where c solves (T_{j+1} + mu I) c = ||y|| e_1; its
-    last entry c_j comes from the LDL^T recurrence of T_{j+1} + mu I at
-    O(len(grid)) per step. Shift mu stops at the first k_mu = j + 1 with
-    beta_j |c_j| <= 1e-14 * 2 ||y||. Because ||c|| >= ||y|| / (||K||_F + mu),
+    :func:`_orthogonalize`. Each pending shift mu carries the LDL^T
+    factorization of T_{j+1} + mu I one row per step, as Python floats:
+    pivot d_j = a_j + mu - b_{j-1} l_j with l_j = b_{j-1} / d_{j-1}, and
+    v = D^-1 L^-1 ||y|| e_1, whose last entry v_j = c_j is the last entry
+    of c = (T_{j+1} + mu I)^-1 ||y|| e_1, so the residual of shift mu has
+    norm beta_j |v_j|. Shift mu stops at the first k_mu = j + 1 with
+    beta_j |v_j| <= 1e-14 * 2 ||y||. Because ||c|| >= ||y|| / (||K||_F + mu),
     that bound is never looser than 1e-14 ((||K||_F + mu) ||c|| + ||y||),
     and far tighter than the check in :func:`_finalize`. Every shift still
     pending stops when beta_j <= 1e-15 ||K||_F or j + 1 = n (the Krylov
     space is exhausted) and leaves the verdict to :func:`_finalize`.
 
-    alpha_mu depends only on the first k_mu basis rows and on T_{k_mu},
-    which do not depend on the grid, so a single fit and a grid sweep
-    agree bitwise. T_k is solved through ``matrixcore.eigh`` once per
-    distinct stopping index; its Ritz values must pass
-    ``matrixcore.require_psd``. A direction of K that y does not excite
-    is invisible here, but it cannot move alpha either.
+    Once every shift has stopped, T_{k_max} must pass
+    ``matrixcore.require_psd_tridiagonal`` with the reference
+    max(diag T_{k_min}); see there for why that is at least as strict as
+    checking the Ritz values of every T_{k_mu}. Then c solves L^T c = v
+    (:func:`_back_substitute`) and alpha_mu = c Q_{k_mu}. No step
+    depends on another shift, so a single fit and a grid sweep agree
+    bitwise. A direction of K that y does not excite is invisible here,
+    but it cannot move alpha either.
     """
     n = k.n
     y_norm = float(np.linalg.norm(y))
     if y_norm == 0.0:
         return [np.zeros(n) for _ in grid]
     a = k.matrix
-    mus = np.asarray(grid, dtype=np.float64)
-    stop = np.zeros(mus.size, dtype=np.intp)  # k_mu, 0 while mu is pending
     target = _STOP_RTOL * 2.0 * y_norm
     floor = _BREAKDOWN_RTOL * k.frobenius_norm
     basis = np.empty((n, n))  # rows are touched (and paid for) only once used
     basis[0] = y / y_norm
     diag: list[float] = []
     off: list[float] = []
+    # Per shift i: mu, pivot d_j, z_j = d_j v_j, and the rows of L and v so far.
+    mus = [float(mu) for mu in grid]
+    d = [0.0] * len(mus)
+    z = [y_norm] * len(mus)
+    lower: list[list[float]] = [[] for _ in mus]
+    v: list[list[float]] = [[] for _ in mus]
+    stop = [0] * len(mus)  # k_mu once shift i has stopped
+    pending = list(range(len(mus)))
     for j in range(n):
         w = a @ basis[j]
-        diag.append(float(_orthogonalize(basis[: j + 1], w)[j]))
-        beta = float(np.linalg.norm(w))
-        if j == 0:
-            d = diag[0] + mus  # pivots of LDL^T(T_{j+1} + mu I)
-            z = np.full(mus.size, y_norm)  # c_j = z / d
-        else:
-            lower = off[-1] / d
-            z = -lower * z
-            d = diag[j] + mus - off[-1] * lower
-        stop[(stop == 0) & (beta * np.abs(z / d) <= target)] = j + 1
+        aj = float(_orthogonalize(basis[: j + 1], w)[j])
+        diag.append(aj)
+        beta = math.sqrt(w @ w)
+        still = []
+        for i in pending:
+            if j == 0:
+                d[i] = aj + mus[i]
+            else:
+                l_j = b_prev / d[i]
+                lower[i].append(l_j)
+                z[i] = -l_j * z[i]
+                d[i] = aj + mus[i] - b_prev * l_j
+            if d[i] == 0.0:
+                raise NumericalError(
+                    f"kernel is not positive semidefinite: T_{j + 1} + nlambda I is "
+                    f"singular at nlambda={mus[i]!r}, so K has an eigenvalue <= {-mus[i]!r}"
+                )
+            v_j = z[i] / d[i]
+            v[i].append(v_j)
+            if beta * abs(v_j) <= target:
+                stop[i] = j + 1
+            else:
+                still.append(i)
+        pending = still
         if beta <= floor or j + 1 == n:
-            stop[stop == 0] = j + 1
-        if stop.all():
+            for i in pending:
+                stop[i] = j + 1
+            pending = []
+        if not pending:
             break
+        b_prev = beta
         off.append(beta)
         basis[j + 1] = w / beta
 
-    alphas: list = [None] * mus.size
-    for kk in np.unique(stop):
-        t = np.diag(diag[:kk]) + np.diag(off[: kk - 1], 1) + np.diag(off[: kk - 1], -1)
-        dec = matrixcore.eigh(t)
-        matrixcore.require_psd(dec)
-        head = y_norm * dec.eigenvectors[0]
-        for i in np.flatnonzero(stop == kk):
-            c = dec.eigenvectors @ (head / (dec.eigenvalues + mus[i]))
-            alphas[i] = c @ basis[:kk]
-    return alphas
+    matrixcore.require_psd_tridiagonal(diag, off, max(diag[: min(stop)]))
+    return [_back_substitute(lower[i], v[i]) @ basis[: stop[i]] for i in range(len(mus))]
 
 
 def fit(k: KernelMatrix, y, nlambda: float) -> KrrFit:

@@ -257,6 +257,24 @@ class TestNonFiniteInput:
         assert f"{cov}: non-finite value nan at row 7, column 2" in capsys.readouterr().err
 
 
+class TestEmptyInput:
+    """An input file with no data rows is a data error naming the file, without a numpy warning."""
+
+    @pytest.mark.parametrize("content", ["", "# header comment only\n"])
+    @pytest.mark.parametrize("flag", ["--phenotypes", "--true-g", "--covariates"])
+    def test_no_data_rows(self, tmp_path, capsys, recwarn, flag, content):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(content)
+        files = {"--phenotypes": FIXTURE_PHENO, flag: str(empty)}
+        command = "estimate" if flag == "--covariates" else "diagnose"
+        argv = [command, "--genotypes", FIXTURE_GENO, "--kernel", "poly2", "--nlambda", "1.0"]
+        for name, path in files.items():
+            argv += [name, path]
+        assert run(*argv) == 2
+        assert f"data error: {empty}: no data rows\n" in capsys.readouterr().err
+        assert not [w for w in recwarn if "loadtxt" in str(w.message)]
+
+
 class TestDiagnose:
     def test_true_signal_report(self, capsys):
         code = run(

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,28 @@ def tiny_config(**overrides) -> McConfig:
     return McConfig(**base)
 
 
+@st.composite
+def small_configs(draw):
+    """A small valid Monte Carlo config: any kernel subset, grid, family and seeds."""
+    population = draw(st.integers(3, 40))
+    sizes = draw(st.lists(st.integers(2, population), min_size=1, max_size=3, unique=True))
+    kinds = draw(st.lists(st.sampled_from(KERNEL_KINDS), min_size=1, max_size=3, unique=True))
+    grid = draw(st.lists(st.floats(1e-2, 10.0), min_size=1, max_size=4, unique=True))
+    return McConfig(
+        family=draw(st.sampled_from(FAMILIES)),
+        kernels=tuple(kinds),
+        lambda_grid=tuple(grid),
+        sample_sizes=tuple(sizes),
+        repetitions=draw(st.integers(1, 3)),
+        population_seed=draw(st.integers(0, 2**32 - 1)),
+        sampling_seed=draw(st.integers(0, 2**32 - 1)),
+        population_size=population,
+        snp_count=draw(st.integers(1, 30)),
+        sigma_g=draw(st.floats(0.01, 1.0)),
+        standardize=draw(st.booleans()),
+    )
+
+
 class TestRunMc:
     def test_deterministic_bitwise(self, tmp_path):
         cfg = tiny_config()
@@ -89,6 +112,15 @@ class TestRunMc:
             env=env, check=True, timeout=300,
         )
         assert ps.read_bytes() == pp.read_bytes()
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(small_configs())
+    def test_parallel_matches_serial_property(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            ps, pp = Path(tmp, "s.csv"), Path(tmp, "p.csv")
+            write_table_csv(run_mc(cfg, workers=1), ps)
+            write_table_csv(run_mc(cfg, workers=2), pp)
+            assert ps.read_bytes() == pp.read_bytes()
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_rejected(self, workers):

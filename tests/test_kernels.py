@@ -312,7 +312,8 @@ class TestEigCaching:
 
 
 class TestCorruptedFactorization:
-    """Eigenvectors or Lanczos vectors off by about 1e-6 must not pass silently anywhere."""
+    """Eigenvectors, Lanczos vectors or ridge solutions off by about 1e-6 must
+    not pass silently anywhere."""
 
     @staticmethod
     def corrupt_eigh(monkeypatch):
@@ -332,7 +333,14 @@ class TestCorruptedFactorization:
         return [(linear_kernel(z), y), (polynomial_kernel(z), y)]
 
     def test_ridge_sweep_fails_its_residual_check(self, monkeypatch):
-        self.corrupt_eigh(monkeypatch)
+        real = krr._back_substitute
+        rng = np.random.default_rng(0)
+
+        def corrupted(lower, v):
+            c = real(lower, v)
+            return c + 1e-6 * np.linalg.norm(c) / np.sqrt(c.size) * rng.standard_normal(c.size)
+
+        monkeypatch.setattr(krr, "_back_substitute", corrupted)
         for k, y in self.instances():
             with pytest.raises(NumericalError, match="residual check"):
                 krr.lambda_grid_fit(k, y, krr.DEFAULT_NLAMBDA_GRID)
@@ -347,8 +355,8 @@ class TestCorruptedFactorization:
             return h
 
         monkeypatch.setattr(krr, "_orthogonalize", perturbed)
-        # The residual check alone must catch it; the Ritz PSD check may fire first.
-        monkeypatch.setattr(matrixcore, "require_psd", lambda dec: None)
+        # The residual check alone must catch it; the PSD check may fire first.
+        monkeypatch.setattr(matrixcore, "require_psd_tridiagonal", lambda diag, off, ref: None)
         for k, y in self.instances():
             with pytest.raises(NumericalError, match="residual check"):
                 krr.lambda_grid_fit(k, y, krr.DEFAULT_NLAMBDA_GRID)
@@ -363,21 +371,16 @@ class TestCorruptedFactorization:
             return w, v
 
         monkeypatch.setattr(np.linalg, "eigh", poisoned)
-        for k, y in self.instances():
+        for k, _ in self.instances():
             with pytest.raises(NumericalError, match="non-finite"):
-                krr.fit(k, y, 1.0)
+                k.eig
+            assert not k.has_eig
 
-    def test_indefinite_spectrum_rejected(self, monkeypatch):
-        real = np.linalg.eigh
-
-        def negated(a):
-            w, v = real(a)
-            return -w, v
-
-        monkeypatch.setattr(np.linalg, "eigh", negated)
+    def test_indefinite_spectrum_rejected(self):
         for k, y in self.instances():
+            negated = KernelMatrix(k.kind, -k.matrix)
             with pytest.raises(NumericalError, match="not positive semidefinite"):
-                krr.fit(k, y, 1.0)
+                krr.fit(negated, y, 1.0)
 
     def test_nan_solution_fails_residual_check(self):
         for k, y in self.instances():

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kernherit import matrixcore
+from kernherit import krr, matrixcore
 from kernherit.exceptions import NumericalError
 from kernherit.genotypes import simulate_hwe
 from kernherit.kernels import KERNEL_KINDS, KernelMatrix, linear_kernel, make_kernel, polynomial_kernel
@@ -259,6 +259,13 @@ def test_indefinite_kernel_raises():
         lambda_grid_fit(kernel, np.array([1.0, 2.0]), [1.0])
 
 
+def test_singular_shifted_projection_raises():
+    # T_1 + nlambda I = -1 + 1 is a zero pivot: K has an eigenvalue <= -nlambda.
+    kernel = KernelMatrix("linear", np.array([[-1.0]]))
+    with pytest.raises(NumericalError, match="not positive semidefinite.*eigenvalue"):
+        fit(kernel, np.array([1.0]), 1.0)
+
+
 def _relative_residual(k: np.ndarray, y: np.ndarray, nlambda: float, alpha: np.ndarray) -> float:
     residual = np.linalg.norm(k @ alpha + nlambda * alpha - y)
     scale = (np.linalg.norm(k) + nlambda) * np.linalg.norm(alpha) + np.linalg.norm(y)
@@ -337,23 +344,38 @@ def _recorded_eigh_orders(monkeypatch) -> list[int]:
     return orders
 
 
+def _counted_lanczos_steps(monkeypatch) -> list[int]:
+    """Count the Lanczos steps of every sweep (one ``_orthogonalize`` call each)."""
+    steps = []
+    real = krr._orthogonalize
+
+    def counting(basis, w):
+        steps.append(1)
+        return real(basis, w)
+
+    monkeypatch.setattr(krr, "_orthogonalize", counting)
+    return steps
+
+
 def test_dual_route_factors_only_the_gram(monkeypatch):
-    """A linear-kernel sweep with p < n factors only small tridiagonals."""
+    """A linear-kernel sweep with p < n eigendecomposes nothing, not even T_k."""
     orders = _recorded_eigh_orders(monkeypatch)
     k = linear_kernel(simulate_hwe(30, 5, seed=2).standardized())
     y = np.random.default_rng(3).normal(size=30)
     lambda_grid_fit(k, y, DEFAULT_NLAMBDA_GRID)
-    assert orders and max(orders) < 30
+    assert orders == []
     assert not k.has_eig
 
 
 def test_sweep_stops_before_the_krylov_space_is_exhausted(monkeypatch):
     orders = _recorded_eigh_orders(monkeypatch)
+    steps = _counted_lanczos_steps(monkeypatch)
     k = polynomial_kernel(simulate_hwe(200, 50, seed=5).standardized())
     y = np.random.default_rng(6).normal(size=200)
     for res in lambda_grid_fit(k, y, DEFAULT_NLAMBDA_GRID):
         assert _relative_residual(k.matrix, y, res.nlambda, res.alpha_hat) <= 1e-12
-    assert orders and max(orders) < 200
+    assert 0 < len(steps) < 200
+    assert orders == []
     assert not k.has_eig
 
 
@@ -442,6 +464,36 @@ def test_ritz_values_reveal_a_negative_eigenvalue_property(instance):
     kernel, y, nlambda = instance
     with pytest.raises(NumericalError, match="eigenvalue"):
         fit(kernel, y, nlambda)
+
+
+@st.composite
+def barely_excited_instances(draw):
+    """A low-rank linear kernel and y = (null-space vector) + eps (range vector).
+
+    T_1 = y^T K y / ||y||^2 is then about eps^2 times the kernel's scale,
+    so a PSD tolerance taken from T_1 alone would reject the rounding-level
+    negative Ritz values of a PSD kernel.
+    """
+    n = draw(st.integers(40, 200))
+    p = draw(st.integers(2, 39))
+    eps = 10.0 ** draw(st.floats(-8.0, -2.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    z = simulate_hwe(n, p, seed=seed).standardized()
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(z)
+    null = rng.normal(size=n)
+    null -= q @ (q.T @ null)
+    span = z @ rng.normal(size=p)
+    y = null / np.linalg.norm(null) + eps * span / np.linalg.norm(span)
+    return linear_kernel(z), y
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(barely_excited_instances())
+def test_barely_excited_psd_kernel_is_not_rejected_property(instance):
+    kernel, y = instance
+    for res in lambda_grid_fit(kernel, y, DEFAULT_NLAMBDA_GRID):
+        assert _relative_residual(kernel.matrix, y, res.nlambda, res.alpha_hat) <= 1e-12
 
 
 @st.composite

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kernherit import matrixcore
 from kernherit.exceptions import NumericalError
@@ -105,3 +108,81 @@ class TestSolveSpdShifted:
 
 def test_psd_tolerance_constant_exported():
     assert matrixcore.PSD_RTOL == 1e-8
+
+
+class TestRequirePsdTridiagonal:
+    def test_accepts_psd_and_semidefinite(self):
+        matrixcore.require_psd_tridiagonal([2.0, 2.0, 2.0], [1.0, 1.0], 2.0)
+        matrixcore.require_psd_tridiagonal([1.0, 1.0], [1.0], 1.0)  # eigenvalues 0 and 2
+        matrixcore.require_psd_tridiagonal([0.0, 1.0], [0.0], 1.0)  # decoupled zero block
+
+    def test_rejects_a_negative_pivot(self):
+        with pytest.raises(NumericalError, match="not positive semidefinite.*eigenvalue"):
+            matrixcore.require_psd_tridiagonal([1.0, -0.5], [0.0], 1.0)
+
+    def test_zero_pivot_with_coupling_is_indefinite(self):
+        # [[0, 1], [1, 0]] has eigenvalues -1 and 1.
+        with pytest.raises(NumericalError, match="not positive semidefinite"):
+            matrixcore.require_psd_tridiagonal([0.0, 0.0], [1.0], 0.0)
+
+    def test_nan_is_rejected(self):
+        with pytest.raises(NumericalError, match="not positive semidefinite"):
+            matrixcore.require_psd_tridiagonal([1.0, np.nan], [0.5], 1.0)
+
+    def test_tolerance_scales_with_nonnegative_reference(self):
+        # -1e-9 is within PSD_RTOL * 1 of zero, but not of zero itself.
+        matrixcore.require_psd_tridiagonal([1.0, -1e-9], [0.0], 1.0)
+        for ref in (0.0, -5.0):
+            with pytest.raises(NumericalError, match="eigenvalue"):
+                matrixcore.require_psd_tridiagonal([1.0, -1e-9], [0.0], ref)
+
+
+@st.composite
+def boundary_tridiagonals(draw):
+    """A tridiagonal T of order k_max shifted so that a leading block T_k*
+    has min eigenvalue -c PSD_RTOL max eigenvalue, and the range k_min..k_max.
+
+    c < 0 gives PSD blocks, c > 1 indefinite ones just past the tolerance.
+    |c - 1| >= 1e-3 keeps rounding from deciding a tie between the checks.
+    """
+    k_max = draw(st.integers(1, 30))
+    k_min = draw(st.integers(1, k_max))
+    k_star = draw(st.integers(1, k_max))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    diag = scale * draw(arrays(np.float64, k_max, elements=st.floats(-1.0, 1.0)))
+    off = scale * draw(arrays(np.float64, k_max - 1, elements=st.floats(1e-2, 1.0)))
+    c = draw(st.one_of(st.floats(-2.0, 0.999), st.floats(1.001, 3.0)))
+    theta = np.linalg.eigvalsh(_tridiagonal(diag, off)[:k_star, :k_star])
+    eps = c * matrixcore.PSD_RTOL
+    diag = diag - (theta[0] + eps * theta[-1]) / (1.0 - eps)
+    return diag, off, k_min
+
+
+def _tridiagonal(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(boundary_tridiagonals())
+def test_tridiagonal_inertia_check_is_at_least_as_strict_as_ritz_values(instance):
+    """Whenever require_psd(eigh(T_k)) rejects a leading block with
+    k_min <= k <= k_max, the inertia check of T_{k_max} with reference
+    max diag(T_{k_min}) rejects too; and it rejects only indefinite T."""
+    diag, off, k_min = instance
+    t = _tridiagonal(diag, off)
+    ritz_rejects = False
+    for k in range(k_min, len(diag) + 1):
+        try:
+            matrixcore.require_psd(eigh(t[:k, :k]))
+        except NumericalError:
+            ritz_rejects = True
+    try:
+        matrixcore.require_psd_tridiagonal(list(diag), list(off), float(np.max(diag[:k_min])))
+    except NumericalError:
+        inertia_rejects = True
+    else:
+        inertia_rejects = False
+    if ritz_rejects:
+        assert inertia_rejects
+    if inertia_rejects:
+        assert np.linalg.eigvalsh(t)[0] < 1e-12 * np.abs(t).max()
