@@ -71,13 +71,16 @@ def _gaussian_bandwidth_arg(raw: str):
     return None if raw == "auto" else _positive_float_arg(raw)
 
 
-def _sizes_arg(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in raw.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {raw!r}"
-        ) from None
+def _config_field_arg(name: str):
+    """Flag type that parses its value as the config file's ``name`` field."""
+
+    def parse(raw: str):
+        try:
+            return harness.parse_value(name, raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def _add_pipeline_flags(parser) -> None:
@@ -237,7 +240,7 @@ def cmd_mc(args) -> int:
     if args.reps is not None:
         overrides["repetitions"] = args.reps
     if args.kernels is not None:
-        overrides["kernels"] = tuple(part.strip() for part in args.kernels.split(","))
+        overrides["kernels"] = args.kernels
     if args.nlambda:
         overrides["lambda_grid"] = tuple(args.nlambda)
     if args.sizes is not None:
@@ -319,9 +322,15 @@ def build_parser() -> _Parser:
     p_mc.add_argument("--preset", default=None)
     p_mc.add_argument("--genotypes", default=None, help="matrix for the external scenario")
     p_mc.add_argument("--reps", type=int, default=None)
-    p_mc.add_argument("--kernels", default=None, help="comma-separated kernel kinds")
+    p_mc.add_argument(
+        "--kernels", type=_config_field_arg("kernels"), default=None,
+        help="comma-separated kernel kinds",
+    )
     p_mc.add_argument("--nlambda", type=_positive_float_arg, action="append", default=None)
-    p_mc.add_argument("--sizes", type=_sizes_arg, default=None, help="comma-separated sample sizes")
+    p_mc.add_argument(
+        "--sizes", type=_config_field_arg("sample_sizes"), default=None,
+        help="comma-separated sample sizes",
+    )
     p_mc.add_argument("--population-seed", type=int, default=None)
     p_mc.add_argument("--sampling-seed", type=int, default=None)
     p_mc.add_argument("--workers", type=int, default=1)

@@ -285,34 +285,6 @@ def write_table_csv(table: McResultTable, path) -> None:
             )
 
 
-def read_table_csv(path) -> McResultTable:
-    """Parse a table written by :func:`write_table_csv` (round-trips exactly)."""
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != TABLE_HEADER:
-            raise DataError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            kernel, nlam, n, mean, sd, reps, true_h2, excluded = line.split(",")
-            rows.append(
-                McCell(
-                    kernel=kernel,
-                    nlambda=float(nlam),
-                    n=int(n),
-                    mean=float(mean),
-                    sd=float(sd),
-                    reps=int(reps),
-                    true_h2=float(true_h2),
-                    excluded=int(excluded),
-                )
-            )
-    true_h2 = rows[0].true_h2 if rows else float("nan")
-    return McResultTable(rows=tuple(rows), true_h2=true_h2)
-
-
 # ---------------------------------------------------------------------------
 # Flat key=value run configuration files.
 
@@ -337,14 +309,29 @@ def _format_value(name: str, value) -> str:
     return str(value)
 
 
-def _parse_value(name: str, raw: str):
+_LIST_FIELDS = {
+    "kernels": (str, "names"),
+    "lambda_grid": (float, "numbers"),
+    "sample_sizes": (int, "integers"),
+}
+
+
+def parse_value(name: str, raw: str):
+    """One configuration field from its text, as in a config file or flag.
+
+    A list field is comma-separated and an empty item is an error. Raises
+    ValueError for malformed text; ranges are checked by :class:`McConfig`.
+    """
     raw = raw.strip()
-    if name == "kernels":
-        return tuple(part.strip() for part in raw.split(",") if part.strip())
-    if name == "lambda_grid":
-        return tuple(float(part) for part in raw.split(",") if part.strip())
-    if name == "sample_sizes":
-        return tuple(int(part) for part in raw.split(",") if part.strip())
+    if name in _LIST_FIELDS:
+        convert, what = _LIST_FIELDS[name]
+        parts = [part.strip() for part in raw.split(",")]
+        try:
+            if "" in parts:
+                raise ValueError
+            return tuple(convert(part) for part in parts)
+        except ValueError:
+            raise ValueError(f"expected comma-separated {what}, got {raw!r}") from None
     if name == "gaussian_bandwidth":
         return None if raw in ("auto", "") else float(raw)
     if name == "output_path":
@@ -388,7 +375,7 @@ def parse_config(text: str, source: str = "<config>") -> McConfig:
         if key in values:
             raise DataError(f"{source}:{lineno}: duplicate key {key!r}")
         try:
-            values[key] = _parse_value(key, raw)
+            values[key] = parse_value(key, raw)
         except ValueError as exc:
             raise DataError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from None
     try:

@@ -42,8 +42,9 @@ class Design:
     """A read-only n-by-p kernel input and its Gram matrix Z Z^T.
 
     The Gram is computed on first use and shared by every kernel built
-    from this design. The design keeps a read-only view of ``data``
-    without copying it, so the array must not change afterwards.
+    from this design. The design keeps a read-only C-contiguous view of
+    ``data``, copying it only when it is laid out otherwise (e.g. a
+    strided view), so a contiguous array must not change afterwards.
     """
 
     def __init__(self, data):
@@ -52,7 +53,10 @@ class Design:
             raise ValueError(f"design matrix must be 2-D, got shape {z.shape}")
         if z.shape[0] < 1 or z.shape[1] < 1:
             raise ValueError(f"design matrix must be non-empty, got shape {z.shape}")
-        z = z.view()
+        # numpy computes Z Z^T for a contiguous Z by SYRK and mirrors one
+        # triangle, so the Gram is exactly symmetric; for a strided view it
+        # is not, hence the contiguous copy.
+        z = np.ascontiguousarray(z).view()
         z.setflags(write=False)
         self.data = z
 
@@ -67,7 +71,7 @@ class Design:
     @functools.cached_property
     def gram(self) -> np.ndarray:
         """Z Z^T, exactly symmetric, finite and read-only."""
-        g = matrixcore.symmetrize(self.data @ self.data.T)
+        g = self.data @ self.data.T
         if not np.all(np.isfinite(g)):  # the Gaussian map can hide an overflow
             raise ValueError("matrix entries must be finite")
         g.setflags(write=False)
@@ -102,9 +106,9 @@ def resolve_gaussian_bandwidth(bandwidth: float | None, standardize: bool, n_snp
 class KernelMatrix:
     """A named symmetric PSD kernel with a cached eigendecomposition.
 
-    Rejects a non-square, non-finite or not exactly symmetric matrix
-    (see :func:`matrixcore.symmetrize`) and keeps a read-only float64
-    copy as ``matrix``, which the caller's array cannot change.
+    Rejects a non-square, non-finite or not exactly (bitwise) symmetric
+    matrix and keeps a read-only float64 copy as ``matrix``, which the
+    caller's array cannot change.
     """
 
     def __init__(self, kind: str, matrix: np.ndarray):
@@ -126,10 +130,6 @@ class KernelMatrix:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def has_eig(self) -> bool:
-        return self._eig is not None
 
     @property
     def eig(self) -> EigenDecomposition:

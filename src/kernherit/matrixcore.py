@@ -40,15 +40,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def symmetrize(a: np.ndarray) -> np.ndarray:
-    """(A + A^T) / 2 of an almost-symmetric array, e.g. a BLAS product.
-
-    Exactly (bitwise) symmetric, because floating-point addition commutes.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    return (a + a.T) / 2.0
-
-
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Spectral factorization A = V diag(l) V^T.

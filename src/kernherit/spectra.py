@@ -19,7 +19,9 @@ condition) rather than reporting a meaningless boolean.
 
 Every function reads the spectrum through ``KernelMatrix.eig``,
 so the eigenbasis is checked once per kernel, on first use, before any
-diagnostic relies on it.
+diagnostic relies on it. Every entry point raises ValueError for a
+signal or phenotype vector of the wrong length or with a non-finite
+entry, and for an nlambda that is not positive and finite.
 
 When the true signal vector is unavailable (real data), callers may pass
 the fitted values as a proxy; every derived quantity is then labeled as
@@ -50,6 +52,33 @@ _SLACK = 1e-10
 def clipped_eigenvalues(k: KernelMatrix) -> np.ndarray:
     """Eigenvalues of the kernel, descending, negatives clipped to zero."""
     return np.maximum(k.eig.eigenvalues, 0.0)
+
+
+def _signal(k: KernelMatrix, g, name: str = "signal") -> np.ndarray:
+    """``g`` as a float vector of the kernel's order; ValueError unless finite."""
+    g = np.asarray(g, dtype=np.float64)
+    if g.ndim != 1 or g.shape[0] != k.n:
+        raise ValueError(f"{name} shape {g.shape} does not match kernel order {k.n}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError(f"{name} must be finite")
+    return g
+
+
+def _shrinkage(k: KernelMatrix, nlambda: float) -> tuple[np.ndarray, np.ndarray]:
+    """Clipped spectrum l and smoother weights w = l/(l + nlambda).
+
+    ValueError unless nlambda is positive and finite.
+    """
+    if not 0 < nlambda < math.inf:
+        raise ValueError(f"nlambda must be positive and finite, got {nlambda}")
+    lam = clipped_eigenvalues(k)
+    return lam, lam / (lam + nlambda)
+
+
+def _smoothed_ones_projection(k: KernelMatrix, g: np.ndarray, w: np.ndarray) -> float:
+    """1^T K (K+nlambda I)^-1 g, from the smoother weights ``w``."""
+    v = k.eig.eigenvectors
+    return float(np.sum(w * (v.T @ np.ones(k.n)) * (v.T @ g)))
 
 
 @dataclass(frozen=True)
@@ -102,11 +131,7 @@ def check_conditions(k: KernelMatrix, g, g_is_proxy: bool = False) -> ConditionR
     what makes the perfectly aligned rank-one kernel, where c = 1 and
     the gap is infinite, come out feasible with threshold zero).
     """
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 1 or g.shape[0] != k.n:
-        raise ValueError(f"signal shape {g.shape} does not match kernel order {k.n}")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("signal must be finite")
+    g = _signal(k, g)
     norm_g = float(np.linalg.norm(g))
     if norm_g == 0.0:
         raise ValueError("signal vector is identically zero")
@@ -205,20 +230,13 @@ def decompose_terms(k: KernelMatrix, y, g, nlambda: float) -> TermDecomposition:
     centered quadratic/cross forms of the ridge-smoothed signal and
     noise; the eps-terms are the corresponding fully shrunk components.
     """
-    y = np.asarray(y, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if y.shape != (k.n,) or g.shape != (k.n,):
-        raise ValueError(
-            f"dimension mismatch: kernel order {k.n}, phenotypes {y.shape}, signal {g.shape}"
-        )
-    if not 0 < nlambda < math.inf:
-        raise ValueError(f"nlambda must be positive and finite, got {nlambda}")
+    y = _signal(k, y, "phenotypes")
+    g = _signal(k, g)
+    lam, w = _shrinkage(k, nlambda)  # smoother weights l/(l + nlambda)
+    d = nlambda / (lam + nlambda)  # residual weights
     n = k.n
     eps = y - g
     eig = k.eig
-    lam = clipped_eigenvalues(k)
-    w = lam / (lam + nlambda)  # smoother weights l/(l + nlambda)
-    d = nlambda / (lam + nlambda)  # residual weights
 
     v = eig.eigenvectors
     sg = v.T @ g
@@ -247,10 +265,8 @@ def esd_integrals(k: KernelMatrix, nlambda: float) -> tuple[float, float]:
     Returns ((1/n) sum_i (l_i/(l_i+nlambda))^2,
              (1/(n-1)) sum_{i>=2} (l_i/(l_i+nlambda))^2).
     """
-    if not 0 < nlambda < math.inf:
-        raise ValueError(f"nlambda must be positive and finite, got {nlambda}")
-    lam = clipped_eigenvalues(k)
-    w2 = (lam / (lam + nlambda)) ** 2
+    lam, w = _shrinkage(k, nlambda)
+    w2 = w**2
     n = lam.shape[0]
     full = float(w2.sum()) / n
     minus1 = float(w2[1:].sum()) / (n - 1) if n > 1 else 0.0
@@ -270,14 +286,10 @@ def prop3_check(k: KernelMatrix, g, nlambda: float, report: ConditionReport) -> 
     Only valid once the alignment/gap conditions hold and nlambda clears
     the admissibility threshold; otherwise refuses via ConditionNotMet.
     """
-    g = np.asarray(g, dtype=np.float64)
+    g = _signal(k, g)
+    lam, w = _shrinkage(k, nlambda)
     report.require(nlambda)
-    eig = k.eig
-    lam = clipped_eigenvalues(k)
-    w = lam / (lam + nlambda)
-    s1 = eig.eigenvectors.T @ np.ones(k.n)
-    sg = eig.eigenvectors.T @ g
-    lhs = abs(float(np.sum(w * s1 * sg)))
+    lhs = abs(_smoothed_ones_projection(k, g, w))
     l2 = float(lam[1]) if k.n > 1 else 0.0
     rhs = report.alpha * (l2 / (l2 + nlambda)) * math.sqrt(k.n) * float(np.linalg.norm(g))
     return Prop3Result(lhs=lhs, rhs=rhs, holds=lhs >= rhs - _SLACK)
@@ -297,14 +309,10 @@ def prop4_check(k: KernelMatrix, g, nlambda: float, report: ConditionReport) -> 
     value = (1^T K (K+nlambda I)^-1 g)^2 / (1^T g)^2, bounded below by
     alpha^2 tau2^2 (the provable constant) and above by tau1^2 / c^2.
     """
-    g = np.asarray(g, dtype=np.float64)
+    g = _signal(k, g)
+    _, w = _shrinkage(k, nlambda)
     report.require(nlambda)
-    eig = k.eig
-    lam = clipped_eigenvalues(k)
-    w = lam / (lam + nlambda)
-    s1 = eig.eigenvectors.T @ np.ones(k.n)
-    sg = eig.eigenvectors.T @ g
-    num = float(np.sum(w * s1 * sg)) ** 2
+    num = _smoothed_ones_projection(k, g, w) ** 2
     den = float(g.sum()) ** 2
     if den == 0.0:
         raise ConditionNotMet("alignment condition (C3)", "1^T g is exactly zero")
@@ -378,16 +386,13 @@ def bound_report(
     labeled) otherwise. Mean and variance of the signal enter as plug-in
     moments of ``g``.
     """
-    y = np.asarray(y, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if not 0 < nlambda < math.inf:
-        raise ValueError(f"nlambda must be positive and finite, got {nlambda}")
-    if sigma_eps2 < 0:
-        raise ValueError(f"sigma_eps2 must be non-negative, got {sigma_eps2}")
+    y = _signal(k, y, "phenotypes")
+    g = _signal(k, g)
+    _, w = _shrinkage(k, nlambda)
+    if not 0 <= sigma_eps2 < math.inf:
+        raise ValueError(f"sigma_eps2 must be non-negative and finite, got {sigma_eps2}")
     n = k.n
     eig = k.eig
-    lam = clipped_eigenvalues(k)
-    w = lam / (lam + nlambda)
     d = 1.0 - w
     tau1 = float(w[0])
     tau2 = float(w[1]) if n > 1 else 0.0

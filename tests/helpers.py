@@ -84,6 +84,12 @@ def naive_gaussian_kernel(z: np.ndarray, bandwidth: float = 1.0) -> np.ndarray:
     return out
 
 
+def symmetrize(a: np.ndarray) -> np.ndarray:
+    """(A + A^T) / 2: exactly (bitwise) symmetric, since addition commutes."""
+    a = np.asarray(a, dtype=np.float64)
+    return (a + a.T) / 2.0
+
+
 def random_symmetric(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     a = rng.normal(0.0, scale, size=(n, n))
     return (a + a.T) / 2.0

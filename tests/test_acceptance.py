@@ -30,7 +30,7 @@ from kernherit.harness import (
 )
 from kernherit.kernels import KERNEL_KINDS, KernelMatrix, make_kernel
 from kernherit.krr import DEFAULT_NLAMBDA_GRID, fit, lambda_grid_fit
-from kernherit.matrixcore import eigh, symmetrize
+from kernherit.matrixcore import eigh
 from kernherit.phenosim import FAMILIES, SimulationSpec, build_population
 from kernherit.spectra import (
     bound_report,
@@ -40,7 +40,7 @@ from kernherit.spectra import (
     prop4_check,
 )
 
-from helpers import charpoly_roots, cramer_solve, random_symmetric, rel_err
+from helpers import charpoly_roots, cramer_solve, random_symmetric, rel_err, symmetrize
 
 SLACK = 1e-10
 

@@ -6,7 +6,8 @@ import pytest
 
 from kernherit.cli import main
 from kernherit.genotypes import read_genotype_csv, simulate_hwe, write_genotype_csv
-from kernherit.harness import build_mc_population, preset_config
+from kernherit.exceptions import DataError
+from kernherit.harness import build_mc_population, parse_config, preset_config
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 FIXTURE_GENO = os.path.join(DATA, "fixture.genotypes.csv")
@@ -379,6 +380,25 @@ class TestMc:
         assert code == 1
         assert f"argument {flag}: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, key, value",
+        [("--sizes", "sample_sizes", "100,"),
+         ("--sizes", "sample_sizes", ",100"),
+         ("--sizes", "sample_sizes", "50,,100"),
+         ("--sizes", "sample_sizes", ""),
+         ("--kernels", "kernels", "linear,"),
+         ("--kernels", "kernels", "linear,,poly2"),
+         ("--kernels", "kernels", "")],
+    )
+    def test_flag_and_config_key_reject_the_same_value(self, tmp_path, capsys, flag, key, value):
+        out = tmp_path / "out"
+        code = run("mc", "--preset", "desk", "--reps", "1", flag, value, "--out", str(out))
+        assert code == 1
+        assert f"argument {flag}: expected comma-separated" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(DataError, match=f"^run.cfg:1: bad value for '{key}'"):
+            parse_config(f"{key}={value}\n", source="run.cfg")
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -7,6 +7,7 @@ shape it cannot read. The benchmark must run and pass its
 independent oracle's check on the smallest workload and on the one that
 fits every kernel at n = 1092 and runs the diagnostics. The CLI must also
 start without scipy, which the package no longer depends on at run time.
+Every walkthrough in ``demos/`` must still run against the package.
 """
 
 import importlib.util
@@ -57,15 +58,29 @@ def test_kernel_matrix_has_the_order_the_bench_reads(kind):
     assert _load_spans()._order(k.matrix) == {"n": k.n}
 
 
-def test_cli_import_does_not_load_scipy():
+def _package_env() -> dict:
     src = str(Path(kernherit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_cli_import_does_not_load_scipy():
     code = "import sys, kernherit.cli; print('scipy' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True,
+        check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (REPO / "demos").glob("*.py")))
+def test_demo_runs(demo, tmp_path):
+    out = subprocess.run(
+        [sys.executable, str(REPO / "demos" / demo)], cwd=tmp_path, env=_package_env(),
+        capture_output=True, text=True, timeout=600,
+    )
+    assert out.returncode == 0, out.stderr
 
 
 @pytest.mark.parametrize("workload", ["mc-desk", "files"])

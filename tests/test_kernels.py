@@ -21,7 +21,20 @@ from kernherit.kernels import (
     resolve_gaussian_bandwidth,
 )
 
-from helpers import naive_gaussian_kernel, naive_linear_kernel
+from helpers import naive_gaussian_kernel, naive_linear_kernel, symmetrize
+
+
+def _counted_eigh_calls(monkeypatch) -> list[int]:
+    """Record one entry per ``matrixcore.eigh`` call (``KernelMatrix.eig`` calls it)."""
+    calls = []
+    real = matrixcore.eigh
+
+    def counting(a):
+        calls.append(1)
+        return real(a)
+
+    monkeypatch.setattr(matrixcore, "eigh", counting)
+    return calls
 
 
 class TestKernelMatrix:
@@ -41,7 +54,7 @@ class TestKernelMatrix:
 
     def test_symmetrize_produces_exact_symmetry(self):
         a = np.random.default_rng(0).normal(size=(5, 5))
-        m = matrixcore.symmetrize(a)
+        m = symmetrize(a)
         assert np.array_equal(m, m.T)
         assert np.array_equal(KernelMatrix("linear", m).matrix, m)
 
@@ -224,19 +237,35 @@ class TestSharedDesign:
     @pytest.mark.parametrize("standardize", [True, False])
     def test_one_gram_product_per_design(self, monkeypatch, standardize):
         orders = []
-        real = matrixcore.symmetrize
+        real = Design.gram.func
 
-        def recording(a):
-            orders.append(np.shape(a))
-            return real(a)
+        def recording(design):
+            gram = real(design)
+            orders.append(gram.shape)
+            return gram
 
-        monkeypatch.setattr(matrixcore, "symmetrize", recording)
+        monkeypatch.setattr(Design.gram, "func", recording)
         g = simulate_hwe(20, 7, seed=3)
         design = design_matrix(g, standardize)
         assert np.shape(design) == (20, 7) and orders == []
         for kind in KERNEL_KINDS:
             make_kernel(kind, design, gaussian_bandwidth=3.5)
         assert orders == [(20, 20)]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 130), st.integers(2, 170), st.integers(0, 2**32 - 1))
+    def test_layout_leaves_kernel_bits_unchanged(self, n, p, seed):
+        """A design built from any view of an array, contiguous or strided,
+        gives the kernels of its contiguous copy, bit for bit."""
+        base = np.random.default_rng(seed).normal(size=(n, p))
+        views = (base, np.asfortranarray(base), base[:, ::2], base[::-1, ::-1])
+        for view in views:
+            design, copy = Design(view), Design(np.ascontiguousarray(view))
+            bandwidth = view.shape[1] / 2.0
+            for kind in KERNEL_KINDS:
+                got = make_kernel(kind, design, gaussian_bandwidth=bandwidth).matrix
+                want = make_kernel(kind, copy, gaussian_bandwidth=bandwidth).matrix
+                assert np.array_equal(got, want), (kind, view.strides)
 
     def test_design_is_read_only_and_leaves_its_input_writable(self):
         g = simulate_hwe(6, 3, seed=1)
@@ -248,12 +277,14 @@ class TestSharedDesign:
 
 
 class TestEigCaching:
-    def test_lazy_and_cached(self):
+    def test_lazy_and_cached(self, monkeypatch):
+        calls = _counted_eigh_calls(monkeypatch)
         k = linear_kernel(simulate_hwe(6, 3, seed=1))
-        assert not k.has_eig
+        assert len(calls) == 0
         first = k.eig
-        assert k.has_eig
+        assert len(calls) == 1
         assert k.eig is first
+        assert len(calls) == 1
 
     def test_single_flight_under_concurrency(self, monkeypatch):
         calls, checks = [], []
@@ -371,10 +402,13 @@ class TestCorruptedFactorization:
             return w, v
 
         monkeypatch.setattr(np.linalg, "eigh", poisoned)
+        calls = _counted_eigh_calls(monkeypatch)
         for k, _ in self.instances():
-            with pytest.raises(NumericalError, match="non-finite"):
-                k.eig
-            assert not k.has_eig
+            for attempt in (1, 2):  # a failure is not cached
+                with pytest.raises(NumericalError, match="non-finite"):
+                    k.eig
+                assert len(calls) == attempt
+            calls.clear()
 
     def test_indefinite_spectrum_rejected(self):
         for k, y in self.instances():
@@ -389,9 +423,12 @@ class TestCorruptedFactorization:
 
     def test_spectra_fail_basis_verification(self, monkeypatch):
         self.corrupt_eigh(monkeypatch)
+        calls = _counted_eigh_calls(monkeypatch)
         for k, y in self.instances():
             with pytest.raises(NumericalError, match="failed verification"):
                 spectra.check_conditions(k, y)
+            assert len(calls) == 1
             with pytest.raises(NumericalError, match="failed verification"):
                 k.eig
-            assert not k.has_eig
+            assert len(calls) == 2  # the failed factorization was not cached
+            calls.clear()

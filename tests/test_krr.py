@@ -15,10 +15,9 @@ from kernherit.krr import (
     lambda_grid_fit,
     residualize,
 )
-from kernherit.matrixcore import symmetrize
 from kernherit.phenosim import SimulationSpec, build_population
 
-from helpers import cramer_solve, rel_err
+from helpers import cramer_solve, rel_err, symmetrize
 
 
 def identity_kernel(n: int) -> KernelMatrix:
@@ -238,13 +237,14 @@ class TestCovariateMatrix:
             CovariateMatrix.from_raw(raw, 20)
 
 
-def test_fit_uses_cached_spectrum_automatically():
+def test_fit_uses_cached_spectrum_automatically(monkeypatch):
     """A fit computes no eigendecomposition of K, and repeats bitwise."""
+    orders = _recorded_eigh_orders(monkeypatch)
     kernel, pop = random_instance(11)
     first = fit(kernel, pop.phenotypes, 1.0)
-    assert not kernel.has_eig
+    assert orders == []
     second = fit(kernel, pop.phenotypes, 1.0)
-    assert not kernel.has_eig
+    assert orders == []
     assert np.array_equal(first.alpha_hat, second.alpha_hat)
     assert first.h2_hat == second.h2_hat
 
@@ -364,7 +364,6 @@ def test_dual_route_factors_only_the_gram(monkeypatch):
     y = np.random.default_rng(3).normal(size=30)
     lambda_grid_fit(k, y, DEFAULT_NLAMBDA_GRID)
     assert orders == []
-    assert not k.has_eig
 
 
 def test_sweep_stops_before_the_krylov_space_is_exhausted(monkeypatch):
@@ -376,7 +375,6 @@ def test_sweep_stops_before_the_krylov_space_is_exhausted(monkeypatch):
         assert _relative_residual(k.matrix, y, res.nlambda, res.alpha_hat) <= 1e-12
     assert 0 < len(steps) < 200
     assert orders == []
-    assert not k.has_eig
 
 
 @st.composite

@@ -5,7 +5,6 @@ from kernherit.exceptions import ConditionNotMet
 from kernherit.genotypes import simulate_hwe
 from kernherit.kernels import KernelMatrix, make_kernel
 from kernherit.krr import fit
-from kernherit.matrixcore import symmetrize
 from kernherit.phenosim import SimulationSpec, build_population
 from kernherit.spectra import (
     bound_report,
@@ -17,7 +16,7 @@ from kernherit.spectra import (
     report_text,
 )
 
-from helpers import rel_err
+from helpers import rel_err, symmetrize
 
 
 def ones_kernel(n: int) -> KernelMatrix:
@@ -165,12 +164,43 @@ class TestDecomposeTerms:
         lambda k, nlambda: bound_report(
             k, np.ones(3), np.ones(3), nlambda, 0.1, check_conditions(k, np.ones(3))
         ),
+        lambda k, nlambda: prop3_check(k, np.ones(3), nlambda, check_conditions(k, np.ones(3))),
+        lambda k, nlambda: prop4_check(k, np.ones(3), nlambda, check_conditions(k, np.ones(3))),
     ],
-    ids=["decompose_terms", "esd_integrals", "bound_report"],
+    ids=["decompose_terms", "esd_integrals", "bound_report", "prop3_check", "prop4_check"],
 )
 def test_nlambda_must_be_positive_and_finite(entry, nlambda):
     with pytest.raises(ValueError, match="nlambda must be positive and finite"):
         entry(diag_kernel([3.0, 2.0, 1.0]), nlambda)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "entry, name",
+    [
+        (lambda k, v, rep: decompose_terms(k, np.ones(3), v, 1.0), "signal"),
+        (lambda k, v, rep: decompose_terms(k, v, np.ones(3), 1.0), "phenotypes"),
+        (lambda k, v, rep: prop3_check(k, v, 1.0, rep), "signal"),
+        (lambda k, v, rep: prop4_check(k, v, 1.0, rep), "signal"),
+        (lambda k, v, rep: bound_report(k, np.ones(3), v, 1.0, 0.1, rep), "signal"),
+        (lambda k, v, rep: bound_report(k, v, np.ones(3), 1.0, 0.1, rep), "phenotypes"),
+    ],
+    ids=["decompose_terms-g", "decompose_terms-y", "prop3_check", "prop4_check",
+         "bound_report-g", "bound_report-y"],
+)
+def test_nonfinite_vector_rejected(entry, name, bad):
+    """A non-finite signal or phenotype is an error, not a failed inequality."""
+    k = diag_kernel([3.0, 2.0, 1.0])
+    rep = check_conditions(k, np.ones(3))
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        entry(k, np.array([1.0, bad, 1.0]), rep)
+
+
+@pytest.mark.parametrize("sigma_eps2", [-0.5, np.nan, np.inf])
+def test_sigma_eps2_must_be_non_negative_and_finite(sigma_eps2):
+    k, g = diag_kernel([3.0, 2.0, 1.0]), np.ones(3)
+    with pytest.raises(ValueError, match="sigma_eps2 must be non-negative and finite"):
+        bound_report(k, g, g, 1.0, sigma_eps2, check_conditions(k, g))
 
 
 class TestEsdIntegrals:
