@@ -83,6 +83,18 @@ def _config_field_arg(name: str):
     return parse
 
 
+# mc flags that each set one McConfig field and parse as its config key:
+# flag -> (field, help).
+_MC_FIELD_FLAGS = {
+    "--reps": ("repetitions", None),
+    "--kernels": ("kernels", "comma-separated kernel kinds"),
+    "--sizes": ("sample_sizes", "comma-separated sample sizes"),
+    "--population-seed": ("population_seed", None),
+    "--sampling-seed": ("sampling_seed", None),
+    "--out": ("output_path", "output directory"),
+}
+
+
 def _add_pipeline_flags(parser) -> None:
     parser.add_argument(
         "--no-standardize",
@@ -104,19 +116,37 @@ def _kernel_kinds(arg: str) -> tuple[str, ...]:
     return kernels.KERNEL_KINDS if arg == "all" else (arg,)
 
 
+def _genotype_source(cfg, path):
+    """The matrix an external scenario samples from, read from ``--genotypes``.
+
+    ``--genotypes`` is required by the external scenario and refused by
+    any other, as a usage error raised before the file is read.
+    """
+    if cfg.scenario != "external":
+        if path is not None:
+            raise UsageError(f"--genotypes is only read by external presets, not {cfg.scenario!r}")
+        return None
+    if path is None:
+        raise UsageError("this preset samples from real data; pass --genotypes")
+    return read_genotype_csv(path)
+
+
 def cmd_simulate(args) -> int:
+    explicit = {
+        "--n-individuals": args.n_individuals,
+        "--n-snps": args.n_snps,
+        "--sigma-g": args.sigma_g,
+        "--sigma-eps": args.sigma_eps,
+        "--family": args.family,
+    }
     if args.preset is not None:
+        given = [flag for flag, value in explicit.items() if value is not None]
+        if given:
+            raise UsageError(f"{', '.join(given)} cannot be combined with --preset")
         base, fields = harness.preset_config(args.preset), {}
     else:
         missing = [
-            name
-            for name, value in (
-                ("--n-individuals", args.n_individuals),
-                ("--n-snps", args.n_snps),
-                ("--sigma-g", args.sigma_g),
-                ("--family", args.family),
-            )
-            if value is None
+            flag for flag, value in explicit.items() if value is None and flag != "--sigma-eps"
         ]
         if missing:
             raise UsageError(f"missing {', '.join(missing)} (or use --preset)")
@@ -125,20 +155,17 @@ def cmd_simulate(args) -> int:
             population_size=args.n_individuals,
             snp_count=args.n_snps,
             sigma_g=args.sigma_g,
-            sigma_eps=args.sigma_eps,
             family=args.family,
             sample_sizes=(args.n_individuals,),  # unused here; must fit the population
         )
+        if args.sigma_eps is not None:
+            fields["sigma_eps"] = args.sigma_eps
     try:
         cfg = dataclasses.replace(base, population_seed=args.seed, **fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    source = None
-    if cfg.scenario == "external":
-        if args.genotypes is None:
-            raise UsageError("this preset samples from real data; pass --genotypes")
-        source = read_genotype_csv(args.genotypes)
+    source = _genotype_source(cfg, args.genotypes)
     pop = harness.build_mc_population(cfg, source)
 
     prefix = args.out
@@ -160,9 +187,8 @@ def _load_inputs(args):
         raise DataError(
             f"phenotype length {y.shape[0]} does not match genotype rows {genotypes.n}"
         )
-    design = kernels.design_matrix(genotypes, args.standardize)
-    bandwidth = kernels.resolve_gaussian_bandwidth(
-        args.gaussian_bandwidth, args.standardize, genotypes.p
+    design, bandwidth = kernels.design_matrix(
+        genotypes, args.standardize, args.gaussian_bandwidth
     )
     return y, design, bandwidth
 
@@ -232,25 +258,15 @@ def cmd_mc(args) -> int:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     if args.config is not None:
         cfg = harness.read_config(args.config)
-    elif args.preset is not None:
-        cfg = harness.preset_config(args.preset)
     else:
-        raise UsageError("pass --config FILE or --preset NAME")
-    overrides = {}
-    if args.reps is not None:
-        overrides["repetitions"] = args.reps
-    if args.kernels is not None:
-        overrides["kernels"] = args.kernels
+        cfg = harness.preset_config(args.preset)
+    overrides = {
+        field: getattr(args, field)
+        for field, _ in _MC_FIELD_FLAGS.values()
+        if getattr(args, field) is not None
+    }
     if args.nlambda:
         overrides["lambda_grid"] = tuple(args.nlambda)
-    if args.sizes is not None:
-        overrides["sample_sizes"] = args.sizes
-    if args.population_seed is not None:
-        overrides["population_seed"] = args.population_seed
-    if args.sampling_seed is not None:
-        overrides["sampling_seed"] = args.sampling_seed
-    if args.out is not None:
-        overrides["output_path"] = args.out
     try:
         cfg = dataclasses.replace(cfg, **overrides)
     except ValueError as exc:
@@ -258,7 +274,7 @@ def cmd_mc(args) -> int:
     if cfg.output_path is None:
         raise UsageError("no output directory: pass --out or set output_path in the config")
 
-    source = read_genotype_csv(args.genotypes) if args.genotypes is not None else None
+    source = _genotype_source(cfg, args.genotypes)
     table = harness.run_mc(cfg, genotype_source=source, workers=args.workers)
 
     os.makedirs(cfg.output_path, exist_ok=True)
@@ -287,7 +303,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--n-individuals", type=int, default=None)
     p_sim.add_argument("--n-snps", type=int, default=None)
     p_sim.add_argument("--sigma-g", type=float, default=None)
-    p_sim.add_argument("--sigma-eps", type=float, default=0.5)
+    p_sim.add_argument("--sigma-eps", type=float, default=None)
     p_sim.add_argument("--family", choices=phenosim.FAMILIES, default=None)
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--genotypes", default=None, help="source matrix for external presets")
@@ -318,23 +334,17 @@ def build_parser() -> _Parser:
     p_diag.set_defaults(func=cmd_diagnose)
 
     p_mc = sub.add_parser("mc", help="run the Monte Carlo harness")
-    p_mc.add_argument("--config", default=None)
-    p_mc.add_argument("--preset", default=None)
+    source = p_mc.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", default=None)
+    source.add_argument("--preset", default=None)
     p_mc.add_argument("--genotypes", default=None, help="matrix for the external scenario")
-    p_mc.add_argument("--reps", type=int, default=None)
-    p_mc.add_argument(
-        "--kernels", type=_config_field_arg("kernels"), default=None,
-        help="comma-separated kernel kinds",
-    )
+    for flag, (field, help_text) in _MC_FIELD_FLAGS.items():
+        p_mc.add_argument(
+            flag, dest=field, type=_config_field_arg(field), default=None,
+            metavar=flag[2:].upper().replace("-", "_"), help=help_text,
+        )
     p_mc.add_argument("--nlambda", type=_positive_float_arg, action="append", default=None)
-    p_mc.add_argument(
-        "--sizes", type=_config_field_arg("sample_sizes"), default=None,
-        help="comma-separated sample sizes",
-    )
-    p_mc.add_argument("--population-seed", type=int, default=None)
-    p_mc.add_argument("--sampling-seed", type=int, default=None)
     p_mc.add_argument("--workers", type=int, default=1)
-    p_mc.add_argument("--out", default=None, help="output directory")
     p_mc.set_defaults(func=cmd_mc)
     return parser
 

@@ -28,7 +28,6 @@ argument, so parallel runs work under any multiprocessing start method.
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -38,9 +37,9 @@ import numpy as np
 from . import __version__
 from .exceptions import DataError
 from .genotypes import GenotypeMatrix, MafLaw, simulate_hwe, subsample, subsample_indices
-from .kernels import KERNEL_KINDS, design_matrix, make_kernel, resolve_gaussian_bandwidth
+from .kernels import KERNEL_KINDS, design_matrix, make_kernel
 from .krr import DEFAULT_NLAMBDA_GRID, lambda_grid_fit
-from .phenosim import FAMILIES, Population, SimulationSpec, build_population
+from .phenosim import FAMILIES, Population, SimulationSpec, build_population, check_scales
 
 LOW_DIM_SAMPLE_SIZES = (600, 700, 800, 900, 1000)
 HIGH_DIM_SAMPLE_SIZES = (100, 200, 300, 400, 500)
@@ -80,10 +79,7 @@ class McConfig:
                 raise ValueError(f"unknown kernel kind {kind!r}")
         if not self.lambda_grid or not all(0 < v < math.inf for v in self.lambda_grid):
             raise ValueError("lambda_grid must be non-empty, positive and finite")
-        if not 0 < self.sigma_g < math.inf:
-            raise ValueError(f"sigma_g must be positive and finite, got {self.sigma_g}")
-        if not 0 <= self.sigma_eps < math.inf:
-            raise ValueError(f"sigma_eps must be non-negative and finite, got {self.sigma_eps}")
+        check_scales(self.sigma_g, self.sigma_eps)
         for name in ("repetitions", "population_size", "snp_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -111,12 +107,6 @@ class McConfig:
                 f"output_path {path!r} must be one non-empty line "
                 "without leading or trailing whitespace"
             )
-
-    def resolved_gaussian_bandwidth(self) -> float:
-        """Bandwidth actually used for the Gaussian kernel."""
-        return resolve_gaussian_bandwidth(
-            self.gaussian_bandwidth, self.standardize, self.snp_count
-        )
 
 
 @dataclass(frozen=True)
@@ -189,9 +179,8 @@ def build_mc_population(cfg: McConfig, genotype_source: GenotypeMatrix | None = 
 def _rep_estimates(cfg: McConfig, pop: Population, row_idx: np.ndarray) -> np.ndarray:
     """Heritability estimates for one subsample: shape (kernels, grid), NaN = undefined."""
     z_rows = GenotypeMatrix(pop.genotypes.data[row_idx], maf=pop.genotypes.maf)
-    design = design_matrix(z_rows, cfg.standardize)
+    design, bandwidth = design_matrix(z_rows, cfg.standardize, cfg.gaussian_bandwidth)
     y = pop.phenotypes[row_idx]
-    bandwidth = cfg.resolved_gaussian_bandwidth()
     out = np.empty((len(cfg.kernels), len(cfg.lambda_grid)))
     for i, kind in enumerate(cfg.kernels):
         kernel = make_kernel(kind, design, gaussian_bandwidth=bandwidth)
@@ -288,43 +277,10 @@ def write_table_csv(table: McResultTable, path) -> None:
 # ---------------------------------------------------------------------------
 # Flat key=value run configuration files.
 
-_CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(McConfig)}
+def _list_codec(convert, what: str, fmt=str):
+    """Codec of a comma-separated list field; an empty item is an error."""
 
-
-def _format_value(name: str, value) -> str:
-    if name in ("kernels",):
-        return ",".join(value)
-    if name in ("lambda_grid",):
-        return ",".join(repr(v) for v in value)
-    if name in ("sample_sizes",):
-        return ",".join(str(v) for v in value)
-    if name == "gaussian_bandwidth":
-        return "auto" if value is None else repr(float(value))
-    if name == "output_path":
-        return "" if value is None else str(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-_LIST_FIELDS = {
-    "kernels": (str, "names"),
-    "lambda_grid": (float, "numbers"),
-    "sample_sizes": (int, "integers"),
-}
-
-
-def parse_value(name: str, raw: str):
-    """One configuration field from its text, as in a config file or flag.
-
-    A list field is comma-separated and an empty item is an error. Raises
-    ValueError for malformed text; ranges are checked by :class:`McConfig`.
-    """
-    raw = raw.strip()
-    if name in _LIST_FIELDS:
-        convert, what = _LIST_FIELDS[name]
+    def parse(raw: str) -> tuple:
         parts = [part.strip() for part in raw.split(",")]
         try:
             if "" in parts:
@@ -332,26 +288,53 @@ def parse_value(name: str, raw: str):
             return tuple(convert(part) for part in parts)
         except ValueError:
             raise ValueError(f"expected comma-separated {what}, got {raw!r}") from None
-    if name == "gaussian_bandwidth":
-        return None if raw in ("auto", "") else float(raw)
-    if name == "output_path":
-        return raw or None
-    if name == "standardize":
-        if raw not in ("true", "false"):
-            raise ValueError(f"expected true/false, got {raw!r}")
-        return raw == "true"
-    if name in ("repetitions", "population_seed", "sampling_seed", "population_size", "snp_count"):
-        return int(raw)
-    if name in ("sigma_g", "sigma_eps"):
-        return float(raw)
-    return raw
+
+    return parse, lambda value: ",".join(fmt(v) for v in value)
+
+
+def _parse_bool(raw: str) -> bool:
+    if raw not in ("true", "false"):
+        raise ValueError(f"expected true/false, got {raw!r}")
+    return raw == "true"
+
+
+# (parse, format) of every McConfig field, in declaration order: the one
+# text form of a run setting, shared by config files, manifests and the
+# ``mc`` flags. Ranges are checked by McConfig, not here.
+FIELD_CODECS = {
+    "scenario": (str, str),
+    "family": (str, str),
+    "kernels": _list_codec(str, "names"),
+    "lambda_grid": _list_codec(float, "numbers", repr),
+    "sample_sizes": _list_codec(int, "integers"),
+    "repetitions": (int, str),
+    "population_seed": (int, str),
+    "sampling_seed": (int, str),
+    "population_size": (int, str),
+    "snp_count": (int, str),
+    "sigma_g": (float, repr),
+    "sigma_eps": (float, repr),
+    "standardize": (_parse_bool, lambda value: "true" if value else "false"),
+    "gaussian_bandwidth": (
+        lambda raw: None if raw in ("auto", "") else float(raw),
+        lambda value: "auto" if value is None else repr(float(value)),
+    ),
+    "output_path": (lambda raw: raw or None, lambda value: "" if value is None else str(value)),
+}
+
+
+def parse_value(name: str, raw: str):
+    """One configuration field from its text, as in a config file or flag.
+
+    Surrounding whitespace is ignored. Raises ValueError for malformed
+    text; ranges are checked by :class:`McConfig`.
+    """
+    return FIELD_CODECS[name][0](raw.strip())
 
 
 def serialize_config(cfg: McConfig) -> str:
     """Canonical key=value form; parse(serialize(cfg)) == cfg."""
-    lines = [
-        f"{name}={_format_value(name, getattr(cfg, name))}" for name in _CONFIG_FIELDS
-    ]
+    lines = [f"{name}={fmt(getattr(cfg, name))}" for name, (_, fmt) in FIELD_CODECS.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -370,7 +353,7 @@ def parse_config(text: str, source: str = "<config>") -> McConfig:
             raise DataError(f"{source}:{lineno}: expected key=value, got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _CONFIG_FIELDS:
+        if key not in FIELD_CODECS:
             raise DataError(f"{source}:{lineno}: unknown configuration key {key!r}")
         if key in values:
             raise DataError(f"{source}:{lineno}: duplicate key {key!r}")

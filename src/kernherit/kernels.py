@@ -11,9 +11,9 @@ design matrix):
 The Gaussian bandwidth defaults to 1. :func:`design_matrix` turns
 genotypes into a :class:`Design`, which computes the Gram matrix
 X X^T once and shares it with every kernel built from it; each kernel
-is then an elementwise map of that Gram, done in place.
-:func:`resolve_gaussian_bandwidth` picks the bandwidth. The CLI and the
-Monte Carlo harness build their kernels alike through these.
+is then an elementwise map of that Gram, done in place. It also picks
+the Gaussian bandwidth, so the CLI and the Monte Carlo harness build
+their kernels alike through it.
 
 :class:`KernelMatrix`, the one kernel type, checks its matrix where it
 enters and owns a read-only copy. Its eigendecomposition, ``eig``, is
@@ -86,21 +86,20 @@ def _as_design(x) -> Design:
     return Design(x)
 
 
-def design_matrix(g: GenotypeMatrix, standardize: bool) -> Design:
-    """Kernel input: column-standardized genotypes, or raw allele counts."""
-    return Design(g.standardized() if standardize else g.as_float())
+def design_matrix(
+    g: GenotypeMatrix, standardize: bool, gaussian_bandwidth: float | None = None
+) -> tuple[Design, float]:
+    """Kernel input and Gaussian bandwidth for genotypes ``g``.
 
-
-def resolve_gaussian_bandwidth(bandwidth: float | None, standardize: bool, n_snps: int) -> float:
-    """Gaussian bandwidth actually used; ``None`` picks the default.
-
-    The default is p/2 on standardized inputs (the scale at which
-    pairwise squared distances between standardized rows concentrate)
-    and 1 on raw allele counts.
+    The input is column-standardized genotypes, or raw allele counts. A
+    bandwidth of ``None`` picks the default: p/2 on standardized input
+    (the scale at which pairwise squared distances between standardized
+    rows concentrate) and 1 on raw allele counts.
     """
-    if bandwidth is not None:
-        return float(bandwidth)
-    return n_snps / 2.0 if standardize else 1.0
+    design = Design(g.standardized() if standardize else g.as_float())
+    if gaussian_bandwidth is None:
+        gaussian_bandwidth = g.p / 2.0 if standardize else 1.0
+    return design, float(gaussian_bandwidth)
 
 
 class KernelMatrix:

@@ -74,19 +74,6 @@ class KrrFit:
     h2_defined: bool
 
 
-def _validate_fit_inputs(k: KernelMatrix, y: np.ndarray, nlambda: float) -> np.ndarray:
-    if not 0 < nlambda < math.inf:
-        raise ValueError(f"nlambda must be positive and finite, got {nlambda}")
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.shape[0] != k.n:
-        raise ValueError(
-            f"dimension mismatch: kernel order {k.n} vs phenotype shape {y.shape}"
-        )
-    if not np.all(np.isfinite(y)):
-        raise ValueError("phenotypes must be finite")
-    return y
-
-
 def _finalize(k: KernelMatrix, y: np.ndarray, nlambda: float, alpha: np.ndarray) -> KrrFit:
     """Check ``alpha`` by its residual and derive the estimates from it.
 
@@ -246,12 +233,10 @@ def _sweep(k: KernelMatrix, y: np.ndarray, grid: Sequence[float]) -> list[np.nda
 def fit(k: KernelMatrix, y, nlambda: float) -> KrrFit:
     """Fit kernel ridge regression at one regularization strength.
 
-    Runs the Krylov sweep for this one shift; the result is bitwise the
-    same as the matching point of :func:`lambda_grid_fit`.
+    This is the one-point grid of :func:`lambda_grid_fit`, so the result
+    is bitwise the same as the matching point of any grid.
     """
-    y = _validate_fit_inputs(k, y, nlambda)
-    (alpha,) = _sweep(k, y, (nlambda,))
-    return _finalize(k, y, nlambda, alpha)
+    return lambda_grid_fit(k, y, (nlambda,))[0]
 
 
 def lambda_grid_fit(k: KernelMatrix, y, grid: Sequence[float]) -> list[KrrFit]:
@@ -262,7 +247,13 @@ def lambda_grid_fit(k: KernelMatrix, y, grid: Sequence[float]) -> list[KrrFit]:
     bad = [v for v in grid if not 0 < v < math.inf]
     if bad:
         raise ValueError(f"all nlambda values must be positive and finite, got {bad[0]}")
-    y = _validate_fit_inputs(k, y, grid[0])
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 1 or y.shape[0] != k.n:
+        raise ValueError(
+            f"dimension mismatch: kernel order {k.n} vs phenotype shape {y.shape}"
+        )
+    if not np.all(np.isfinite(y)):
+        raise ValueError("phenotypes must be finite")
     return [_finalize(k, y, mu, alpha) for mu, alpha in zip(grid, _sweep(k, y, grid))]
 
 

@@ -21,6 +21,7 @@ N-1) of the simulated signal, not an analytic expectation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,14 @@ def _check_family(family: str) -> str:
     if family not in FAMILIES:
         raise ValueError(f"unknown effect family {family!r}; choose one of {FAMILIES}")
     return family
+
+
+def check_scales(sigma_g: float, sigma_eps: float = 0.0) -> None:
+    """Reject an effect scale outside (0, inf) or a noise scale outside [0, inf)."""
+    if not 0 < sigma_g < math.inf:
+        raise ValueError(f"sigma_g must be positive and finite, got {sigma_g}")
+    if not 0 <= sigma_eps < math.inf:
+        raise ValueError(f"sigma_eps must be non-negative and finite, got {sigma_eps}")
 
 
 @dataclass(frozen=True)
@@ -50,10 +59,7 @@ class SimulationSpec:
     def __post_init__(self):
         if self.n_individuals < 1 or self.n_snps < 1:
             raise ValueError("population size and SNP count must be >= 1")
-        if self.sigma_g <= 0:
-            raise ValueError(f"sigma_g must be positive, got {self.sigma_g}")
-        if self.sigma_eps < 0:
-            raise ValueError(f"sigma_eps must be non-negative, got {self.sigma_eps}")
+        check_scales(self.sigma_g, self.sigma_eps)
         _check_family(self.family)
 
 
@@ -100,8 +106,7 @@ def eval_g(family: str, z_row: np.ndarray, beta: np.ndarray) -> float:
 
 def draw_beta(p: int, sigma_g: float, seed) -> np.ndarray:
     """Draw p i.i.d. N(0, sigma_g^2) genetic effects, reproducibly."""
-    if sigma_g <= 0:
-        raise ValueError(f"sigma_g must be positive, got {sigma_g}")
+    check_scales(sigma_g)
     return np.random.default_rng(seed).normal(0.0, sigma_g, size=p)
 
 

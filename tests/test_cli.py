@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from kernherit.cli import main
+from kernherit.cli import build_parser, main
 from kernherit.genotypes import read_genotype_csv, simulate_hwe, write_genotype_csv
 from kernherit.exceptions import DataError
 from kernherit.harness import build_mc_population, parse_config, preset_config
@@ -94,6 +94,43 @@ class TestSimulate:
             for line in open(str(prefix) + ".meta.txt").read().splitlines()
         )
         assert meta["sigma_g"] == "0.02"
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--n-individuals", "50"), ("--n-snps", "7"), ("--sigma-g", "0.1"),
+         ("--sigma-eps", "0.5"), ("--family", "quadratic")],
+    )
+    def test_explicit_flag_with_preset_is_usage_error(self, tmp_path, capsys, flag, value):
+        code = run("simulate", "--preset", "desk", flag, value, "--seed", "1",
+                   "--out", str(tmp_path / "pop"))
+        assert code == 1
+        assert f"usage error: {flag} cannot be combined with --preset" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--preset", "desk"),
+         ("--n-individuals", "10", "--n-snps", "4", "--sigma-g", "0.1", "--family", "linear")],
+    )
+    def test_genotypes_outside_the_external_scenario_is_usage_error(self, tmp_path, capsys, argv):
+        # The path does not exist: the flag is refused before any file is read.
+        code = run("simulate", *argv, "--seed", "1", "--genotypes", str(tmp_path / "none.csv"),
+                   "--out", str(tmp_path / "pop"))
+        assert code == 1
+        assert "usage error: --genotypes is only read by external presets" in (
+            capsys.readouterr().err
+        )
+        assert not list(tmp_path.iterdir())
+
+    def test_sigma_eps_defaults_to_the_config_default(self, tmp_path):
+        argv = ("simulate", "--n-individuals", "20", "--n-snps", "5", "--sigma-g", "0.1",
+                "--family", "linear", "--seed", "3")
+        assert run(*argv, "--out", str(tmp_path / "a")) == 0
+        assert run(*argv, "--sigma-eps", "0.5", "--out", str(tmp_path / "b")) == 0
+        for suffix in (".phenotypes.csv", ".meta.txt"):
+            assert (tmp_path / ("a" + suffix)).read_bytes() == (
+                tmp_path / ("b" + suffix)
+            ).read_bytes()
 
     def test_external_preset_needs_and_uses_source(self, tmp_path, capsys):
         prefix = tmp_path / "kgp"
@@ -401,6 +438,45 @@ class TestMc:
             parse_config(f"{key}={value}\n", source="run.cfg")
 
     @pytest.mark.parametrize(
+        "flag, key, value",
+        [("--reps", "repetitions", "1.5"),
+         ("--reps", "repetitions", "two"),
+         ("--population-seed", "population_seed", "1e3"),
+         ("--sampling-seed", "sampling_seed", ""),
+         ("--kernels", "kernels", "linear,"),
+         ("--sizes", "sample_sizes", "100,x")],
+    )
+    def test_every_field_flag_rejects_what_its_key_rejects(self, tmp_path, capsys, flag, key, value):
+        out = tmp_path / "out"
+        code = run("mc", "--preset", "desk", flag, value, "--out", str(out))
+        assert code == 1
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(DataError, match=f"^run.cfg:1: bad value for '{key}'"):
+            parse_config(f"{key}={value}\n", source="run.cfg")
+
+    @pytest.mark.parametrize(
+        "flag, key, value",
+        [("--out", "output_path", " x"),
+         ("--reps", "repetitions", " 2"),
+         ("--population-seed", "population_seed", "5 "),
+         ("--sampling-seed", "sampling_seed", "7"),
+         ("--kernels", "kernels", "linear, gaussian"),
+         ("--sizes", "sample_sizes", " 100 ,300")],
+    )
+    def test_every_field_flag_accepts_what_its_key_accepts(self, flag, key, value):
+        args = build_parser().parse_args(["mc", "--preset", "desk", flag, value])
+        assert getattr(args, key) == getattr(parse_config(f"{key}={value}\n"), key)
+
+    def test_out_is_stripped_like_output_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = run("mc", "--preset", "desk", "--reps", "1", "--sizes", "100",
+                   "--kernels", "linear", "--out", " x")
+        assert code == 0
+        assert (tmp_path / "x" / "table.csv").exists()
+        assert parse_config("output_path= x\n").output_path == "x"
+
+    @pytest.mark.parametrize(
         "flags, message",
         [(("--kernels", "linear,linear"), "kernels must be distinct, got 'linear'"),
          (("--nlambda", "1", "--nlambda", "1.0"), "lambda_grid must be distinct, got 1.0"),
@@ -432,6 +508,31 @@ class TestMc:
 
     def test_missing_config_and_preset_is_usage_error(self, capsys):
         assert run("mc") == 1
+
+    def test_config_and_preset_together_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"output_path={tmp_path / 'out'}\n")
+        code = run("mc", "--config", str(cfg), "--preset", "desk", "--reps", "1")
+        assert code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_genotypes_outside_the_external_scenario_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run("mc", "--preset", "desk", "--reps", "1", "--genotypes",
+                   str(tmp_path / "none.csv"), "--out", str(out))
+        assert code == 1
+        assert "usage error: --genotypes is only read by external presets, not 'hwe'" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_external_scenario_without_genotypes_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run("mc", "--preset", "kgp-linear-low", "--reps", "1", "--out", str(out))
+        assert code == 1
+        assert "pass --genotypes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_repetition_note(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

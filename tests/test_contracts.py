@@ -44,7 +44,7 @@ def test_bench_layer_targets_exist():
 def test_design_has_the_shape_the_bench_reads(standardize):
     """``spans._design`` sizes a kernel span by ``np.shape`` of its input."""
     g = simulate_hwe(9, 4, seed=0)
-    design = kernels.design_matrix(g, standardize)
+    design, _ = kernels.design_matrix(g, standardize)
     assert np.shape(design) == (g.n, g.p)
     assert _load_spans()._design("linear", design) == {"n": g.n, "p": g.p}
     for kind in kernels.KERNEL_KINDS:

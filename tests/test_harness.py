@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import kernherit
 from kernherit.exceptions import DataError
-from kernherit.genotypes import GenotypeMatrix, subsample_indices
+from kernherit.genotypes import GenotypeMatrix, simulate_hwe, subsample_indices
 from kernherit.harness import (
+    FIELD_CODECS,
     McCell,
     McConfig,
     McResultTable,
@@ -29,7 +30,7 @@ from kernherit.harness import (
     write_manifest,
     write_table_csv,
 )
-from kernherit.kernels import KERNEL_KINDS, make_kernel
+from kernherit.kernels import KERNEL_KINDS, design_matrix, make_kernel
 from kernherit.krr import lambda_grid_fit
 from kernherit.phenosim import FAMILIES
 
@@ -168,9 +169,7 @@ class TestRunMc:
                 idx = subsample_indices(cfg.population_size, n, seed=int(seeds[i, r]))
                 rows = GenotypeMatrix(pop.genotypes.data[idx], maf=pop.genotypes.maf)
                 design = rows.standardized()
-                kernel = make_kernel(
-                    "poly2", design, gaussian_bandwidth=cfg.resolved_gaussian_bandwidth()
-                )
+                kernel = make_kernel("poly2", design, gaussian_bandwidth=cfg.snp_count / 2.0)
                 for nlam, res in zip(
                     cfg.lambda_grid, lambda_grid_fit(kernel, pop.phenotypes[idx], cfg.lambda_grid)
                 ):
@@ -338,9 +337,12 @@ class TestConfigFile:
         cfg = tiny_config(gaussian_bandwidth=None)
         assert "gaussian_bandwidth=auto" in serialize_config(cfg)
         assert parse_config(serialize_config(cfg)).gaussian_bandwidth is None
-        assert cfg.resolved_gaussian_bandwidth() == cfg.snp_count / 2.0
-        raw = tiny_config(standardize=False)
-        assert raw.resolved_gaussian_bandwidth() == 1.0
+        g = simulate_hwe(5, cfg.snp_count, seed=0)
+        assert design_matrix(g, cfg.standardize, cfg.gaussian_bandwidth)[1] == cfg.snp_count / 2.0
+        assert design_matrix(g, False, cfg.gaussian_bandwidth)[1] == 1.0
+
+    def test_every_field_has_one_codec_in_declaration_order(self):
+        assert list(FIELD_CODECS) == [f.name for f in dataclasses.fields(McConfig)]
 
 
 @st.composite

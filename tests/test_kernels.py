@@ -18,7 +18,6 @@ from kernherit.kernels import (
     linear_kernel,
     make_kernel,
     polynomial_kernel,
-    resolve_gaussian_bandwidth,
 )
 
 from helpers import naive_gaussian_kernel, naive_linear_kernel, symmetrize
@@ -224,8 +223,7 @@ class TestSharedDesign:
     @given(genotype_designs())
     def test_shared_gram_matches_fresh_and_dense_kernels(self, instance):
         g, standardize = instance
-        design = design_matrix(g, standardize)
-        bandwidth = resolve_gaussian_bandwidth(None, standardize, g.p)
+        design, bandwidth = design_matrix(g, standardize)
         z = np.array(design.data)
         for kind in KERNEL_KINDS:
             shared = make_kernel(kind, design, gaussian_bandwidth=bandwidth).matrix
@@ -246,7 +244,7 @@ class TestSharedDesign:
 
         monkeypatch.setattr(Design.gram, "func", recording)
         g = simulate_hwe(20, 7, seed=3)
-        design = design_matrix(g, standardize)
+        design, _ = design_matrix(g, standardize)
         assert np.shape(design) == (20, 7) and orders == []
         for kind in KERNEL_KINDS:
             make_kernel(kind, design, gaussian_bandwidth=3.5)
@@ -269,7 +267,7 @@ class TestSharedDesign:
 
     def test_design_is_read_only_and_leaves_its_input_writable(self):
         g = simulate_hwe(6, 3, seed=1)
-        design = design_matrix(g, True)
+        design, _ = design_matrix(g, True)
         assert not design.data.flags.writeable and not design.gram.flags.writeable
         z = g.standardized()
         linear_kernel(z)

@@ -38,6 +38,11 @@ class TestDrawBeta:
         with pytest.raises(ValueError, match="sigma_g"):
             draw_beta(10, 0.0, seed=1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_scale(self, value):
+        with pytest.raises(ValueError, match="sigma_g must be positive and finite"):
+            draw_beta(10, value, seed=1)
+
     def test_large_sample_sd(self):
         beta = draw_beta(100_000, 0.02, seed=5)
         assert abs(np.std(beta) - 0.02) <= 0.02 * 0.02
@@ -53,6 +58,17 @@ class TestBuildPopulation:
         )
         base.update(kw)
         return SimulationSpec(**base)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("sigma_g", np.nan, "sigma_g must be positive and finite"),
+         ("sigma_g", np.inf, "sigma_g must be positive and finite"),
+         ("sigma_eps", np.nan, "sigma_eps must be non-negative and finite"),
+         ("sigma_eps", np.inf, "sigma_eps must be non-negative and finite")],
+    )
+    def test_spec_rejects_non_finite_scale(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            self._spec(**{field: value})
 
     def test_noiseless_population_has_unit_heritability(self):
         g = simulate_hwe(30, 6, seed=1)
