@@ -23,7 +23,8 @@ kernel = make_kernel("poly2", genotypes.standardized(), gaussian_bandwidth=P / 2
 cond = check_conditions(kernel, pop.g_values)
 print(f"alignment constant c      = {cond.c_star:.4f}")
 print(f"spectral gap l1/l2        = {cond.gap_ratio:.2f}")
-print(f"chosen alpha              = {cond.alpha:.4f}  (range {cond.alpha_range})")
+print(f"chosen alpha              = {cond.alpha:.4f}  "
+      f"(range {cond.alpha_range_low:.4f} to {cond.alpha_range_high:.4f})")
 print(f"minimal admissible nlambda = {cond.lambda_threshold:.3f}")
 print(f"conditions met            = {cond.conditions_met}\n")
 
@@ -52,3 +53,7 @@ proxy_lines = report_text(proxy_cond, proxy_rpt).splitlines()
 print("proxy-labeled report (first lines):")
 for line in proxy_lines[:6]:
     print("  " + line)
+print("the fitted signal also decides which bounds apply, so these are labeled too:")
+for line in proxy_lines:
+    if line.startswith(("conditions_available", "lambda_admissible")):
+        print("  " + line)

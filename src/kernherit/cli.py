@@ -238,19 +238,19 @@ def cmd_diagnose(args) -> int:
 
     cond = spectra.check_conditions(kernel, g, g_is_proxy=proxy)
     bound = spectra.bound_report(kernel, y, g, args.nlambda, sigma_eps2, cond)
-    lines = [spectra.report_text(cond, bound).rstrip("\n")]
-    tag = ".proxy" if proxy else ""
+    items = spectra.report_items(cond, bound)
     try:
         p3 = spectra.prop3_check(kernel, g, args.nlambda, cond)
-        lines.append(f"alignment_bound_lhs{tag}={p3.lhs!r}")
-        lines.append(f"alignment_bound_rhs{tag}={p3.rhs!r}")
-        lines.append(f"alignment_bound_holds{tag}={'true' if p3.holds else 'false'}")
+        items += [
+            spectra.report_item(f"alignment_bound_{key}", value, proxy)
+            for key, value in dataclasses.asdict(p3).items()
+        ]
     except ConditionNotMet as exc:
-        lines.append(f"alignment_bound{tag}=refused: {exc}")
-    lines.append(f"sigma_g2_hat={fit_res.sigma_g2_hat!r}")
-    lines.append(f"sigma_eps2_hat={fit_res.sigma_eps2_hat!r}")
-    lines.append(f"h2_hat={fit_res.h2_hat!r}")
-    return _write_lines(lines, args.out)
+        items.append(spectra.report_item("alignment_bound", f"refused: {exc}", proxy))
+    # The estimates come from the fit alone, so they are never proxy-labeled.
+    for key in ("sigma_g2_hat", "sigma_eps2_hat", "h2_hat"):
+        items.append(spectra.report_item(key, getattr(fit_res, key)))
+    return _write_lines([f"{key}={value}" for key, value in items], args.out)
 
 
 def cmd_mc(args) -> int:
@@ -336,7 +336,7 @@ def build_parser() -> _Parser:
     p_mc = sub.add_parser("mc", help="run the Monte Carlo harness")
     source = p_mc.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", default=None)
-    source.add_argument("--preset", default=None)
+    source.add_argument("--preset", choices=sorted(harness.PRESETS), default=None)
     p_mc.add_argument("--genotypes", default=None, help="matrix for the external scenario")
     for flag, (field, help_text) in _MC_FIELD_FLAGS.items():
         p_mc.add_argument(
@@ -365,6 +365,9 @@ def main(argv=None) -> int:
         return 3
     except KernheritError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a file that cannot be read or written
+        print(f"data error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -31,7 +31,7 @@ proxy-based in the serialized report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -83,12 +83,16 @@ def _smoothed_ones_projection(k: KernelMatrix, g: np.ndarray, w: np.ndarray) -> 
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Alignment and spectral-gap constants for one (kernel, signal) pair."""
+    """Alignment and spectral-gap constants for one (kernel, signal) pair.
+
+    The fields before ``g_is_proxy`` are the report's keys, in print order.
+    """
 
     c_star: float
     gap_ratio: float
     alpha: float
-    alpha_range: tuple[float, float]
+    alpha_range_low: float
+    alpha_range_high: float
     lambda_threshold: float
     c3_met: bool
     c4_met: bool
@@ -153,44 +157,27 @@ def check_conditions(k: KernelMatrix, g, g_is_proxy: bool = False) -> ConditionR
     alpha_lo = max(2.0 * c * c - 1.0, 0.0)
     if l1 <= 0.0:
         # Zero kernel: no spectral structure to exploit.
-        return ConditionReport(
-            c_star=c,
-            gap_ratio=float("nan"),
-            alpha=float("nan"),
-            alpha_range=(alpha_lo, float("nan")),
-            lambda_threshold=float("inf"),
-            c3_met=c3_met,
-            c4_met=False,
-            g_is_proxy=g_is_proxy,
-        )
-    if l2 <= _RANK1_RTOL * l1:
+        gap, alpha, alpha_hi, threshold, c4_met = math.nan, math.nan, math.nan, math.inf, False
+    elif l2 <= _RANK1_RTOL * l1:
         # Rank-one kernel: the gap is trivially infinite and any alpha
         # works; the regularization threshold degenerates to zero.
-        return ConditionReport(
-            c_star=c,
-            gap_ratio=float("inf"),
-            alpha=1.0,
-            alpha_range=(alpha_lo, 1.0),
-            lambda_threshold=0.0,
-            c3_met=c3_met,
-            c4_met=c3_met,
-            g_is_proxy=g_is_proxy,
-        )
-
-    gap = l1 / l2
-    alpha_sup = min(1.0, c * c * gap - (1.0 - c * c))
-    alpha = min(1.0, _GAP_MARGIN * c * c * gap - (1.0 - c * c))
-    c4_met = c3_met and alpha > 0.0 and alpha >= alpha_lo
-    if c4_met:
-        denom = c * c * l1 - (alpha + 1.0 - c * c) * l2
-        threshold = (alpha + 1.0 - c * c) * l1 * l2 / denom
+        gap, alpha, alpha_hi, threshold, c4_met = math.inf, 1.0, 1.0, 0.0, c3_met
     else:
-        threshold = float("inf")
+        gap = l1 / l2
+        alpha_hi = min(1.0, c * c * gap - (1.0 - c * c))
+        alpha = min(1.0, _GAP_MARGIN * c * c * gap - (1.0 - c * c))
+        c4_met = c3_met and alpha > 0.0 and alpha >= alpha_lo
+        if c4_met:
+            denom = c * c * l1 - (alpha + 1.0 - c * c) * l2
+            threshold = (alpha + 1.0 - c * c) * l1 * l2 / denom
+        else:
+            alpha, threshold = math.nan, math.inf
     return ConditionReport(
         c_star=c,
         gap_ratio=gap,
-        alpha=alpha if c4_met else float("nan"),
-        alpha_range=(alpha_lo, alpha_sup),
+        alpha=alpha,
+        alpha_range_low=alpha_lo,
+        alpha_range_high=alpha_hi,
         lambda_threshold=threshold,
         c3_met=c3_met,
         c4_met=c4_met,
@@ -333,13 +320,13 @@ def prop4_check(k: KernelMatrix, g, nlambda: float, report: ConditionReport) -> 
 class BoundReport:
     """Plug-in interval bounds and term diagnostics at one nlambda.
 
-    Condition-dependent fields (the signal-term sandwich, the variance
-    interval for the genetic component, and the ratio interval) are None
-    when the alignment/gap preconditions fail or nlambda sits below the
-    admissibility threshold; everything else is always populated.
-    ``admissibility`` holds the three regularization checks for interval
-    coverage of the noise-to-signal variance ratio (None where they
-    cannot be evaluated).
+    The fields are the report's keys, in print order, with ``terms``
+    standing for its six fields. The signal-term sandwich (``i1g_*``,
+    ``i2g_lower``/``_upper``), the genetic-variance and ratio intervals and
+    the last two regularization checks are None when the alignment/gap
+    preconditions fail or nlambda sits below the admissibility threshold;
+    ``lambda_admissible_2``/``_3`` are also None where their check
+    cannot be evaluated. Everything else is always populated.
     """
 
     nlambda: float
@@ -348,7 +335,6 @@ class BoundReport:
     esd_full: float
     esd_minus1: float
     terms: TermDecomposition
-    conditions_available: bool
     # signal-term sandwich (condition-dependent)
     i1g_lower: float | None
     i1g_upper: float | None
@@ -363,12 +349,18 @@ class BoundReport:
     i2g_gap: float
     i2e_trace: float
     i2e_gap: float
+    conditions_available: bool
     # plug-in intervals
-    sigma_g2_bounds: tuple[float, float] | None
-    sigma_eps2_bounds: tuple[float, float]
-    ratio_bounds: tuple[float, float] | None
-    admissibility: tuple[bool | None, bool | None, bool | None]
-    g_is_proxy: bool
+    sigma_g2_lower: float | None
+    sigma_g2_upper: float | None
+    sigma_eps2_lower: float
+    sigma_eps2_upper: float
+    ratio_lower: float | None
+    ratio_upper: float | None
+    # regularization checks for interval coverage of the variance ratio
+    lambda_admissible_1: bool
+    lambda_admissible_2: bool | None
+    lambda_admissible_3: bool | None
 
 
 def bound_report(
@@ -391,6 +383,7 @@ def bound_report(
     _, w = _shrinkage(k, nlambda)
     if not 0 <= sigma_eps2 < math.inf:
         raise ValueError(f"sigma_eps2 must be non-negative and finite, got {sigma_eps2}")
+    nlambda, sigma_eps2 = float(nlambda), float(sigma_eps2)
     n = k.n
     eig = k.eig
     d = 1.0 - w
@@ -420,12 +413,13 @@ def bound_report(
     i2g_gap = abs(terms.i2g - i2g_trace)
     i2e_gap = abs(terms.i2e - i2e_trace)
 
-    sigma_eps2_bounds = (
-        (1.0 - tau1) ** 2 * (var_g + sigma_eps2) + (1.0 - tau1) ** 2 * mean_g**2,
-        var_g + sigma_eps2 + mean_g**2,
-    )
+    sigma_eps2_lower = (1.0 - tau1) ** 2 * (var_g + sigma_eps2) + (1.0 - tau1) ** 2 * mean_g**2
+    sigma_eps2_upper = var_g + sigma_eps2 + mean_g**2
 
-    available = report.conditions_met and nlambda >= report.lambda_threshold
+    adm1 = nlambda >= report.lambda_threshold
+    available = report.conditions_met and adm1
+    i1g_lower = i1g_upper = i2g_lower = i2g_upper = None
+    g2_lo = g2_hi = ratio_lo = ratio_hi = adm2 = adm3 = None
     if available:
         c = report.c_star
         alpha = report.alpha
@@ -444,16 +438,10 @@ def bound_report(
             + (tau1**2 - alpha**2 * tau_ratio2) * mean_g**2
             + (1.0 - c**2) * sigma_eps2 * esd_full
         )
-        sigma_g2_bounds = (g2_lo, g2_hi)
-        ratio_lo = sigma_eps2_bounds[0] / g2_hi if g2_hi > 0 else 0.0
-        ratio_hi = sigma_eps2_bounds[1] / g2_lo if g2_lo > 0 else float("inf")
-        ratio_bounds = (ratio_lo, ratio_hi)
-        adm1 = nlambda >= report.lambda_threshold
-        adm2 = (
-            esd_minus1 <= (var_g / sigma_eps2) * (1.0 - c**2 * tau1**2)
-            if sigma_eps2 > 0
-            else None
-        )
+        ratio_lo = sigma_eps2_lower / g2_hi if g2_hi > 0 else 0.0
+        ratio_hi = sigma_eps2_upper / g2_lo if g2_lo > 0 else math.inf
+        if sigma_eps2 > 0:
+            adm2 = esd_minus1 <= (var_g / sigma_eps2) * (1.0 - c**2 * tau1**2)
         if sigma_eps2 > 0 and c < 1.0:
             rhs3 = (
                 var_g**2 / sigma_eps2**2
@@ -462,23 +450,14 @@ def bound_report(
                 * mean_g**2
             ) / (1.0 - c**2)
             adm3 = esd_full >= rhs3
-        else:
-            adm3 = None
-        admissibility = (adm1, adm2, adm3)
-    else:
-        i1g_lower = i1g_upper = i2g_lower = i2g_upper = None
-        sigma_g2_bounds = None
-        ratio_bounds = None
-        admissibility = (nlambda >= report.lambda_threshold, None, None)
 
     return BoundReport(
-        nlambda=float(nlambda),
+        nlambda=nlambda,
         tau1=tau1,
         tau2=tau2,
         esd_full=esd_full,
         esd_minus1=esd_minus1,
         terms=terms,
-        conditions_available=available,
         i1g_lower=i1g_lower,
         i1g_upper=i1g_upper,
         i2g_lower=i2g_lower,
@@ -491,84 +470,59 @@ def bound_report(
         i2g_gap=i2g_gap,
         i2e_trace=i2e_trace,
         i2e_gap=i2e_gap,
-        sigma_g2_bounds=sigma_g2_bounds,
-        sigma_eps2_bounds=sigma_eps2_bounds,
-        ratio_bounds=ratio_bounds,
-        admissibility=admissibility,
-        g_is_proxy=report.g_is_proxy,
+        conditions_available=available,
+        sigma_g2_lower=g2_lo,
+        sigma_g2_upper=g2_hi,
+        sigma_eps2_lower=sigma_eps2_lower,
+        sigma_eps2_upper=sigma_eps2_upper,
+        ratio_lower=ratio_lo,
+        ratio_upper=ratio_hi,
+        lambda_admissible_1=adm1,
+        lambda_admissible_2=adm2,
+        lambda_admissible_3=adm3,
     )
 
 
-def _fmt(value) -> str:
+# Report keys fixed by the kernel and nlambda alone. Every other key
+# derives from the signal and is labeled ``.proxy`` when that is fitted.
+KERNEL_ONLY_KEYS = frozenset({"gap_ratio", "nlambda", "tau1", "tau2", "esd_full", "esd_minus1"})
+
+
+def report_item(key: str, value, proxy: bool = False) -> tuple[str, str]:
+    """One report entry as text: the report's one tagging rule and formatter.
+
+    ``key`` gains ``.proxy`` when ``proxy`` is set, unless it is in
+    KERNEL_ONLY_KEYS. None reads ``unavailable``, a bool ``true``/``false``
+    and a float its ``repr``.
+    """
+    if proxy and key not in KERNEL_ONLY_KEYS:
+        key += ".proxy"
     if value is None:
-        return "unavailable"
+        return key, "unavailable"
     if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        return key, "true" if value else "false"
+    return key, repr(value) if isinstance(value, float) else str(value)
+
+
+def _scalars(report):
+    """(field, value) pairs of a report, nested reports expanded in place."""
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if is_dataclass(value):
+            yield from _scalars(value)
+        elif f.name != "g_is_proxy":  # printed first, as signal_source
+            yield f.name, value
 
 
 def report_items(cond: ConditionReport, bound: BoundReport) -> list[tuple[str, str]]:
-    """Flatten the two reports into ordered key/value pairs.
-
-    Signal-derived keys carry a ``.proxy`` suffix when the diagnostics
-    ran on fitted values instead of the true signal.
-    """
-    tag = ".proxy" if cond.g_is_proxy else ""
-    items: list[tuple[str, str]] = [
-        ("signal_source", "proxy_g_hat" if cond.g_is_proxy else "true_g"),
-        (f"c_star{tag}", _fmt(cond.c_star)),
-        ("gap_ratio", _fmt(cond.gap_ratio)),
-        (f"alpha{tag}", _fmt(cond.alpha)),
-        (f"alpha_range_low{tag}", _fmt(cond.alpha_range[0])),
-        (f"alpha_range_high{tag}", _fmt(cond.alpha_range[1])),
-        (f"lambda_threshold{tag}", _fmt(cond.lambda_threshold)),
-        (f"c3_met{tag}", _fmt(cond.c3_met)),
-        (f"c4_met{tag}", _fmt(cond.c4_met)),
-        ("nlambda", _fmt(bound.nlambda)),
-        ("tau1", _fmt(bound.tau1)),
-        ("tau2", _fmt(bound.tau2)),
-        ("esd_full", _fmt(bound.esd_full)),
-        ("esd_minus1", _fmt(bound.esd_minus1)),
-    ]
-    for name in ("i1g", "i2g", "i3g", "i1e", "i2e", "i3e"):
-        items.append((f"{name}{tag}", _fmt(getattr(bound.terms, name))))
-    items += [
-        (f"i1g_lower{tag}", _fmt(bound.i1g_lower)),
-        (f"i1g_upper{tag}", _fmt(bound.i1g_upper)),
-        (f"i2g_lower{tag}", _fmt(bound.i2g_lower)),
-        (f"i2g_upper{tag}", _fmt(bound.i2g_upper)),
-        (f"i1e_lower{tag}", _fmt(bound.i1e_lower)),
-        (f"i1e_upper{tag}", _fmt(bound.i1e_upper)),
-        (f"i2e_lower{tag}", _fmt(bound.i2e_lower)),
-        (f"i2e_upper{tag}", _fmt(bound.i2e_upper)),
-        (f"i2g_trace{tag}", _fmt(bound.i2g_trace)),
-        (f"i2g_gap{tag}", _fmt(bound.i2g_gap)),
-        (f"i2e_trace{tag}", _fmt(bound.i2e_trace)),
-        (f"i2e_gap{tag}", _fmt(bound.i2e_gap)),
-        ("conditions_available", _fmt(bound.conditions_available)),
-    ]
-    if bound.sigma_g2_bounds is None:
-        items.append((f"sigma_g2_lower{tag}", "unavailable"))
-        items.append((f"sigma_g2_upper{tag}", "unavailable"))
-    else:
-        items.append((f"sigma_g2_lower{tag}", _fmt(bound.sigma_g2_bounds[0])))
-        items.append((f"sigma_g2_upper{tag}", _fmt(bound.sigma_g2_bounds[1])))
-    items.append((f"sigma_eps2_lower{tag}", _fmt(bound.sigma_eps2_bounds[0])))
-    items.append((f"sigma_eps2_upper{tag}", _fmt(bound.sigma_eps2_bounds[1])))
-    if bound.ratio_bounds is None:
-        items.append((f"ratio_lower{tag}", "unavailable"))
-        items.append((f"ratio_upper{tag}", "unavailable"))
-    else:
-        items.append((f"ratio_lower{tag}", _fmt(bound.ratio_bounds[0])))
-        items.append((f"ratio_upper{tag}", _fmt(bound.ratio_bounds[1])))
-    for idx, value in enumerate(bound.admissibility, start=1):
-        items.append((f"lambda_admissible_{idx}", _fmt(value)))
+    """Flatten the two reports into ordered key/value pairs, by field."""
+    proxy = cond.g_is_proxy
+    items = [("signal_source", "proxy_g_hat" if proxy else "true_g")]
+    for report in (cond, bound):
+        items += [report_item(key, value, proxy) for key, value in _scalars(report)]
     return items
 
 
 def report_text(cond: ConditionReport, bound: BoundReport) -> str:
     """key=value serialization of a diagnostic report."""
     return "\n".join(f"{key}={value}" for key, value in report_items(cond, bound)) + "\n"
-

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 
 import numpy as np
@@ -14,6 +15,7 @@ FIXTURE_GENO = os.path.join(DATA, "fixture.genotypes.csv")
 FIXTURE_PHENO = os.path.join(DATA, "fixture.phenotypes.csv")
 FIXTURE_G = os.path.join(DATA, "fixture.gvalues.csv")
 FIXTURE_GOLDEN = os.path.join(DATA, "fixture.golden_estimates.csv")
+GOLDEN_DIAGNOSE = os.path.join(DATA, "fixture.golden_diagnose_{}.txt")
 
 
 def run(*argv) -> int:
@@ -259,6 +261,35 @@ class TestEstimate:
         assert "numerical error" in capsys.readouterr().err
 
 
+class TestUnreadableFiles:
+    """A file that cannot be opened is a data error (exit 2) naming its path."""
+
+    def test_missing_config(self, tmp_path, capsys):
+        missing = tmp_path / "nope.cfg"
+        assert run("mc", "--config", str(missing), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(missing) in err
+        assert "Traceback" not in err
+
+    def test_missing_genotypes(self, tmp_path, capsys):
+        missing = tmp_path / "nope.csv"
+        code = run("estimate", "--genotypes", str(missing), "--phenotypes", FIXTURE_PHENO)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(missing) in err
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        out = tmp_path / "nonexistent" / "dir" / "x.csv"
+        code = run(
+            "estimate", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO,
+            "--kernel", "linear", "--nlambda", "1.0", "--out", str(out),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(out) in err
+        assert not out.exists()
+
+
 class TestNonFiniteInput:
     """A NaN or infinite value in an input file is a data error naming where it is."""
 
@@ -314,6 +345,40 @@ class TestEmptyInput:
 
 
 class TestDiagnose:
+    @staticmethod
+    def _assert_matches_golden(text, golden_path):
+        """Same keys in the same order; numbers to 1e-10, other values exactly."""
+        fresh = [line.split("=", 1) for line in text.splitlines()]
+        golden = [line.split("=", 1) for line in open(golden_path).read().splitlines()]
+        assert [key for key, _ in fresh] == [key for key, _ in golden]
+        for (key, got), (_, want) in zip(fresh, golden):
+            try:
+                want_val = float(want)
+            except ValueError:
+                assert got == want, key
+                continue
+            got_val = float(got)
+            if math.isfinite(want_val):
+                assert abs(got_val - want_val) <= 1e-10 * max(1.0, abs(want_val)), key
+            else:
+                assert got == want, key
+
+    @pytest.mark.parametrize(
+        "case, argv",
+        [
+            ("true_g", ["--kernel", "gaussian", "--nlambda", "50", "--true-g", FIXTURE_G]),
+            ("proxy", ["--kernel", "poly2", "--nlambda", "2.3"]),
+        ],
+    )
+    def test_matches_committed_golden_file(self, tmp_path, case, argv):
+        out = tmp_path / "diag.txt"
+        code = run(
+            "diagnose", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO,
+            *argv, "--out", str(out),
+        )
+        assert code == 0
+        self._assert_matches_golden(out.read_text(), GOLDEN_DIAGNOSE.format(case))
+
     def test_true_signal_report(self, capsys):
         code = run(
             "diagnose", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO,
@@ -505,6 +570,13 @@ class TestMc:
         assert code == 0
         lines = (out / "table.csv").read_text().splitlines()
         assert len(lines) == 1 + 1 * 1 * 2
+
+    def test_unknown_preset_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("mc", "--preset", "nope", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "invalid choice: 'nope'" in err
+        assert not out.exists()
 
     def test_missing_config_and_preset_is_usage_error(self, capsys):
         assert run("mc") == 1

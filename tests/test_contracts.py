@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` wraps layer functions by looking them up in their
 owners' ``__dict__``; a rename under ``src/`` would break its traced run
 without failing anything else, and so would a kernel input whose
-shape it cannot read. The benchmark must run and pass its
+shape it cannot read, or a CLI path that stops calling a wrapped
+function through its module. The benchmark must run and pass its
 independent oracle's check on the smallest workload and on the one that
 fits every kernel at n = 1092 and runs the diagnostics. The CLI must also
 start without scipy, which the package no longer depends on at run time.
@@ -38,6 +39,36 @@ def _load_spans():
 def test_bench_layer_targets_exist():
     for owner, attr, name, _ in _load_spans().layer_targets():
         assert attr in owner.__dict__, f"{name}: {owner.__name__} has no {attr!r}"
+
+
+@pytest.mark.parametrize("nlambda", ["0.001", "50"])
+def test_diagnose_calls_each_spectra_layer_once_through_the_module(monkeypatch, nlambda):
+    """The ``spectra.*`` per-layer metrics time these three module attributes."""
+    from kernherit import cli, spectra
+
+    calls = []
+
+    def counted(name):
+        original = getattr(spectra, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    names = ("check_conditions", "bound_report", "prop3_check")
+    for name in names:
+        monkeypatch.setattr(spectra, name, counted(name))
+    data = REPO / "tests" / "data"
+    code = cli.main([
+        "diagnose", "--genotypes", str(data / "fixture.genotypes.csv"),
+        "--phenotypes", str(data / "fixture.phenotypes.csv"), "--kernel", "gaussian",
+        "--nlambda", nlambda, "--true-g", str(data / "fixture.gvalues.csv"),
+        "--out", os.devnull,
+    ])
+    assert code == 0
+    assert sorted(calls) == sorted(names)
 
 
 @pytest.mark.parametrize("standardize", [True, False])

@@ -7,12 +7,14 @@ from kernherit.kernels import KernelMatrix, make_kernel
 from kernherit.krr import fit
 from kernherit.phenosim import SimulationSpec, build_population
 from kernherit.spectra import (
+    KERNEL_ONLY_KEYS,
     bound_report,
     check_conditions,
     decompose_terms,
     esd_integrals,
     prop3_check,
     prop4_check,
+    report_items,
     report_text,
 )
 
@@ -99,8 +101,7 @@ class TestCheckConditions:
         # chosen alpha keeps the gap inequality strict with 1% margin
         assert (rep.alpha + 1.0 - c2) / c2 <= 0.99 * rep.gap_ratio + 1e-12
         assert rep.alpha <= 1.0
-        lo, hi = rep.alpha_range
-        assert lo <= rep.alpha <= max(hi, rep.alpha)
+        assert rep.alpha_range_low <= rep.alpha <= max(rep.alpha_range_high, rep.alpha)
 
     def test_proxy_flag_is_recorded(self):
         kernel, g, _ = genotype_instance(6)
@@ -293,10 +294,9 @@ class TestBoundReport:
         rpt = bound_report(kernel, y, g, nlam, 0.25, rep)
         assert rpt.conditions_available
         assert rpt.i1g_lower - 1e-10 <= rpt.terms.i1g <= rpt.i1g_upper + 1e-10
-        lo, hi = rpt.sigma_g2_bounds
-        assert lo <= hi
-        assert rpt.ratio_bounds[0] <= rpt.ratio_bounds[1]
-        assert rpt.admissibility[0] is True
+        assert rpt.sigma_g2_lower <= rpt.sigma_g2_upper
+        assert rpt.ratio_lower <= rpt.ratio_upper
+        assert rpt.lambda_admissible_1 is True
 
     def test_partial_report_below_threshold(self):
         kernel, g, y = genotype_instance(2)  # seed chosen to satisfy (C3)/(C4)
@@ -304,12 +304,13 @@ class TestBoundReport:
         assert rep.lambda_threshold > 0.2
         rpt = bound_report(kernel, y, g, 0.1, 0.25, rep)
         assert not rpt.conditions_available
-        assert rpt.i1g_lower is None and rpt.sigma_g2_bounds is None
-        assert rpt.ratio_bounds is None
-        assert rpt.admissibility[0] is False
+        assert rpt.i1g_lower is None
+        assert rpt.sigma_g2_lower is None and rpt.sigma_g2_upper is None
+        assert rpt.ratio_lower is None and rpt.ratio_upper is None
+        assert rpt.lambda_admissible_1 is False
         # the condition-free side still reports
         assert rpt.i1e_lower <= rpt.terms.i1e + 1e-12
-        assert rpt.sigma_eps2_bounds[0] <= rpt.sigma_eps2_bounds[1]
+        assert rpt.sigma_eps2_lower <= rpt.sigma_eps2_upper
 
     def test_rank_deficient_trace_bound(self):
         # Low-rank kernel: the noise-term trace expectation is capped by
@@ -352,3 +353,47 @@ class TestReportSerialization:
         assert "c_star.proxy=" in text
         assert "i1g.proxy=" in text
 
+
+    def test_values_print_as_python_scalars(self):
+        # numpy 2 prints a numpy scalar as np.float64(...); a numpy nlambda
+        # must still give plain floats and bools.
+        kernel, g, y = genotype_instance(0)
+        rep = check_conditions(kernel, g)
+        rpt = bound_report(kernel, y, g, np.float64(1.01 * rep.lambda_threshold), 0.25, rep)
+        items = report_items(rep, rpt)
+        assert len(items) == 42
+        assert items[0] == ("signal_source", "true_g")
+        assert dict(items)["lambda_admissible_1"] == "true"
+        for _, value in items[1:]:
+            assert value in ("true", "false", "unavailable") or value == repr(float(value))
+
+    def test_tags_every_key_that_depends_on_the_signal(self):
+        # Demo 02's instance at nlambda 29.3: the same kernel, phenotypes
+        # and nlambda reported once on the true signal and once on the
+        # fitted one. A key whose value moves with the signal must be
+        # labeled in the proxy report; a kernel-only key must not move.
+        n, p, nlam = 200, 40, 29.3
+        spec = SimulationSpec(n_individuals=n, n_snps=p, sigma_g=0.08, family="linear", seed=21)
+        genotypes = simulate_hwe(n, p, seed=20)
+        pop = build_population(spec, genotypes)
+        kernel = make_kernel("poly2", genotypes.standardized())
+        y, g = pop.phenotypes, pop.g_values
+        res = fit(kernel, y, nlam)
+
+        def items(signal, sigma_eps2, proxy):
+            cond = check_conditions(kernel, signal, g_is_proxy=proxy)
+            return report_items(cond, bound_report(kernel, y, signal, nlam, sigma_eps2, cond))
+
+        true_items = items(g, float(np.mean((y - g) ** 2)), False)
+        proxy_items = items(res.g_hat, res.sigma_eps2_hat, True)
+        assert len(true_items) == len(proxy_items)
+        differing = 0
+        for (key, value), (proxy_key, proxy_value) in zip(true_items[1:], proxy_items[1:]):
+            if key in KERNEL_ONLY_KEYS:
+                assert (proxy_key, proxy_value) == (key, value)
+            else:
+                assert proxy_key == key + ".proxy"
+                differing += value != proxy_value
+        assert differing > 20
+        assert dict(true_items)["conditions_available"] == "false"
+        assert dict(proxy_items)["conditions_available.proxy"] == "true"
