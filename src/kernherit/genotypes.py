@@ -10,7 +10,6 @@ seed.
 from __future__ import annotations
 
 import gzip
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,7 +45,7 @@ class GenotypeMatrix:
             raise ValueError(f"genotype data must be 2-D, got shape {a.shape}")
         if a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError(f"genotype matrix must be non-empty, got shape {a.shape}")
-        if not np.isin(a, (0, 1, 2)).all():
+        if not ((a == 0) | (a == 1) | (a == 2)).all():
             raise ValueError("genotype entries must all be 0, 1, or 2")
         a = a.astype(np.int8, copy=True)
         a.setflags(write=False)
@@ -153,11 +152,9 @@ def subsample_indices(n_available: int, n_take: int, seed: int = 0) -> np.ndarra
     return np.sort(rng.choice(n_available, size=int(n_take), replace=False))
 
 
-def _open_text(path, mode: str):
+def _open(path, mode: str):
     path = str(path)
-    if path.endswith(".gz"):
-        return gzip.open(path, mode + "t")
-    return open(path, mode)
+    return gzip.open(path, mode) if path.endswith(".gz") else open(path, mode)
 
 
 def read_genotype_csv(path, header: bool = False) -> GenotypeMatrix:
@@ -168,28 +165,60 @@ def read_genotype_csv(path, header: bool = False) -> GenotypeMatrix:
     ``.gz`` suffix. Blank lines are skipped; with ``header`` the first
     line is too.
 
-    The file is parsed in one vectorised pass and checked once, by
-    :class:`GenotypeMatrix`; only when either fails is it scanned field
-    by field, which names the first offender (or accepts what the fast
-    pass could not parse, such as a line of spaces).
+    A file in the layout :func:`write_genotype_csv` produces (one digit
+    per field, LF or CRLF line ends, spaces or tabs around fields) is
+    parsed as one array and checked once, by :class:`GenotypeMatrix`.
+    Any other file, or one that fails that check, is scanned field by
+    field, which names the first offender (or accepts what the array
+    parse leaves out, such as blank lines).
     """
-    try:
-        with _open_text(path, "r") as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # empty input; the scan reports it
-            data = np.loadtxt(
-                fh, delimiter=",", dtype=np.int8, comments=None, ndmin=2, skiprows=int(header)
-            )
-        return GenotypeMatrix(data)
-    except ValueError:
-        pass
+    with _open(path, "rb") as fh:
+        data = _parse_canonical(fh.read(), header)
+    if data is not None:
+        try:
+            return GenotypeMatrix(data)
+        except ValueError:
+            pass
     return GenotypeMatrix(_scan_genotype_csv(path, header))
+
+
+def _parse_canonical(raw: bytes, header: bool) -> np.ndarray | None:
+    """Allele counts of a file whose lines are all ``d,d,...,d``, or None.
+
+    Spaces and tabs, which ``int()`` ignores around a field, are deleted
+    and CRLF becomes LF; a lone carriage return, a non-ASCII header or
+    lines of unequal or odd length give None. Each (digit, separator)
+    byte pair is then read as one little-endian 16-bit word, less the
+    word of ``('0', separator)``: the result is 0, 1 or 2 exactly where
+    the pair is a digit 0-2 followed by the expected comma or newline,
+    so the domain check of :class:`GenotypeMatrix` rejects any other.
+    """
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n")
+        if b"\r" in raw:
+            return None
+    if header:
+        first, _, raw = raw.partition(b"\n")
+        if not first.isascii():
+            return None
+    if b" " in raw or b"\t" in raw:
+        raw = raw.translate(None, b" \t")
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    width = raw.index(b"\n") + 1
+    if width % 2 or len(raw) % width:
+        return None
+    pairs = np.frombuffer(raw, dtype="<u2").reshape(-1, width // 2)
+    separators = np.full(width // 2, ord(","), dtype="<u2")
+    separators[-1] = ord("\n")
+    return pairs - (separators * 256 + ord("0"))
 
 
 def _scan_genotype_csv(path, header: bool) -> np.ndarray:
     """Field-by-field parse that raises at the first offending field."""
     rows: list[list[int]] = []
     width = None
-    with _open_text(path, "r") as fh:
+    with _open(path, "rt") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if lineno == 1 and header:
@@ -225,8 +254,13 @@ def _scan_genotype_csv(path, header: bool) -> np.ndarray:
 
 
 def write_genotype_csv(g: GenotypeMatrix, path) -> None:
-    """Write a genotype matrix as comma-separated integers (gzip by suffix)."""
-    with _open_text(path, "w") as fh:
-        for row in g.data:
-            fh.write(",".join(str(int(v)) for v in row))
-            fh.write("\n")
+    """Write a genotype matrix as comma-separated integers (gzip by suffix).
+
+    Each row is its digits joined by commas and ended by a newline,
+    assembled as one byte matrix and written in one call.
+    """
+    lines = np.full((g.n, 2 * g.p), ord(","), dtype=np.uint8)
+    lines[:, ::2] = g.data + ord("0")
+    lines[:, -1] = ord("\n")
+    with _open(path, "wb") as fh:
+        fh.write(lines.data)

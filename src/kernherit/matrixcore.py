@@ -89,9 +89,12 @@ def eigh(a: np.ndarray) -> EigenDecomposition:
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
     # Deterministic orientation: largest-magnitude entry of each vector > 0.
-    lead = np.argmax(np.abs(v), axis=0)
-    signs = np.sign(v[lead, np.arange(n)])
-    signs[signs == 0] = 1.0
+    # Column extremes decide it unless +m and -m both occur (or the column
+    # is zero); then the first entry of magnitude m does.
+    top, bottom = v.max(axis=0), v.min(axis=0)
+    signs = np.where(top > -bottom, 1.0, -1.0)
+    for j in np.flatnonzero(top == -bottom):
+        signs[j] = -1.0 if v[np.argmax(np.abs(v[:, j])), j] < 0 else 1.0
     v *= signs
     return EigenDecomposition(w, v)
 
@@ -103,16 +106,22 @@ def verify_eigh(a: np.ndarray, dec: EigenDecomposition) -> None:
     ||V^T V - I||_F <= 1e-10, at O(n^3).
     """
     A = np.asarray(a, dtype=np.float64)
-    w, v = dec.eigenvalues, dec.eigenvectors
-    n = dec.order
-    a_norm = float(np.linalg.norm(A))
-    recon = float(np.linalg.norm((v * w) @ v.T - A))
-    ortho = float(np.linalg.norm(v.T @ v - np.eye(n)))
-    if recon > _RECON_RTOL * max(1.0, a_norm) or ortho > _ORTHO_TOL:
+    recon, ortho = _residuals(A, dec)
+    if recon > _RECON_RTOL * max(1.0, float(np.linalg.norm(A))) or ortho > _ORTHO_TOL:
         raise NumericalError(
-            f"eigendecomposition of order {n} matrix failed verification "
+            f"eigendecomposition of order {dec.order} matrix failed verification "
             f"(reconstruction residual {recon:.3e}, orthogonality residual {ortho:.3e})"
         )
+
+
+def _residuals(A: np.ndarray, dec: EigenDecomposition) -> tuple[float, float]:
+    """(||V diag(l) V^T - A||_F, ||V^T V - I||_F), differenced in place."""
+    v = dec.eigenvectors
+    recon = (v * dec.eigenvalues) @ v.T
+    recon -= A
+    gram = v.T @ v
+    gram.flat[:: dec.order + 1] -= 1.0
+    return float(np.linalg.norm(recon)), float(np.linalg.norm(gram))
 
 
 def require_psd(dec: EigenDecomposition) -> None:

@@ -2,8 +2,9 @@
 
 These stay deliberately naive and independent of the library's own
 linear-algebra paths: explicit cofactor determinants, Laplace-expansion
-solves, rational characteristic polynomials, double loops, and a
-field-by-field genotype CSV parser.
+solves, rational characteristic polynomials, double loops, a
+field-by-field genotype CSV parser and row-by-row writer, and the
+argmax eigenvector orientation with freshly allocated residuals.
 """
 
 import gzip
@@ -149,3 +150,32 @@ def naive_read_genotype_csv(path, header: bool = False) -> np.ndarray:
     if not rows:
         raise DataError(f"{path}: no genotype rows found")
     return np.array(rows, dtype=np.int8)
+
+
+def rowwise_write_genotype_csv(data: np.ndarray, path) -> None:
+    """Genotype CSV written one row at a time through a text stream."""
+    opener = gzip.open(path, "wt") if str(path).endswith(".gz") else open(path, "w")
+    with opener as fh:
+        for row in data:
+            fh.write(",".join(str(int(v)) for v in row))
+            fh.write("\n")
+
+
+def reference_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenpairs, each vector's largest-magnitude entry (first
+    on ties) made positive by an argmax over the flipped copy."""
+    w, v = np.linalg.eigh(np.asarray(a, dtype=np.float64))
+    w = w[::-1].copy()
+    v = v[:, ::-1].copy()
+    lead = np.argmax(np.abs(v), axis=0)
+    signs = np.sign(v[lead, np.arange(v.shape[0])])
+    signs[signs == 0] = 1.0
+    v *= signs
+    return w, v
+
+
+def reference_eigh_residuals(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """(||V diag(w) V^T - A||_F, ||V^T V - I||_F) from fresh differences."""
+    recon = float(np.linalg.norm((v * w) @ v.T - a))
+    ortho = float(np.linalg.norm(v.T @ v - np.eye(v.shape[0])))
+    return recon, ortho

@@ -6,8 +6,10 @@ without failing anything else, and so would a kernel input whose
 shape it cannot read, or a CLI path that stops calling a wrapped
 function through its module. The benchmark must run and pass its
 independent oracle's check on the smallest workload and on the one that
-fits every kernel at n = 1092 and runs the diagnostics. The CLI must also
-start without scipy, which the package no longer depends on at run time.
+fits every kernel at n = 1092 and runs the diagnostics; its traced run
+must report every declared layer, the genotype read among them. The CLI
+must also start without scipy, which the package no longer depends on at
+run time.
 Every walkthrough in ``demos/`` must still run against the package.
 """
 
@@ -114,14 +116,21 @@ def test_demo_runs(demo, tmp_path):
     assert out.returncode == 0, out.stderr
 
 
-@pytest.mark.parametrize("workload", ["mc-desk", "files"])
-def test_bench_smoke_run(workload):
+@pytest.mark.parametrize(
+    "workload,trace", [("mc-desk", 0), ("files", 0), ("files", 1)],
+    ids=["mc-desk", "files", "files-traced"],
+)
+def test_bench_smoke_run(workload, trace):
+    """A traced run must also see the genotype read through ``cli``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", "1", "--seconds", "0", "--trace", "0"]
+            "--seed", "1", "--seconds", "0", "--trace", str(trace)]
     out = subprocess.run(argv, cwd=REPO, capture_output=True, text=True, timeout=600)
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
-    declared = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
-    assert {m["name"] for m in declared} <= set(result["metrics"])
+    declared = json.loads((REPO / "BENCHMARK.json").read_text())
+    metrics = declared["per_layer" if trace else "end_to_end"]
+    assert {m["name"] for m in metrics} <= set(result["metrics"])
+    if trace:
+        assert result["metrics"]["genotypes.read_csv_s"]["value"] > 0

@@ -1,3 +1,4 @@
+import contextlib
 import gzip
 import os
 import tempfile
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
+from kernherit import genotypes
 from kernherit.exceptions import DataError
 from kernherit.genotypes import (
     GenotypeMatrix,
@@ -20,7 +22,7 @@ from kernherit.genotypes import (
     write_genotype_csv,
 )
 
-from helpers import naive_read_genotype_csv
+from helpers import naive_read_genotype_csv, rowwise_write_genotype_csv
 
 
 class TestHweProbabilities:
@@ -187,6 +189,128 @@ class TestCsvRoundTrip:
         assert np.array_equal(g.data, [[0, 1]])
 
 
+def _matrices(max_n=30, max_p=30):
+    return st.tuples(st.integers(1, max_n), st.integers(1, max_p)).flatmap(
+        lambda shape: arrays(np.int8, shape, elements=st.integers(0, 2))
+    )
+
+
+def _read_bytes(path):
+    with (gzip.open if str(path).endswith(".gz") else open)(path, "rb") as fh:
+        return fh.read()
+
+
+@contextlib.contextmanager
+def _counted_scans():
+    """Record the path of each call of the field scan inside the block."""
+    calls = []
+    scan = genotypes._scan_genotype_csv
+
+    def counted(path, header):
+        calls.append(path)
+        return scan(path, header)
+
+    genotypes._scan_genotype_csv = counted
+    try:
+        yield calls
+    finally:
+        genotypes._scan_genotype_csv = scan
+
+
+class TestCsvWriter:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(_matrices(), _matrices(1, 1), _matrices(1, 40), _matrices(40, 1)),
+           st.sampled_from(["g.csv", "g.csv.gz"]))
+    def test_bytes_equal_rowwise_writer(self, counts, name):
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, theirs = os.path.join(tmp, "a" + name), os.path.join(tmp, "b" + name)
+            write_genotype_csv(GenotypeMatrix(counts), ours)
+            rowwise_write_genotype_csv(counts, theirs)
+            assert _read_bytes(ours) == _read_bytes(theirs)
+
+
+class TestCanonicalLayout:
+    """Every variant of the written layout is read back without the scan."""
+
+    @staticmethod
+    def _variant(text, kind):
+        if kind == "crlf":
+            return text.replace("\n", "\r\n")
+        if kind == "header":
+            return "snp_a,snp_b\n" + text
+        if kind == "no_final_newline":
+            return text[:-1]
+        if kind == "space_padded":
+            return "\n".join(" " + line.replace(",", " ,\t") + "  " for line in
+                             text.splitlines()) + "\n"
+        return text
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_matrices(12, 12),
+           st.sampled_from(["plain", "crlf", "header", "no_final_newline", "space_padded"]),
+           st.booleans())
+    def test_round_trip(self, counts, kind, gz):
+        g = GenotypeMatrix(counts)
+        with tempfile.TemporaryDirectory() as tmp, _counted_scans() as scans:
+            source = os.path.join(tmp, "w.csv")
+            write_genotype_csv(g, source)
+            with open(source) as fh:
+                text = self._variant(fh.read(), kind)
+            path = os.path.join(tmp, "g.csv.gz" if gz else "g.csv")
+            with (gzip.open if gz else open)(path, "wt", newline="") as fh:
+                fh.write(text)
+            back = read_genotype_csv(path, header=kind == "header")
+        assert np.array_equal(back.data, g.data)
+        assert back.data.dtype == np.int8
+        assert scans == []
+
+    def test_blank_line_is_left_to_the_scan(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("0,1\n\n2,0\n")
+        with _counted_scans() as scans:
+            assert np.array_equal(read_genotype_csv(path).data, [[0, 1], [2, 0]])
+        assert scans == [path]
+
+
+@pytest.mark.parametrize("first", [b"\xff,x", "\u00e9".encode(), b"a\rb", b"0,1"])
+def test_skipped_header_is_decoded_as_the_scan_decodes_it(tmp_path, first):
+    """A header the array parse cannot vouch for (not ASCII, or holding a
+    lone carriage return) goes to the scan, which may reject it."""
+    path = tmp_path / "g.csv"
+    path.write_bytes(first + b"\n0,1\n2,0\n")
+
+    def outcome(read):
+        try:
+            return "ok", np.asarray(read()).tolist()
+        except (DataError, UnicodeDecodeError) as exc:
+            return type(exc).__name__, str(exc)
+
+    assert outcome(lambda: read_genotype_csv(path, header=True).data) == outcome(
+        lambda: naive_read_genotype_csv(path, header=True)
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_matrices(8, 8), st.data(), st.booleans(),
+       st.sampled_from(["3", "x", "-1", "1.0", "9", "2 2"]))
+def test_bad_cell_is_named_by_file_line_and_column(counts, data, header, token):
+    """A canonical file with one bad cell goes to the scan, whose message
+    names the cell's file line (the header counts as line 1) and column."""
+    row = data.draw(st.integers(0, counts.shape[0] - 1))
+    col = data.draw(st.integers(0, counts.shape[1] - 1))
+    lines = [[str(v) for v in r] for r in counts]
+    lines[row][col] = token
+    text = ("h\n" if header else "") + "".join(",".join(r) + "\n" for r in lines)
+    with tempfile.TemporaryDirectory() as tmp, _counted_scans() as scans:
+        path = os.path.join(tmp, "g.csv")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(DataError) as err:
+            read_genotype_csv(path, header=header)
+    assert scans == [path]
+    assert f"at row {row + 1 + header}, column {col + 1}" in str(err.value)
+
+
 # Fields that int() and a vectorised parser may treat differently.
 _ODD_TOKENS = ["x", "", " ", "\t", "3", "-1", "255", "257", "1.0", "1e0", "+1", "-0", "01",
                " 2", "2 ", "1_0", "0x1", "\x0b1", "1 1", "nan"]
@@ -248,6 +372,31 @@ class TestGenotypeMatrix:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="non-empty"):
             GenotypeMatrix(np.zeros((0, 3), dtype=np.int8))
+
+    @pytest.mark.parametrize("values", [
+        np.array([[True, False]]),
+        np.array([[0, 1, 2]], dtype=np.int8),
+        np.array([[0, -1]], dtype=np.int8),
+        np.array([[2, 3]], dtype=np.int64),
+        np.array([[0, 2**40]], dtype=np.int64),
+        np.array([[1, 2, 258]], dtype="<u2"),  # 258 casts to int8 2
+        np.array([[0.0, -0.0, 1.0, 2.0]]),
+        np.array([[np.nan, 1.0]]),
+        np.array([[0.5, 1.0]]),
+        np.array([[3.0, 0.0]]),
+        np.array([[np.inf, 0.0]]),
+        np.array([[0, 1.0, 2]], dtype=object),
+        np.array([[0, None]], dtype=object),
+        np.array([[0, "1"]], dtype=object),
+        np.array([["0", "1"]]),
+        np.array([[b"0", b"2"]]),
+    ])
+    def test_domain_check_matches_isin(self, values):
+        if np.isin(values, (0, 1, 2)).all():
+            assert np.array_equal(GenotypeMatrix(values).data, values.astype(np.int8))
+        else:
+            with pytest.raises(ValueError, match="0, 1, or 2"):
+                GenotypeMatrix(values)
 
     def test_standardized_columns(self):
         g = GenotypeMatrix(np.array([[0, 1], [2, 1], [1, 1]]))

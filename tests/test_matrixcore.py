@@ -8,7 +8,15 @@ from kernherit import matrixcore
 from kernherit.exceptions import NumericalError
 from kernherit.matrixcore import eigh, solve_spd_shifted
 
-from helpers import charpoly_roots, cramer_solve, random_psd, random_symmetric
+from helpers import (
+    charpoly_roots,
+    cramer_solve,
+    random_psd,
+    random_symmetric,
+    reference_eigh,
+    reference_eigh_residuals,
+    symmetrize,
+)
 
 
 class TestEigh:
@@ -55,6 +63,58 @@ class TestEigh:
         assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
         lead = np.argmax(np.abs(d1.eigenvectors), axis=0)
         assert np.all(d1.eigenvectors[lead, np.arange(8)] > 0)
+
+
+def _orientation_cases() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(2024)
+    cases = {f"random_{n}": random_symmetric(n, rng) for n in (1, 2, 7, 40, 150)}
+    cases["psd_rank_3"] = random_psd(20, rng, rank=3)
+    q, _ = np.linalg.qr(rng.normal(size=(24, 24)))
+    cases["repeated_eigenvalues"] = symmetrize((q * np.repeat([3.0, 1.0, 0.0], 8)) @ q.T)
+    cases["repeated_blocks"] = np.kron(np.eye(3), np.ones((2, 2)))  # +m and -m tie
+    cases["swap"] = np.array([[0.0, 1.0], [1.0, 0.0]])
+    cases["identity"] = np.eye(5)
+    cases["zero"] = np.zeros((4, 4))
+    zero_cols = random_psd(12, rng)
+    zero_cols[:, [2, 7]] = 0.0
+    zero_cols[[2, 7], :] = 0.0
+    cases["zero_columns"] = zero_cols
+    return cases
+
+
+@pytest.mark.parametrize("name,a", sorted(_orientation_cases().items()))
+def test_eigh_and_residuals_equal_reference_bitwise(name, a):
+    """Column extremes orient exactly as an argmax over |V| did, and the
+    in-place residuals equal freshly allocated differences."""
+    dec = eigh(a)
+    w, v = reference_eigh(a)
+    assert np.array_equal(dec.eigenvalues, w)
+    assert np.array_equal(dec.eigenvectors, v)
+    assert np.array_equal(np.signbit(dec.eigenvectors), np.signbit(v))
+    assert dec.eigenvectors.flags.c_contiguous
+    assert matrixcore._residuals(a, dec) == reference_eigh_residuals(a, w, v)
+    matrixcore.verify_eigh(a, dec)
+
+
+def test_orientation_cases_include_magnitude_ties():
+    v = reference_eigh(_orientation_cases()["repeated_blocks"])[1]
+    assert (v.max(axis=0) == -v.min(axis=0)).any()
+
+
+def test_tied_columns_orient_by_their_first_largest_entry(monkeypatch):
+    """Ties whose first largest entry is positive, which LAPACK need not
+    return: columns 0 and 2 keep their sign, column 1 flips."""
+    s = np.sqrt(0.5)
+    v = np.array([[s, -s, 0.5, -0.0],
+                  [-s, s, -0.5, 0.0],
+                  [0.0, 0.0, 0.5, 1.0],
+                  [0.0, 0.0, -0.5, 0.0]])
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.arange(4.0), v.copy()))
+    dec = eigh(np.zeros((4, 4)))
+    expected = reference_eigh(np.zeros((4, 4)))[1]
+    assert np.array_equal(dec.eigenvectors, expected)
+    assert np.array_equal(np.signbit(dec.eigenvectors), np.signbit(expected))
+    assert np.array_equal(dec.eigenvectors, v[:, ::-1] * [1.0, 1.0, -1.0, 1.0])
 
 
 class TestSolveSpdShifted:
