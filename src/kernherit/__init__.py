@@ -29,7 +29,6 @@ from .kernels import (
 )
 from .krr import (
     DEFAULT_NLAMBDA_GRID,
-    CovariateMatrix,
     KrrFit,
     fit,
     lambda_grid_fit,
@@ -76,7 +75,6 @@ __all__ = [
     "make_kernel",
     "polynomial_kernel",
     "DEFAULT_NLAMBDA_GRID",
-    "CovariateMatrix",
     "KrrFit",
     "fit",
     "lambda_grid_fit",

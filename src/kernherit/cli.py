@@ -357,7 +357,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, ValueError) as exc:
+    except (DataError, ValueError, OSError) as exc:  # OSError: an unreadable or unwritable file
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
@@ -365,9 +365,6 @@ def main(argv=None) -> int:
         return 3
     except KernheritError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # a file that cannot be read or written
-        print(f"data error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -17,17 +17,16 @@ their kernels alike through it.
 
 :class:`KernelMatrix`, the one kernel type, checks its matrix where it
 enters and owns a read-only copy. Its eigendecomposition, ``eig``, is
-computed lazily, exactly once even under concurrent access, and checked
-to be numerically PSD and to reconstruct the kernel from an orthonormal
-basis. Only the spectral diagnostics read it; ridge fits need none
-(``krr`` solves them by a Krylov sweep over ``matrix``).
+computed on first access, cached, and checked to be numerically PSD and
+to reconstruct the kernel from an orthonormal basis. Only the spectral
+diagnostics read it; ridge fits need none (``krr`` solves them by a
+Krylov sweep over ``matrix``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 
 import numpy as np
 
@@ -103,16 +102,14 @@ def design_matrix(
 
 
 class KernelMatrix:
-    """A named symmetric PSD kernel with a cached eigendecomposition.
+    """A symmetric PSD kernel with a cached eigendecomposition.
 
     Rejects a non-square, non-finite or not exactly (bitwise) symmetric
     matrix and keeps a read-only float64 copy as ``matrix``, which the
     caller's array cannot change.
     """
 
-    def __init__(self, kind: str, matrix: np.ndarray):
-        if kind not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel kind {kind!r}; choose one of {KERNEL_KINDS}")
+    def __init__(self, matrix: np.ndarray):
         a = np.array(matrix, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -121,32 +118,25 @@ class KernelMatrix:
         if not np.array_equal(a, a.T):
             raise ValueError("matrix is not exactly symmetric")
         a.setflags(write=False)
-        self.kind = kind
         self.matrix = a
-        self._eig: EigenDecomposition | None = None
-        self._eig_lock = threading.Lock()
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    @property
+    @functools.cached_property
     def eig(self) -> EigenDecomposition:
         """Spectral factorization, computed and checked on first access.
 
-        Single-flight under concurrent access. Raises NumericalError if
-        the matrix is not numerically PSD or if the factorization does
-        not reconstruct it from an orthonormal basis
-        (:func:`matrixcore.verify_eigh`, O(n^3), run once).
+        Raises NumericalError if the matrix is not numerically PSD or if
+        the factorization does not reconstruct it from an orthonormal
+        basis (:func:`matrixcore.verify_eigh`, O(n^3)); a failure is not
+        cached, so the next access tries again.
         """
-        if self._eig is None:
-            with self._eig_lock:
-                if self._eig is None:
-                    dec = matrixcore.eigh(self.matrix)
-                    matrixcore.require_psd(dec)
-                    matrixcore.verify_eigh(self.matrix, dec)
-                    self._eig = dec
-        return self._eig
+        dec = matrixcore.eigh(self.matrix)
+        matrixcore.require_psd(dec)
+        matrixcore.verify_eigh(self.matrix, dec)
+        return dec
 
     @functools.cached_property
     def frobenius_norm(self) -> float:
@@ -158,7 +148,7 @@ class KernelMatrix:
 def linear_kernel(x) -> KernelMatrix:
     """Inner-product kernel scaled by the number of columns: X X^T / p."""
     d = _as_design(x)
-    return KernelMatrix("linear", d.gram / d.p)
+    return KernelMatrix(d.gram / d.p)
 
 
 def polynomial_kernel(x) -> KernelMatrix:
@@ -167,7 +157,7 @@ def polynomial_kernel(x) -> KernelMatrix:
     k = d.gram / d.p
     k += 1.0
     np.square(k, out=k)
-    return KernelMatrix("poly2", k)
+    return KernelMatrix(k)
 
 
 def gaussian_kernel(x, bandwidth: float = 1.0) -> KernelMatrix:
@@ -187,7 +177,7 @@ def gaussian_kernel(x, bandwidth: float = 1.0) -> KernelMatrix:
     d2 *= -0.5
     d2 /= bandwidth
     np.exp(d2, out=d2)
-    return KernelMatrix("gaussian", d2)
+    return KernelMatrix(d2)
 
 
 def make_kernel(kind: str, x, gaussian_bandwidth: float = 1.0) -> KernelMatrix:

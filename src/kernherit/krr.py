@@ -257,87 +257,49 @@ def lambda_grid_fit(k: KernelMatrix, y, grid: Sequence[float]) -> list[KrrFit]:
     return [_finalize(k, y, mu, alpha) for mu, alpha in zip(grid, _sweep(k, y, grid))]
 
 
-@dataclass(frozen=True)
-class CovariateMatrix:
-    """Covariates with an intercept column always prepended.
-
-    Construction verifies full column rank of the augmented matrix and
-    names the first offending column otherwise (column 0 is the
-    intercept).
-    """
-
-    values: np.ndarray  # augmented matrix including the intercept
-
-    def __post_init__(self):
-        x = np.asarray(self.values, dtype=np.float64)
-        if x.ndim != 2:
-            raise ValueError(f"covariates must be 2-D, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("covariates must be finite")
-        _, r = np.linalg.qr(x)
-        diag = np.abs(np.diag(r))
-        tol = x.shape[0] * np.finfo(np.float64).eps * max(diag.max(), 1.0)
-        deficient = np.nonzero(diag <= tol)[0]
-        if deficient.size:
-            raise ValueError(
-                f"covariate matrix is rank deficient at column {int(deficient[0])} "
-                "(counting the prepended intercept as column 0)"
-            )
-        x = x.copy()
-        x.setflags(write=False)
-        object.__setattr__(self, "values", x)
-
-    @classmethod
-    def from_raw(cls, raw: np.ndarray | None, n: int) -> "CovariateMatrix":
-        """Prepend an intercept to raw covariate columns (or none).
-
-        Exactly constant raw columns are absorbed by the intercept and
-        dropped, so an intercept-only covariate file reduces cleanly to
-        mean-centering instead of tripping the rank check.
-        """
-        intercept = np.ones((n, 1))
-        if raw is None:
-            return cls(intercept)
-        raw = np.asarray(raw, dtype=np.float64)
-        if raw.ndim == 1:
-            raw = raw[:, None]
-        if raw.shape[0] != n:
-            raise ValueError(
-                f"covariates have {raw.shape[0]} rows but phenotypes have {n}"
-            )
-        if not np.all(np.isfinite(raw)):  # before np.ptp, which is NaN for such a column
-            raise ValueError("covariates must be finite")
-        varying = np.ptp(raw, axis=0) > 0.0
-        return cls(np.hstack([intercept, raw[:, varying]]))
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def q(self) -> int:
-        """Number of covariates excluding the intercept."""
-        return self.values.shape[1] - 1
-
-
-def residualize(y, x: CovariateMatrix | np.ndarray | None) -> np.ndarray:
+def residualize(y, x: np.ndarray | None) -> np.ndarray:
     """Project phenotypes onto the orthocomplement of the covariate span.
 
-    Returns Y minus its least-squares fit on the intercept-augmented
-    covariates; the output is orthogonal to every covariate column.
+    Returns Y minus its least-squares fit on the covariate columns ``x``
+    (none for ``None``, one for a vector) with an intercept prepended;
+    the output is orthogonal to every column. Exactly constant columns
+    are absorbed by the intercept and dropped, so an intercept-only
+    covariate file reduces cleanly to mean-centering. The remaining
+    matrix is QR-factored once: R's diagonal checks full column rank,
+    naming the first offending column (the intercept is column 0), and
+    Q projects.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1:
         raise ValueError(f"phenotypes must be a vector, got shape {y.shape}")
-    if not isinstance(x, CovariateMatrix):
-        x = CovariateMatrix.from_raw(x, y.shape[0])
-    if x.n != y.shape[0]:
-        raise ValueError(f"covariate rows {x.n} do not match phenotype length {y.shape[0]}")
-    if y.shape[0] <= x.q + 1:
+    n = y.shape[0]
+    intercept = np.ones((n, 1))
+    if x is None:
+        x = intercept
+    else:
+        raw = np.asarray(x, dtype=np.float64)
+        if raw.ndim == 1:
+            raw = raw[:, None]
+        if raw.ndim != 2:
+            raise ValueError(f"covariates must be 2-D, got shape {raw.shape}")
+        if raw.shape[0] != n:
+            raise ValueError(f"covariates have {raw.shape[0]} rows but phenotypes have {n}")
+        if not np.all(np.isfinite(raw)):  # before np.ptp, which is NaN for such a column
+            raise ValueError("covariates must be finite")
+        x = np.hstack([intercept, raw[:, np.ptp(raw, axis=0) > 0.0]])
+    q_mat, r = np.linalg.qr(x)
+    diag = np.abs(np.diag(r))
+    tol = n * np.finfo(np.float64).eps * max(diag.max(), 1.0)
+    deficient = np.nonzero(diag <= tol)[0]
+    if deficient.size:
         raise ValueError(
-            f"need more observations ({y.shape[0]}) than fitted coefficients ({x.q + 1})"
+            f"covariate matrix is rank deficient at column {int(deficient[0])} "
+            "(counting the prepended intercept as column 0)"
         )
-    q_mat, _ = np.linalg.qr(x.values)
+    if n <= x.shape[1]:
+        raise ValueError(
+            f"need more observations ({n}) than fitted coefficients ({x.shape[1]})"
+        )
     return y - q_mat @ (q_mat.T @ y)
 
 

@@ -1,12 +1,12 @@
 """Dense symmetric linear algebra primitives.
 
-Spectral diagnostics are built on a symmetric eigendecomposition with
-deterministic eigenvector orientation and a definiteness check of its
-spectrum; ridge solves need only a definiteness check of a tridiagonal.
-All functions are pure and take plain arrays; the checks that make an
-array a kernel (square, finite, exactly symmetric) live with the one
-kernel type, ``kernels.KernelMatrix``. Factorizations are returned
-read-only so they can be shared freely across threads.
+Spectral diagnostics are built on a symmetric eigendecomposition and a
+definiteness check of its spectrum; ridge solves need only a
+definiteness check of a tridiagonal. All functions are pure and take
+plain arrays; the checks that make an array a kernel (square, finite,
+exactly symmetric) live with the one kernel type,
+``kernels.KernelMatrix``. Factorizations are returned read-only, so a
+cached one cannot be changed by its readers.
 
 Checks: :func:`eigh` rejects a non-converged or non-finite result, and
 :func:`require_psd` a spectrum no kernel can have. The O(n^3)
@@ -46,8 +46,9 @@ class EigenDecomposition:
 
     ``eigenvalues`` are sorted non-increasing (l_1 >= ... >= l_n) and the
     columns of ``eigenvectors`` are the matching orthonormal eigenvectors,
-    each oriented so that its largest-magnitude entry is positive (first
-    such entry on ties), which makes the factorization deterministic.
+    each with the sign the solver gave it. Every reader in this package
+    uses a column v only through |v . x|, v v^T x or (v . x)(v . z),
+    which flipping the sign of v leaves bitwise unchanged.
     """
 
     eigenvalues: np.ndarray
@@ -63,7 +64,7 @@ class EigenDecomposition:
 
 
 def eigh(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecompose a symmetric matrix, descending, deterministically.
+    """Eigendecompose a symmetric matrix, eigenvalues descending.
 
     Raises NumericalError if the underlying solver does not converge or
     returns non-finite values. The factorization itself is not
@@ -86,17 +87,7 @@ def eigh(a: np.ndarray) -> EigenDecomposition:
             f"symmetric eigensolver returned non-finite values for order {n} matrix"
         )
 
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    # Deterministic orientation: largest-magnitude entry of each vector > 0.
-    # Column extremes decide it unless +m and -m both occur (or the column
-    # is zero); then the first entry of magnitude m does.
-    top, bottom = v.max(axis=0), v.min(axis=0)
-    signs = np.where(top > -bottom, 1.0, -1.0)
-    for j in np.flatnonzero(top == -bottom):
-        signs[j] = -1.0 if v[np.argmax(np.abs(v[:, j])), j] < 0 else 1.0
-    v *= signs
-    return EigenDecomposition(w, v)
+    return EigenDecomposition(w[::-1].copy(), v[:, ::-1].copy())
 
 
 def verify_eigh(a: np.ndarray, dec: EigenDecomposition) -> None:

@@ -3,8 +3,8 @@
 These stay deliberately naive and independent of the library's own
 linear-algebra paths: explicit cofactor determinants, Laplace-expansion
 solves, rational characteristic polynomials, double loops, a
-field-by-field genotype CSV parser and row-by-row writer, and the
-argmax eigenvector orientation with freshly allocated residuals.
+field-by-field genotype CSV parser and row-by-row writer, and
+eigendecomposition residuals from freshly allocated differences.
 """
 
 import gzip
@@ -162,16 +162,9 @@ def rowwise_write_genotype_csv(data: np.ndarray, path) -> None:
 
 
 def reference_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Descending eigenpairs, each vector's largest-magnitude entry (first
-    on ties) made positive by an argmax over the flipped copy."""
+    """Descending eigenpairs: numpy's ascending ones, reversed."""
     w, v = np.linalg.eigh(np.asarray(a, dtype=np.float64))
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    lead = np.argmax(np.abs(v), axis=0)
-    signs = np.sign(v[lead, np.arange(v.shape[0])])
-    signs[signs == 0] = 1.0
-    v *= signs
-    return w, v
+    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def reference_eigh_residuals(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[float, float]:

@@ -87,7 +87,7 @@ def _spiked_instance(rng: np.random.Generator):
     k = symmetrize(5.0 * n * np.outer(a, a) + noise @ noise.T)
     g = 3.0 * np.sqrt(n) * a + 0.3 * rng.normal(size=n)
     y = g + 0.4 * rng.normal(size=n)
-    return KernelMatrix("linear", k), g, y
+    return KernelMatrix(k), g, y
 
 
 def _genotype_instance(rng: np.random.Generator):

@@ -10,7 +10,8 @@ fits every kernel at n = 1092 and runs the diagnostics; its traced run
 must report every declared layer, the genotype read among them. The CLI
 must also start without scipy, which the package no longer depends on at
 run time.
-Every walkthrough in ``demos/`` must still run against the package.
+Every walkthrough in ``demos/`` must still run against the package, and
+every name the package exports must resolve.
 """
 
 import importlib.util
@@ -96,6 +97,15 @@ def _package_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return env
+
+
+def test_export_list_resolves():
+    assert len(set(kernherit.__all__)) == len(kernherit.__all__)
+    missing = [name for name in kernherit.__all__ if not hasattr(kernherit, name)]
+    assert missing == []
+    namespace = {}
+    exec("from kernherit import *", namespace)
+    assert set(kernherit.__all__) <= namespace.keys()
 
 
 def test_cli_import_does_not_load_scipy():

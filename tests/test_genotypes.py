@@ -182,6 +182,13 @@ class TestCsvRoundTrip:
         back = read_genotype_csv(path)
         assert np.array_equal(back.data, g.data)
 
+    def test_gzip_not_written_at_level_9(self, tmp_path):
+        """Byte 8 of a gzip header (XFL) is 2 only at compresslevel 9,
+        which takes over 20 times as long as level 6 on genotype text."""
+        path = tmp_path / "g.csv.gz"
+        write_genotype_csv(simulate_hwe(10, 4, seed=3), path)
+        assert path.read_bytes()[8] != 2
+
     def test_header_flag_skips_first_line(self, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text("snp1,snp2\n0,1\n")

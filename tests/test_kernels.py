@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,30 +39,30 @@ class TestKernelMatrix:
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="not exactly symmetric"):
-            KernelMatrix("linear", np.array([[1.0, 2.0], [2.0 + 1e-14, 1.0]]))
+            KernelMatrix(np.array([[1.0, 2.0], [2.0 + 1e-14, 1.0]]))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
-            KernelMatrix("linear", np.array([[np.inf, 0.0], [0.0, 1.0]]))
+            KernelMatrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
-            KernelMatrix("linear", np.zeros((2, 3)))
+            KernelMatrix(np.zeros((2, 3)))
 
     def test_symmetrize_produces_exact_symmetry(self):
         a = np.random.default_rng(0).normal(size=(5, 5))
         m = symmetrize(a)
         assert np.array_equal(m, m.T)
-        assert np.array_equal(KernelMatrix("linear", m).matrix, m)
+        assert np.array_equal(KernelMatrix(m).matrix, m)
 
     def test_data_is_readonly(self):
-        k = KernelMatrix("linear", np.eye(3))
+        k = KernelMatrix(np.eye(3))
         with pytest.raises(ValueError):
             k.matrix[0, 0] = 2.0
 
     def test_caller_mutation_leaves_kernel_and_eig_unchanged(self):
         a = np.diag([3.0, 2.0, 1.0])
-        k = KernelMatrix("linear", a)
+        k = KernelMatrix(a)
         eigenvalues = k.eig.eigenvalues.copy()
         a[0, 0] = 7.0
         a[0, 1] = a[1, 0] = 0.5
@@ -284,40 +282,6 @@ class TestEigCaching:
         assert k.eig is first
         assert len(calls) == 1
 
-    def test_single_flight_under_concurrency(self, monkeypatch):
-        calls, checks = [], []
-        real, real_check = matrixcore.eigh, matrixcore.verify_eigh
-
-        def counting(a):
-            calls.append(1)
-            return real(a)
-
-        def counting_check(a, dec):
-            checks.append(1)
-            return real_check(a, dec)
-
-        from kernherit import kernels as kernels_mod
-
-        monkeypatch.setattr(kernels_mod.matrixcore, "eigh", counting)
-        monkeypatch.setattr(kernels_mod.matrixcore, "verify_eigh", counting_check)
-        k = linear_kernel(simulate_hwe(30, 5, seed=2))
-        barrier = threading.Barrier(8)
-        results = []
-
-        def grab():
-            barrier.wait()
-            results.append(k.eig)
-
-        threads = [threading.Thread(target=grab) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-        assert len(results) == 8 and len(calls) == 1 and len(checks) == 1
-        assert all(r is results[0] for r in results)
-        assert results[0].order == 30
-
     def test_basis_verified_once_and_never_for_fits(self, monkeypatch):
         calls = []
         real = matrixcore.verify_eigh
@@ -410,7 +374,7 @@ class TestCorruptedFactorization:
 
     def test_indefinite_spectrum_rejected(self):
         for k, y in self.instances():
-            negated = KernelMatrix(k.kind, -k.matrix)
+            negated = KernelMatrix(-k.matrix)
             with pytest.raises(NumericalError, match="not positive semidefinite"):
                 krr.fit(negated, y, 1.0)
 

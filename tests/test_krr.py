@@ -10,7 +10,6 @@ from kernherit.genotypes import simulate_hwe
 from kernherit.kernels import KERNEL_KINDS, KernelMatrix, linear_kernel, make_kernel, polynomial_kernel
 from kernherit.krr import (
     DEFAULT_NLAMBDA_GRID,
-    CovariateMatrix,
     fit,
     lambda_grid_fit,
     residualize,
@@ -21,7 +20,7 @@ from helpers import cramer_solve, rel_err, symmetrize
 
 
 def identity_kernel(n: int) -> KernelMatrix:
-    return KernelMatrix("linear", np.eye(n))
+    return KernelMatrix(np.eye(n))
 
 
 def random_instance(seed: int, n: int = 12, p: int = 5, kind: str = "poly2"):
@@ -218,23 +217,19 @@ class TestResidualize:
         with pytest.raises(ValueError, match="more observations"):
             residualize(rng.normal(size=4), rng.normal(size=(4, 3)))
 
-
-class TestCovariateMatrix:
-    def test_prepends_intercept(self):
-        cm = CovariateMatrix.from_raw(np.arange(6.0).reshape(6, 1), 6)
-        assert cm.values.shape == (6, 2)
-        assert np.array_equal(cm.values[:, 0], np.ones(6))
-        assert cm.q == 1
+    def test_covariates_must_be_2d(self):
+        with pytest.raises(ValueError, match="covariates must be 2-D"):
+            residualize(np.zeros(4), np.zeros((4, 2, 2)))
 
     def test_row_mismatch(self):
-        with pytest.raises(ValueError, match="rows"):
-            CovariateMatrix.from_raw(np.zeros((3, 1)), 4)
+        with pytest.raises(ValueError, match="3 rows but phenotypes have 4"):
+            residualize(np.zeros(4), np.zeros((3, 1)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_column_rejected_not_dropped_as_constant(self, bad):
         raw = np.array([1.0] * 6 + [bad] + [2.0] * 13)
         with pytest.raises(ValueError, match="covariates must be finite"):
-            CovariateMatrix.from_raw(raw, 20)
+            residualize(np.zeros(20), raw)
 
 
 def test_fit_uses_cached_spectrum_automatically(monkeypatch):
@@ -252,7 +247,7 @@ def test_fit_uses_cached_spectrum_automatically(monkeypatch):
 def test_indefinite_kernel_raises():
     # diag(1, -0.5) + I is positive definite, so a shifted solve alone
     # would not notice; the spectrum itself is not a kernel's.
-    kernel = KernelMatrix("linear", np.diag([1.0, -0.5]))
+    kernel = KernelMatrix(np.diag([1.0, -0.5]))
     with pytest.raises(NumericalError, match="eigenvalue"):
         fit(kernel, np.array([1.0, 2.0]), 1.0)
     with pytest.raises(NumericalError, match="eigenvalue"):
@@ -261,7 +256,7 @@ def test_indefinite_kernel_raises():
 
 def test_singular_shifted_projection_raises():
     # T_1 + nlambda I = -1 + 1 is a zero pivot: K has an eigenvalue <= -nlambda.
-    kernel = KernelMatrix("linear", np.array([[-1.0]]))
+    kernel = KernelMatrix(np.array([[-1.0]]))
     with pytest.raises(NumericalError, match="not positive semidefinite.*eigenvalue"):
         fit(kernel, np.array([1.0]), 1.0)
 
@@ -450,7 +445,7 @@ def planted_negative_instances(draw):
     v, _ = np.linalg.qr(rng.normal(size=(n, n)))
     lam = rng.uniform(0.0, 1.0, size=n)
     lam[0], lam[-1] = 1.0, -c
-    kernel = KernelMatrix("linear", symmetrize((v * lam) @ v.T))
+    kernel = KernelMatrix(symmetrize((v * lam) @ v.T))
     rest = v[:, :-1] @ rng.normal(size=n - 1)
     y = share * v[:, -1] + np.sqrt(1.0 - share**2) * rest / np.linalg.norm(rest)
     return kernel, y, nlambda

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernherit.exceptions import ConditionNotMet
 from kernherit.genotypes import simulate_hwe
 from kernherit.kernels import KernelMatrix, make_kernel
 from kernherit.krr import fit
+from kernherit.matrixcore import EigenDecomposition
 from kernherit.phenosim import SimulationSpec, build_population
 from kernherit.spectra import (
     KERNEL_ONLY_KEYS,
@@ -22,11 +25,11 @@ from helpers import rel_err, symmetrize
 
 
 def ones_kernel(n: int) -> KernelMatrix:
-    return KernelMatrix("linear", np.ones((n, n)))
+    return KernelMatrix(np.ones((n, n)))
 
 
 def diag_kernel(values) -> KernelMatrix:
-    return KernelMatrix("linear", np.diag(np.asarray(values, dtype=float)))
+    return KernelMatrix(np.diag(np.asarray(values, dtype=float)))
 
 
 def genotype_instance(seed: int, n: int = 14, p: int = 4):
@@ -50,7 +53,15 @@ def spiked_instance(seed: int, n: int = 10):
     k = symmetrize(5.0 * n * np.outer(a, a) + noise @ noise.T)
     g = 3.0 * np.sqrt(n) * a + 0.3 * rng.normal(size=n)
     eps = 0.4 * rng.normal(size=n)
-    return KernelMatrix("linear", k), g, g + eps
+    return KernelMatrix(k), g, g + eps
+
+
+def low_rank_instance(seed: int, n: int = 10):
+    """Random rank-3 PSD kernel with an unaligned signal."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, 3))
+    g = rng.normal(size=n) + 0.5
+    return KernelMatrix(symmetrize(a @ a.T)), g, g + 0.4 * rng.normal(size=n)
 
 
 class TestCheckConditions:
@@ -397,3 +408,42 @@ class TestReportSerialization:
         assert differing > 20
         assert dict(true_items)["conditions_available"] == "false"
         assert dict(proxy_items)["conditions_available.proxy"] == "true"
+
+
+def _outcome(f, *args):
+    """repr of a result (exact for floats), or the refusal it raised."""
+    try:
+        return repr(f(*args))
+    except ConditionNotMet as exc:
+        return f"ConditionNotMet: {exc}"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([genotype_instance, spiked_instance, low_rank_instance]),
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 12),
+    st.sampled_from([0.001, 0.5, 2.3, 50.0]),
+    st.booleans(),
+    st.data(),
+)
+def test_outputs_do_not_depend_on_eigenvector_signs(instance, seed, n, nlambda, proxy, data):
+    """Every reader of the eigenvectors is bitwise sign-invariant, so the
+    eigensolver's choice of column signs never reaches an output."""
+    kernel, g, y = instance(seed, n=n)
+    signs = np.array(data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n)))
+    flipped = KernelMatrix(kernel.matrix)
+    dec = kernel.eig
+    flipped.__dict__["eig"] = EigenDecomposition(dec.eigenvalues, dec.eigenvectors * signs)
+    outcomes = []
+    for k in (kernel, flipped):
+        rep = check_conditions(k, g, proxy)
+        outcomes.append([
+            repr(rep),
+            _outcome(decompose_terms, k, y, g, nlambda),
+            _outcome(esd_integrals, k, nlambda),
+            _outcome(lambda: report_items(rep, bound_report(k, y, g, nlambda, 0.16, rep))),
+            _outcome(prop3_check, k, g, nlambda, rep),
+            _outcome(prop4_check, k, g, nlambda, rep),
+        ])
+    assert outcomes[0] == outcomes[1]
