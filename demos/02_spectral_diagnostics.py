@@ -47,9 +47,9 @@ print(f"noise trace expectation gap: {rpt.i2e_gap:.2e} "
 # Real-data style: no true signal, diagnostics run on the fitted values
 # and every signal-derived key is labeled as proxy.
 res = fit(kernel, pop.phenotypes, nlam)
-proxy_cond = check_conditions(kernel, res.g_hat, g_is_proxy=True)
+proxy_cond = check_conditions(kernel, res.g_hat)
 proxy_rpt = bound_report(kernel, pop.phenotypes, res.g_hat, nlam, res.sigma_eps2_hat, proxy_cond)
-proxy_lines = report_text(proxy_cond, proxy_rpt).splitlines()
+proxy_lines = report_text(proxy_cond, proxy_rpt, proxy=True).splitlines()
 print("proxy-labeled report (first lines):")
 for line in proxy_lines[:6]:
     print("  " + line)

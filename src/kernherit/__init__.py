@@ -40,7 +40,6 @@ from .phenosim import (
     SimulationSpec,
     build_population,
     draw_beta,
-    eval_g,
     export_population,
 )
 from .spectra import (
@@ -84,7 +83,6 @@ __all__ = [
     "SimulationSpec",
     "build_population",
     "draw_beta",
-    "eval_g",
     "export_population",
     "BoundReport",
     "ConditionReport",

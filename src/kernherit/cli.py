@@ -236,9 +236,9 @@ def cmd_diagnose(args) -> int:
         proxy = True
         sigma_eps2 = fit_res.sigma_eps2_hat
 
-    cond = spectra.check_conditions(kernel, g, g_is_proxy=proxy)
+    cond = spectra.check_conditions(kernel, g)
     bound = spectra.bound_report(kernel, y, g, args.nlambda, sigma_eps2, cond)
-    items = spectra.report_items(cond, bound)
+    items = spectra.report_items(cond, bound, proxy)
     try:
         p3 = spectra.prop3_check(kernel, g, args.nlambda, cond)
         items += [
@@ -275,9 +275,9 @@ def cmd_mc(args) -> int:
         raise UsageError("no output directory: pass --out or set output_path in the config")
 
     source = _genotype_source(cfg, args.genotypes)
+    os.makedirs(cfg.output_path, exist_ok=True)  # before the run, so a bad --out costs nothing
     table = harness.run_mc(cfg, genotype_source=source, workers=args.workers)
 
-    os.makedirs(cfg.output_path, exist_ok=True)
     table_path = os.path.join(cfg.output_path, "table.csv")
     manifest_path = os.path.join(cfg.output_path, "manifest.txt")
     harness.write_table_csv(table, table_path)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import gzip
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -114,26 +113,18 @@ def simulate_hwe(n: int, p: int, law: MafLaw = MafLaw(), seed: int = 0) -> Genot
 
 
 def subsample(
-    pop: GenotypeMatrix,
-    rows: int | Sequence[int],
-    cols: int | None = None,
-    seed: int = 0,
+    pop: GenotypeMatrix, rows: int, cols: int | None = None, seed: int = 0
 ) -> GenotypeMatrix:
-    """Sample rows (and optionally columns) uniformly without replacement.
+    """Draw ``rows`` rows (and optionally ``cols`` columns) uniformly without replacement.
 
-    ``rows`` is either an explicit index collection or a count to draw.
-    Drawn indices are sorted, so requesting all rows reproduces the
-    population in original order. Deterministic for a fixed seed.
+    Rows are drawn first, then columns, from one generator. Drawn
+    indices are sorted, so requesting all rows reproduces the population
+    in original order. Deterministic for a fixed seed.
     """
+    if rows > pop.n:
+        raise ValueError(f"requested {rows} rows from a population of {pop.n}")
     rng = np.random.default_rng(seed)
-    if isinstance(rows, (int, np.integer)):
-        if rows > pop.n:
-            raise ValueError(f"requested {rows} rows from a population of {pop.n}")
-        row_idx = np.sort(rng.choice(pop.n, size=int(rows), replace=False))
-    else:
-        row_idx = np.asarray(list(rows), dtype=np.intp)
-        if row_idx.size and (row_idx.min() < 0 or row_idx.max() >= pop.n):
-            raise ValueError("explicit row indices out of range")
+    row_idx = np.sort(rng.choice(pop.n, size=int(rows), replace=False))
     if cols is None:
         col_idx = np.arange(pop.p)
     else:
@@ -164,13 +155,13 @@ def _open(path, mode: str):
     return gzip.open(path, mode, compresslevel=_GZIP_LEVEL)
 
 
-def read_genotype_csv(path, header: bool = False) -> GenotypeMatrix:
+def read_genotype_csv(path) -> GenotypeMatrix:
     """Read a comma-separated genotype matrix of {0,1,2} entries.
 
+    Every non-blank line is a row of data; there is no header line.
     Rejects ragged rows and out-of-domain values, naming the 1-based
     (row, column) of the first offender. Accepts gzip files by the
-    ``.gz`` suffix. Blank lines are skipped; with ``header`` the first
-    line is too.
+    ``.gz`` suffix. Blank lines are skipped.
 
     A file in the layout :func:`write_genotype_csv` produces (one digit
     per field, LF or CRLF line ends, spaces or tabs around fields) is
@@ -180,22 +171,22 @@ def read_genotype_csv(path, header: bool = False) -> GenotypeMatrix:
     parse leaves out, such as blank lines).
     """
     with _open(path, "rb") as fh:
-        data = _parse_canonical(fh.read(), header)
+        data = _parse_canonical(fh.read())
     if data is not None:
         try:
             return GenotypeMatrix(data)
         except ValueError:
             pass
-    return GenotypeMatrix(_scan_genotype_csv(path, header))
+    return GenotypeMatrix(_scan_genotype_csv(path))
 
 
-def _parse_canonical(raw: bytes, header: bool) -> np.ndarray | None:
+def _parse_canonical(raw: bytes) -> np.ndarray | None:
     """Allele counts of a file whose lines are all ``d,d,...,d``, or None.
 
     Spaces and tabs, which ``int()`` ignores around a field, are deleted
-    and CRLF becomes LF; a lone carriage return, a non-ASCII header or
-    lines of unequal or odd length give None. Each (digit, separator)
-    byte pair is then read as one little-endian 16-bit word, less the
+    and CRLF becomes LF; a lone carriage return or lines of unequal or
+    odd length give None. Each (digit, separator) byte pair is then read
+    as one little-endian 16-bit word, less the
     word of ``('0', separator)``: the result is 0, 1 or 2 exactly where
     the pair is a digit 0-2 followed by the expected comma or newline,
     so the domain check of :class:`GenotypeMatrix` rejects any other.
@@ -203,10 +194,6 @@ def _parse_canonical(raw: bytes, header: bool) -> np.ndarray | None:
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n")
         if b"\r" in raw:
-            return None
-    if header:
-        first, _, raw = raw.partition(b"\n")
-        if not first.isascii():
             return None
     if b" " in raw or b"\t" in raw:
         raw = raw.translate(None, b" \t")
@@ -221,15 +208,13 @@ def _parse_canonical(raw: bytes, header: bool) -> np.ndarray | None:
     return pairs - (separators * 256 + ord("0"))
 
 
-def _scan_genotype_csv(path, header: bool) -> np.ndarray:
+def _scan_genotype_csv(path) -> np.ndarray:
     """Field-by-field parse that raises at the first offending field."""
     rows: list[list[int]] = []
     width = None
     with _open(path, "rt") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if lineno == 1 and header:
-                continue
             if not line:
                 continue
             fields = line.split(",")

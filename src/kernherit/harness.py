@@ -178,14 +178,13 @@ def build_mc_population(cfg: McConfig, genotype_source: GenotypeMatrix | None = 
 
 def _rep_estimates(cfg: McConfig, pop: Population, row_idx: np.ndarray) -> np.ndarray:
     """Heritability estimates for one subsample: shape (kernels, grid), NaN = undefined."""
-    z_rows = GenotypeMatrix(pop.genotypes.data[row_idx], maf=pop.genotypes.maf)
+    z_rows = GenotypeMatrix(pop.genotypes.data[row_idx])
     design, bandwidth = design_matrix(z_rows, cfg.standardize, cfg.gaussian_bandwidth)
     y = pop.phenotypes[row_idx]
     out = np.empty((len(cfg.kernels), len(cfg.lambda_grid)))
     for i, kind in enumerate(cfg.kernels):
         kernel = make_kernel(kind, design, gaussian_bandwidth=bandwidth)
-        for j, fit_res in enumerate(lambda_grid_fit(kernel, y, cfg.lambda_grid)):
-            out[i, j] = fit_res.h2_hat if fit_res.h2_defined else np.nan
+        out[i] = [fit_res.h2_hat for fit_res in lambda_grid_fit(kernel, y, cfg.lambda_grid)]
     return out
 
 
@@ -200,19 +199,22 @@ def run_mc(
     pop = build_mc_population(cfg, genotype_source)
     seeds = derive_sampling_seeds(cfg.sampling_seed, len(cfg.sample_sizes), cfg.repetitions)
 
-    # Map each (size, rep) to its sorted row set; identical row sets are
-    # computed once (at n = N every repetition draws the whole
+    # Per sample size, the sorted row set of each repetition; identical row
+    # sets are computed once (at n = N every repetition draws the whole
     # population, which is what makes those cells exactly degenerate).
-    rep_keys: dict[tuple[int, int], bytes] = {}
+    rep_keys: list[list[bytes]] = []
     unique_rows: dict[bytes, np.ndarray] = {}
     for i, n in enumerate(cfg.sample_sizes):
+        keys = []
         for r in range(cfg.repetitions):
             idx = subsample_indices(cfg.population_size, n, seed=int(seeds[i, r]))
             key = idx.tobytes()
-            rep_keys[(i, r)] = key
+            keys.append(key)
             unique_rows.setdefault(key, idx)
+        rep_keys.append(keys)
 
     job = functools.partial(_rep_estimates, cfg, pop)
+    workers = min(workers, len(unique_rows))  # a pool forks every worker up front
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(unique_rows) // (4 * workers))
@@ -220,17 +222,14 @@ def run_mc(
     else:
         estimates = list(map(job, unique_rows.values()))
     results = dict(zip(unique_rows, estimates))
+    # Shape (sizes, reps, kernels, grid).
+    h2 = np.array([[results[key] for key in keys] for keys in rep_keys])
 
     rows: list[McCell] = []
     for i_kind, kind in enumerate(cfg.kernels):
         for j_lam, nlam in enumerate(cfg.lambda_grid):
             for i_size, n in enumerate(cfg.sample_sizes):
-                values = np.array(
-                    [
-                        results[rep_keys[(i_size, r)]][i_kind, j_lam]
-                        for r in range(cfg.repetitions)
-                    ]
-                )
+                values = h2[i_size, :, i_kind, j_lam]
                 defined = values[~np.isnan(values)]
                 excluded = int(values.size - defined.size)
                 if defined.size == 0:

@@ -61,7 +61,9 @@ _BREAKDOWN_RTOL = 1e-15
 class KrrFit:
     """A fitted ridge regression with derived heritability estimates.
 
-    ``h2_hat`` is NaN when the 0/0 guard tripped; check ``h2_defined``.
+    ``h2_hat`` is NaN exactly when the 0/0 guard tripped (total variance
+    below 1e-300), and finite otherwise: NaN is the one marker of an
+    undefined estimate.
     """
 
     n: int
@@ -71,7 +73,6 @@ class KrrFit:
     sigma_g2_hat: float
     sigma_eps2_hat: float
     h2_hat: float
-    h2_defined: bool
 
 
 def _finalize(k: KernelMatrix, y: np.ndarray, nlambda: float, alpha: np.ndarray) -> KrrFit:
@@ -106,8 +107,7 @@ def _finalize(k: KernelMatrix, y: np.ndarray, nlambda: float, alpha: np.ndarray)
     else:
         sigma_g2 = 0.0
     denom = sigma_g2 + sigma_eps2
-    defined = denom >= _H2_DENOM_FLOOR
-    h2 = sigma_g2 / denom if defined else float("nan")
+    h2 = sigma_g2 / denom if denom >= _H2_DENOM_FLOOR else math.nan
     alpha.setflags(write=False)
     g_hat.setflags(write=False)
     return KrrFit(
@@ -118,7 +118,6 @@ def _finalize(k: KernelMatrix, y: np.ndarray, nlambda: float, alpha: np.ndarray)
         sigma_g2_hat=sigma_g2,
         sigma_eps2_hat=sigma_eps2,
         h2_hat=h2,
-        h2_defined=defined,
     )
 
 
@@ -316,6 +315,6 @@ def estimate_csv_row(kind: str, fit_result: KrrFit) -> str:
             str(fit_result.n),
             repr(fit_result.sigma_g2_hat),
             repr(fit_result.sigma_eps2_hat),
-            repr(fit_result.h2_hat) if fit_result.h2_defined else "undefined",
+            "undefined" if math.isnan(fit_result.h2_hat) else repr(fit_result.h2_hat),
         )
     )

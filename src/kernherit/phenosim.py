@@ -79,29 +79,15 @@ class Population:
         return self.genotypes.n
 
 
-def effect_function(family: str, u) -> np.ndarray | float:
-    """Apply one of the three effect families to u (scalar or array)."""
+def effect_function(family: str, u) -> np.ndarray:
+    """Apply one of the three effect families elementwise to the array u."""
     _check_family(family)
     u = np.asarray(u, dtype=np.float64)
     if family == "linear":
-        out = 2.0 * u + 5.0
-    elif family == "quadratic":
-        out = u * u
-    else:
-        out = np.sin(u) + 2.0 * u
-    return float(out) if out.ndim == 0 else out
-
-
-def eval_g(family: str, z_row: np.ndarray, beta: np.ndarray) -> float:
-    """Evaluate the chosen effect family at one individual's row."""
-    z_row = np.asarray(z_row, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    if z_row.shape != beta.shape:
-        raise ValueError(
-            f"dimension mismatch: row has {z_row.shape[0]} entries, "
-            f"beta has {beta.shape[0]}"
-        )
-    return float(effect_function(family, float(z_row @ beta)))
+        return 2.0 * u + 5.0
+    if family == "quadratic":
+        return u * u
+    return np.sin(u) + 2.0 * u
 
 
 def draw_beta(p: int, sigma_g: float, seed) -> np.ndarray:
@@ -127,7 +113,7 @@ def build_population(spec: SimulationSpec, genotypes: GenotypeMatrix) -> Populat
     beta_ss, noise_ss = np.random.SeedSequence(spec.seed).spawn(2)
     beta = draw_beta(spec.n_snps, spec.sigma_g, beta_ss)
     u = genotypes.standardized() @ beta
-    g = np.asarray(effect_function(spec.family, u))
+    g = effect_function(spec.family, u)
     eps = np.random.default_rng(noise_ss).normal(0.0, spec.sigma_eps, size=spec.n_individuals)
     phenotypes = g + eps
 

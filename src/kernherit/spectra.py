@@ -85,7 +85,8 @@ def _smoothed_ones_projection(k: KernelMatrix, g: np.ndarray, w: np.ndarray) -> 
 class ConditionReport:
     """Alignment and spectral-gap constants for one (kernel, signal) pair.
 
-    The fields before ``g_is_proxy`` are the report's keys, in print order.
+    The fields are the report's keys, in print order. Whether the signal
+    is a fitted proxy is an argument of :func:`report_items`, not a field.
     """
 
     c_star: float
@@ -96,7 +97,6 @@ class ConditionReport:
     lambda_threshold: float
     c3_met: bool
     c4_met: bool
-    g_is_proxy: bool = False
 
     @property
     def conditions_met(self) -> bool:
@@ -120,7 +120,7 @@ class ConditionReport:
             )
 
 
-def check_conditions(k: KernelMatrix, g, g_is_proxy: bool = False) -> ConditionReport:
+def check_conditions(k: KernelMatrix, g) -> ConditionReport:
     """Evaluate the alignment and spectral-gap conditions.
 
     The alignment constant is the largest c in (0, 1] satisfying all
@@ -181,7 +181,6 @@ def check_conditions(k: KernelMatrix, g, g_is_proxy: bool = False) -> ConditionR
         lambda_threshold=threshold,
         c3_met=c3_met,
         c4_met=c4_met,
-        g_is_proxy=g_is_proxy,
     )
 
 
@@ -510,19 +509,25 @@ def _scalars(report):
         value = getattr(report, f.name)
         if is_dataclass(value):
             yield from _scalars(value)
-        elif f.name != "g_is_proxy":  # printed first, as signal_source
+        else:
             yield f.name, value
 
 
-def report_items(cond: ConditionReport, bound: BoundReport) -> list[tuple[str, str]]:
-    """Flatten the two reports into ordered key/value pairs, by field."""
-    proxy = cond.g_is_proxy
+def report_items(
+    cond: ConditionReport, bound: BoundReport, proxy: bool = False
+) -> list[tuple[str, str]]:
+    """Flatten the two reports into ordered key/value pairs, by field.
+
+    ``proxy`` marks the signal as the fitted g_hat: ``signal_source`` then
+    reads ``proxy_g_hat`` and :func:`report_item` tags the keys.
+    """
     items = [("signal_source", "proxy_g_hat" if proxy else "true_g")]
     for report in (cond, bound):
         items += [report_item(key, value, proxy) for key, value in _scalars(report)]
     return items
 
 
-def report_text(cond: ConditionReport, bound: BoundReport) -> str:
-    """key=value serialization of a diagnostic report."""
-    return "\n".join(f"{key}={value}" for key, value in report_items(cond, bound)) + "\n"
+def report_text(cond: ConditionReport, bound: BoundReport, proxy: bool = False) -> str:
+    """key=value serialization of a diagnostic report; ``proxy`` as in :func:`report_items`."""
+    items = report_items(cond, bound, proxy)
+    return "\n".join(f"{key}={value}" for key, value in items) + "\n"

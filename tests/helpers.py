@@ -107,12 +107,11 @@ def rel_err(a: float, b: float) -> float:
     return abs(a - b) / denom
 
 
-def naive_read_genotype_csv(path, header: bool = False) -> np.ndarray:
+def naive_read_genotype_csv(path) -> np.ndarray:
     """Genotype CSV parsed one field at a time with int(), as int8.
 
     Raises DataError naming the first ragged row, non-integer field or
-    value outside {0,1,2}; skips blank lines, and the first line when
-    ``header`` is set.
+    value outside {0,1,2}; skips blank lines.
     """
     rows: list[list[int]] = []
     width = None
@@ -120,8 +119,6 @@ def naive_read_genotype_csv(path, header: bool = False) -> np.ndarray:
     with opener as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if lineno == 1 and header:
-                continue
             if not line:
                 continue
             fields = line.split(",")

@@ -5,10 +5,13 @@ import os
 import numpy as np
 import pytest
 
+from kernherit import harness, spectra
 from kernherit.cli import build_parser, main
 from kernherit.genotypes import read_genotype_csv, simulate_hwe, write_genotype_csv
 from kernherit.exceptions import DataError
 from kernherit.harness import build_mc_population, parse_config, preset_config
+from kernherit.kernels import KERNEL_KINDS, design_matrix, make_kernel
+from kernherit.krr import fit
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 FIXTURE_GENO = os.path.join(DATA, "fixture.genotypes.csv")
@@ -180,6 +183,18 @@ class TestEstimate:
         assert lines[0] == "kernel,nlambda,n,sigma_g2,sigma_eps2,h2"
         assert len(lines) == 4
 
+    def test_zero_phenotypes_print_undefined(self, tmp_path, capsys):
+        geno, pheno = tmp_path / "g.csv", tmp_path / "y.csv"
+        geno.write_text("0,1\n1,2\n2,0\n")
+        pheno.write_text("0\n0\n0\n")
+        code = run("estimate", "--genotypes", str(geno), "--phenotypes", str(pheno),
+                   "--kernel", "all", "--nlambda", "1")
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 3
+        for row in rows:
+            assert row.endswith(",0.0,0.0,undefined")
+
     def test_intercept_only_covariates_equal_centered_estimation(self, tmp_path, capsys):
         cov = tmp_path / "cov.csv"
         cov.write_text("\n".join(["1.0"] * 30) + "\n")
@@ -277,6 +292,17 @@ class TestUnreadableFiles:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(missing) in err
+
+    def test_mc_output_naming_a_file_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_mc", lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory\n")
+        code = run("mc", "--preset", "desk", "--reps", "1", "--sizes", "100", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(out) in err
+        assert calls == []
 
     def test_unwritable_output(self, tmp_path, capsys):
         out = tmp_path / "nonexistent" / "dir" / "x.csv"
@@ -413,6 +439,30 @@ class TestDiagnose:
         assert "alignment_bound=refused" in out
         assert "sigma_g2_lower=unavailable" in out
 
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    @pytest.mark.parametrize("true_g", [False, True])
+    def test_report_text_is_a_prefix_of_the_cli_report(self, capsys, kind, true_g):
+        nlam = 2.3
+        y = np.loadtxt(FIXTURE_PHENO)
+        design, bandwidth = design_matrix(read_genotype_csv(FIXTURE_GENO), True, None)
+        kernel = make_kernel(kind, design, gaussian_bandwidth=bandwidth)
+        fit_res = fit(kernel, y, nlam)
+        if true_g:
+            g = np.loadtxt(FIXTURE_G)
+            sigma_eps2 = float((y - g) @ (y - g)) / y.shape[0]
+        else:
+            g, sigma_eps2 = fit_res.g_hat, fit_res.sigma_eps2_hat
+        cond = spectra.check_conditions(kernel, g)
+        bound = spectra.bound_report(kernel, y, g, nlam, sigma_eps2, cond)
+        text = spectra.report_text(cond, bound, proxy=not true_g)
+
+        argv = ["--kernel", kind, "--nlambda", str(nlam)]
+        if true_g:
+            argv += ["--true-g", FIXTURE_G]
+        code = run("diagnose", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO, *argv)
+        assert code == 0
+        assert capsys.readouterr().out.startswith(text)
 
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     def test_bad_nlambda_is_usage_error(self, capsys, value):

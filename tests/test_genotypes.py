@@ -104,16 +104,6 @@ class TestSimulateHwe:
 
 
 class TestSubsample:
-    def test_identity_subsample(self):
-        g = simulate_hwe(12, 5, seed=4)
-        s = subsample(g, rows=range(12), seed=0)
-        assert np.array_equal(s.data, g.data)
-
-    def test_single_explicit_row(self):
-        g = simulate_hwe(6, 4, seed=4)
-        s = subsample(g, rows=[2], seed=0)
-        assert np.array_equal(s.data, g.data[[2]])
-
     def test_counts_reproducible(self):
         g = simulate_hwe(10, 6, seed=5)
         a = subsample(g, rows=5, cols=3, seed=11)
@@ -125,15 +115,6 @@ class TestSubsample:
         g = simulate_hwe(15, 3, seed=6)
         s = subsample(g, rows=15, seed=123)
         assert np.array_equal(s.data, g.data)
-
-    def test_composition(self):
-        g = simulate_hwe(20, 8, seed=8)
-        outer = [1, 3, 5, 7, 9, 11]
-        inner = [0, 2, 4]
-        composed = [outer[i] for i in inner]
-        a = subsample(subsample(g, rows=outer, seed=0), rows=inner, seed=0)
-        b = subsample(g, rows=composed, seed=0)
-        assert np.array_equal(a.data, b.data)
 
     def test_oversampling_rejected(self):
         g = simulate_hwe(5, 5, seed=1)
@@ -189,12 +170,6 @@ class TestCsvRoundTrip:
         write_genotype_csv(simulate_hwe(10, 4, seed=3), path)
         assert path.read_bytes()[8] != 2
 
-    def test_header_flag_skips_first_line(self, tmp_path):
-        path = tmp_path / "g.csv"
-        path.write_text("snp1,snp2\n0,1\n")
-        g = read_genotype_csv(path, header=True)
-        assert np.array_equal(g.data, [[0, 1]])
-
 
 def _matrices(max_n=30, max_p=30):
     return st.tuples(st.integers(1, max_n), st.integers(1, max_p)).flatmap(
@@ -213,9 +188,9 @@ def _counted_scans():
     calls = []
     scan = genotypes._scan_genotype_csv
 
-    def counted(path, header):
+    def counted(path):
         calls.append(path)
-        return scan(path, header)
+        return scan(path)
 
     genotypes._scan_genotype_csv = counted
     try:
@@ -243,8 +218,6 @@ class TestCanonicalLayout:
     def _variant(text, kind):
         if kind == "crlf":
             return text.replace("\n", "\r\n")
-        if kind == "header":
-            return "snp_a,snp_b\n" + text
         if kind == "no_final_newline":
             return text[:-1]
         if kind == "space_padded":
@@ -254,7 +227,7 @@ class TestCanonicalLayout:
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(_matrices(12, 12),
-           st.sampled_from(["plain", "crlf", "header", "no_final_newline", "space_padded"]),
+           st.sampled_from(["plain", "crlf", "no_final_newline", "space_padded"]),
            st.booleans())
     def test_round_trip(self, counts, kind, gz):
         g = GenotypeMatrix(counts)
@@ -266,7 +239,7 @@ class TestCanonicalLayout:
             path = os.path.join(tmp, "g.csv.gz" if gz else "g.csv")
             with (gzip.open if gz else open)(path, "wt", newline="") as fh:
                 fh.write(text)
-            back = read_genotype_csv(path, header=kind == "header")
+            back = read_genotype_csv(path)
         assert np.array_equal(back.data, g.data)
         assert back.data.dtype == np.int8
         assert scans == []
@@ -279,43 +252,24 @@ class TestCanonicalLayout:
         assert scans == [path]
 
 
-@pytest.mark.parametrize("first", [b"\xff,x", "\u00e9".encode(), b"a\rb", b"0,1"])
-def test_skipped_header_is_decoded_as_the_scan_decodes_it(tmp_path, first):
-    """A header the array parse cannot vouch for (not ASCII, or holding a
-    lone carriage return) goes to the scan, which may reject it."""
-    path = tmp_path / "g.csv"
-    path.write_bytes(first + b"\n0,1\n2,0\n")
-
-    def outcome(read):
-        try:
-            return "ok", np.asarray(read()).tolist()
-        except (DataError, UnicodeDecodeError) as exc:
-            return type(exc).__name__, str(exc)
-
-    assert outcome(lambda: read_genotype_csv(path, header=True).data) == outcome(
-        lambda: naive_read_genotype_csv(path, header=True)
-    )
-
-
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(_matrices(8, 8), st.data(), st.booleans(),
-       st.sampled_from(["3", "x", "-1", "1.0", "9", "2 2"]))
-def test_bad_cell_is_named_by_file_line_and_column(counts, data, header, token):
+@given(_matrices(8, 8), st.data(), st.sampled_from(["3", "x", "-1", "1.0", "9", "2 2"]))
+def test_bad_cell_is_named_by_file_line_and_column(counts, data, token):
     """A canonical file with one bad cell goes to the scan, whose message
-    names the cell's file line (the header counts as line 1) and column."""
+    names the cell's file line and column."""
     row = data.draw(st.integers(0, counts.shape[0] - 1))
     col = data.draw(st.integers(0, counts.shape[1] - 1))
     lines = [[str(v) for v in r] for r in counts]
     lines[row][col] = token
-    text = ("h\n" if header else "") + "".join(",".join(r) + "\n" for r in lines)
+    text = "".join(",".join(r) + "\n" for r in lines)
     with tempfile.TemporaryDirectory() as tmp, _counted_scans() as scans:
         path = os.path.join(tmp, "g.csv")
         with open(path, "w") as fh:
             fh.write(text)
         with pytest.raises(DataError) as err:
-            read_genotype_csv(path, header=header)
+            read_genotype_csv(path)
     assert scans == [path]
-    assert f"at row {row + 1 + header}, column {col + 1}" in str(err.value)
+    assert f"at row {row + 1}, column {col + 1}" in str(err.value)
 
 
 # Fields that int() and a vectorised parser may treat differently.
@@ -325,7 +279,7 @@ _ODD_TOKENS = ["x", "", " ", "\t", "3", "-1", "255", "257", "1.0", "1e0", "+1", 
 
 @st.composite
 def genotype_files(draw):
-    """(text, header flag, gzip flag) of a small genotype CSV, maybe corrupted."""
+    """(text, gzip flag) of a small genotype CSV, maybe corrupted."""
     n, p = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     rows = [[str(draw(st.integers(0, 2))) for _ in range(p)] for _ in range(n)]
     for _ in range(draw(st.integers(0, 2))):
@@ -343,17 +297,14 @@ def genotype_files(draw):
         else:
             rows = [[""]]
     lines = [",".join(r) for r in rows]
-    header = draw(st.booleans())
-    if header:
-        lines.insert(0, draw(st.sampled_from(["snp1,snp2", "", "0,1", "x"])))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     text = newline.join(lines) + draw(st.sampled_from(["", newline]))
-    return text, header, draw(st.booleans())
+    return text, draw(st.booleans())
 
 
-def _outcome(read, path, header):
+def _outcome(read, path):
     try:
-        return "ok", read(path, header).tolist()
+        return "ok", read(path).tolist()
     except DataError as exc:
         return "error", str(exc)
 
@@ -361,13 +312,13 @@ def _outcome(read, path, header):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(genotype_files())
 def test_reader_matches_field_scan_oracle(case):
-    text, header, gz = case
+    text, gz = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "g.csv.gz" if gz else "g.csv")
         with (gzip.open if gz else open)(path, "wt", newline="") as fh:
             fh.write(text)
-        expected = _outcome(naive_read_genotype_csv, path, header)
-        got = _outcome(lambda p, h: read_genotype_csv(p, header=h).data, path, header)
+        expected = _outcome(naive_read_genotype_csv, path)
+        got = _outcome(lambda p: read_genotype_csv(p).data, path)
     assert got == expected
 
 

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kernherit
+from kernherit import harness
 from kernherit.exceptions import DataError
 from kernherit.genotypes import GenotypeMatrix, simulate_hwe, subsample_indices
 from kernherit.harness import (
@@ -122,6 +123,39 @@ class TestRunMc:
             write_table_csv(run_mc(cfg, workers=1), ps)
             write_table_csv(run_mc(cfg, workers=2), pp)
             assert ps.read_bytes() == pp.read_bytes()
+
+    @pytest.mark.parametrize(
+        "sizes, reps, unique, pool",
+        [((60,), 4, 1, None), ((20,), 3, 3, 3)],
+        ids=["one_row_set_in_process", "three_row_sets"],
+    )
+    def test_pool_has_no_more_workers_than_row_sets(self, monkeypatch, sizes, reps, unique, pool):
+        # A stand-in pool that records its size and maps in process, so no
+        # worker is ever forked; one row set runs with no pool at all.
+        built = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                assert chunksize >= 1
+                return map(fn, iterable)
+
+        cfg = tiny_config(sample_sizes=sizes, repetitions=reps)
+        seeds = derive_sampling_seeds(cfg.sampling_seed, 1, reps)[0]
+        rows = {subsample_indices(60, sizes[0], seed=int(s)).tobytes() for s in seeds}
+        assert len(rows) == unique
+        serial = run_mc(cfg)
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        assert run_mc(cfg, workers=8) == serial
+        assert built == ([] if pool is None else [pool])
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_rejected(self, workers):

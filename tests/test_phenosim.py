@@ -8,29 +8,25 @@ from kernherit.phenosim import (
     SimulationSpec,
     build_population,
     draw_beta,
-    eval_g,
+    effect_function,
     export_population,
 )
 
 
-class TestEvalG:
+class TestEffectFunction:
     def test_linear_intercept(self):
-        assert eval_g("linear", np.zeros(4), np.ones(4)) == 5.0
+        assert np.array_equal(effect_function("linear", np.zeros(4)), np.full(4, 5.0))
 
     def test_quadratic(self):
-        assert eval_g("quadratic", np.array([1.0]), np.array([-3.0])) == 9.0
+        assert np.array_equal(effect_function("quadratic", np.array([-3.0, 2.0])), [9.0, 4.0])
 
     def test_trigonometric(self):
-        val = eval_g("trigonometric", np.array([1.0]), np.array([math.pi / 2]))
-        assert np.isclose(val, 1.0 + math.pi)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            eval_g("linear", np.zeros(3), np.zeros(4))
+        val = effect_function("trigonometric", np.array([math.pi / 2]))
+        assert np.allclose(val, [1.0 + math.pi])
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown effect family"):
-            eval_g("cubic", np.zeros(2), np.zeros(2))
+            effect_function("cubic", np.zeros(2))
 
 
 class TestDrawBeta:

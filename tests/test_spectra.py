@@ -114,11 +114,6 @@ class TestCheckConditions:
         assert rep.alpha <= 1.0
         assert rep.alpha_range_low <= rep.alpha <= max(rep.alpha_range_high, rep.alpha)
 
-    def test_proxy_flag_is_recorded(self):
-        kernel, g, _ = genotype_instance(6)
-        rep = check_conditions(kernel, g, g_is_proxy=True)
-        assert rep.g_is_proxy
-
 
 class TestDecomposeTerms:
     def test_noiseless_split(self):
@@ -357,9 +352,9 @@ class TestReportSerialization:
     def test_proxy_labeling(self):
         kernel, g, y = genotype_instance(35)
         res = fit(kernel, y, 1.0)
-        rep = check_conditions(kernel, res.g_hat, g_is_proxy=True)
+        rep = check_conditions(kernel, res.g_hat)
         rpt = bound_report(kernel, y, res.g_hat, 1.0, res.sigma_eps2_hat, rep)
-        text = report_text(rep, rpt)
+        text = report_text(rep, rpt, proxy=True)
         assert "signal_source=proxy_g_hat" in text
         assert "c_star.proxy=" in text
         assert "i1g.proxy=" in text
@@ -392,8 +387,9 @@ class TestReportSerialization:
         res = fit(kernel, y, nlam)
 
         def items(signal, sigma_eps2, proxy):
-            cond = check_conditions(kernel, signal, g_is_proxy=proxy)
-            return report_items(cond, bound_report(kernel, y, signal, nlam, sigma_eps2, cond))
+            cond = check_conditions(kernel, signal)
+            bound = bound_report(kernel, y, signal, nlam, sigma_eps2, cond)
+            return report_items(cond, bound, proxy)
 
         true_items = items(g, float(np.mean((y - g) ** 2)), False)
         proxy_items = items(res.g_hat, res.sigma_eps2_hat, True)
@@ -437,12 +433,12 @@ def test_outputs_do_not_depend_on_eigenvector_signs(instance, seed, n, nlambda, 
     flipped.__dict__["eig"] = EigenDecomposition(dec.eigenvalues, dec.eigenvectors * signs)
     outcomes = []
     for k in (kernel, flipped):
-        rep = check_conditions(k, g, proxy)
+        rep = check_conditions(k, g)
         outcomes.append([
             repr(rep),
             _outcome(decompose_terms, k, y, g, nlambda),
             _outcome(esd_integrals, k, nlambda),
-            _outcome(lambda: report_items(rep, bound_report(k, y, g, nlambda, 0.16, rep))),
+            _outcome(lambda: report_items(rep, bound_report(k, y, g, nlambda, 0.16, rep), proxy)),
             _outcome(prop3_check, k, g, nlambda, rep),
             _outcome(prop4_check, k, g, nlambda, rep),
         ])
