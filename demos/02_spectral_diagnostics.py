@@ -9,7 +9,7 @@ that real-data workflows get.
 
 from kernherit.exceptions import ConditionNotMet
 from kernherit.genotypes import simulate_hwe
-from kernherit.kernels import make_kernel
+from kernherit.kernels import Design, make_kernel
 from kernherit.krr import fit
 from kernherit.phenosim import SimulationSpec, build_population
 from kernherit.spectra import bound_report, check_conditions, prop3_check, report_text
@@ -18,7 +18,7 @@ N, P = 200, 40
 spec = SimulationSpec(n_individuals=N, n_snps=P, sigma_g=0.08, family="linear", seed=21)
 genotypes = simulate_hwe(N, P, seed=20)
 pop = build_population(spec, genotypes)
-kernel = make_kernel("poly2", genotypes.standardized(), gaussian_bandwidth=P / 2)
+kernel = make_kernel("poly2", Design(genotypes.standardized()))
 
 cond = check_conditions(kernel, pop.g_values)
 print(f"alignment constant c      = {cond.c_star:.4f}")

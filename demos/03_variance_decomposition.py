@@ -11,7 +11,7 @@ trend check with more repetitions and fixed seeds.)
 import numpy as np
 
 from kernherit.genotypes import GenotypeMatrix, simulate_hwe, subsample_indices
-from kernherit.kernels import make_kernel
+from kernherit.kernels import Design, make_kernel
 from kernherit.krr import fit
 from kernherit.phenosim import SimulationSpec, build_population
 from kernherit.spectra import decompose_terms
@@ -25,7 +25,7 @@ print(f"population: N={N_POP}, p={P} (high-dimensional), "
 
 idx = subsample_indices(N_POP, 300, seed=11)
 rows = GenotypeMatrix(pop.genotypes.data[idx], maf=pop.genotypes.maf)
-kernel = make_kernel("linear", rows.standardized())
+kernel = make_kernel("linear", Design(rows.standardized()))
 y, g = pop.phenotypes[idx], pop.g_values[idx]
 
 terms = decompose_terms(kernel, y, g, NLAM)
@@ -44,7 +44,7 @@ for n in (100, 200, 400, 800):
     for r in range(12):
         idx = subsample_indices(N_POP, n, seed=1000 * n + r)
         rows = GenotypeMatrix(pop.genotypes.data[idx], maf=pop.genotypes.maf)
-        k = make_kernel("linear", rows.standardized())
+        k = make_kernel("linear", Design(rows.standardized()))
         t = decompose_terms(k, pop.phenotypes[idx], pop.g_values[idx], NLAM)
         i3g.append(abs(t.i3g))
         i3e.append(abs(t.i3e))

@@ -19,7 +19,7 @@ noise.
 import numpy as np
 
 from kernherit.genotypes import simulate_hwe
-from kernherit.kernels import make_kernel
+from kernherit.kernels import Design, make_kernel
 from kernherit.krr import fit, residualize
 from kernherit.phenosim import SimulationSpec, build_population
 
@@ -40,7 +40,7 @@ print(f"covariate-added variance:         {np.var(y - pop.phenotypes, ddof=1):6.
 print(f"realized population heritability: {pop.true_h2:6.3f}\n")
 
 resid = residualize(y, covariates)
-kernel = make_kernel("poly2", genotypes.standardized(), gaussian_bandwidth=P / 2)
+kernel = make_kernel("poly2", Design(genotypes.standardized()))
 clean = pop.phenotypes - pop.phenotypes.mean()
 
 print(f"{'nlambda':>8}  {'unadjusted':>10}  {'residualized':>12}  {'covariate-free':>14}")

@@ -19,14 +19,7 @@ from .genotypes import (
     subsample,
     write_genotype_csv,
 )
-from .kernels import (
-    KERNEL_KINDS,
-    KernelMatrix,
-    gaussian_kernel,
-    linear_kernel,
-    make_kernel,
-    polynomial_kernel,
-)
+from .kernels import KERNEL_KINDS, Design, KernelMatrix, make_kernel
 from .krr import (
     DEFAULT_NLAMBDA_GRID,
     KrrFit,
@@ -68,11 +61,9 @@ __all__ = [
     "subsample",
     "write_genotype_csv",
     "KERNEL_KINDS",
+    "Design",
     "KernelMatrix",
-    "gaussian_kernel",
-    "linear_kernel",
     "make_kernel",
-    "polynomial_kernel",
     "DEFAULT_NLAMBDA_GRID",
     "KrrFit",
     "fit",

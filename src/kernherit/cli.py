@@ -31,12 +31,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_numeric(path, column: bool) -> np.ndarray:
+def _read_numeric(path, column: bool, rows: tuple[str, int]) -> np.ndarray:
     """One numeric column as a vector, or a matrix, from a comma-separated file.
 
-    A file without data rows, or a NaN or infinite value, is a DataError
-    naming the file and, for the latter, its 1-based data row and, for a
-    matrix, its column.
+    ``rows`` is the genotype file and its row count, which the data rows
+    must match. A file without data rows, with another row count, or
+    with a NaN or infinite value is a DataError naming the file and, for
+    the latter, its 1-based data row and, for a matrix, its column.
     """
     shape = "column" if column else "matrix"
     try:
@@ -49,6 +50,11 @@ def _read_numeric(path, column: bool) -> np.ndarray:
         raise DataError(f"{path}: no data rows")
     if column and data.shape[1] != 1:
         raise DataError(f"{path}: expected a single column, got shape {data.shape}")
+    genotypes, n = rows
+    if data.shape[0] != n:
+        raise DataError(
+            f"{path}: row count {data.shape[0]} does not match the {n} rows of {genotypes}"
+        )
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         row, col = (int(i) for i in bad[0])
@@ -180,17 +186,10 @@ def cmd_simulate(args) -> int:
 
 
 def _load_inputs(args):
-    """Phenotypes, design matrix and Gaussian bandwidth for estimate and diagnose."""
+    """Phenotypes and design matrix for estimate and diagnose."""
     genotypes = read_genotype_csv(args.genotypes)
-    y = _read_numeric(args.phenotypes, column=True)
-    if y.shape[0] != genotypes.n:
-        raise DataError(
-            f"phenotype length {y.shape[0]} does not match genotype rows {genotypes.n}"
-        )
-    design, bandwidth = kernels.design_matrix(
-        genotypes, args.standardize, args.gaussian_bandwidth
-    )
-    return y, design, bandwidth
+    y = _read_numeric(args.phenotypes, column=True, rows=(args.genotypes, genotypes.n))
+    return y, kernels.design_matrix(genotypes, args.standardize, args.gaussian_bandwidth)
 
 
 def _write_lines(lines, out) -> int:
@@ -206,28 +205,27 @@ def _write_lines(lines, out) -> int:
 
 
 def cmd_estimate(args) -> int:
-    y, design, bandwidth = _load_inputs(args)
+    y, design = _load_inputs(args)
     if args.covariates is not None:
-        y = krr.residualize(y, _read_numeric(args.covariates, column=False))
+        x = _read_numeric(args.covariates, column=False, rows=(args.genotypes, y.shape[0]))
+        y = krr.residualize(y, x)
     grid = tuple(args.nlambda) if args.nlambda else krr.DEFAULT_NLAMBDA_GRID
 
     lines = [krr.estimate_csv_header()]
     for kind in _kernel_kinds(args.kernel):
-        kernel = kernels.make_kernel(kind, design, gaussian_bandwidth=bandwidth)
+        kernel = kernels.make_kernel(kind, design)
         for fit_res in krr.lambda_grid_fit(kernel, y, grid):
             lines.append(krr.estimate_csv_row(kind, fit_res))
     return _write_lines(lines, args.out)
 
 
 def cmd_diagnose(args) -> int:
-    y, design, bandwidth = _load_inputs(args)
+    y, design = _load_inputs(args)
     n = y.shape[0]
-    kernel = kernels.make_kernel(args.kernel, design, gaussian_bandwidth=bandwidth)
+    kernel = kernels.make_kernel(args.kernel, design)
     fit_res = krr.fit(kernel, y, args.nlambda)
     if args.true_g is not None:
-        g = _read_numeric(args.true_g, column=True)
-        if g.shape[0] != n:
-            raise DataError(f"signal length {g.shape[0]} does not match genotype rows {n}")
+        g = _read_numeric(args.true_g, column=True, rows=(args.genotypes, n))
         proxy = False
         resid = y - g
         sigma_eps2 = float(resid @ resid) / n

@@ -116,14 +116,13 @@ class McCell:
     n: int
     mean: float
     sd: float
-    reps: int
-    true_h2: float
     excluded: int
 
 
 @dataclass(frozen=True)
 class McResultTable:
     rows: tuple[McCell, ...]
+    reps: int
     true_h2: float
 
 
@@ -179,11 +178,11 @@ def build_mc_population(cfg: McConfig, genotype_source: GenotypeMatrix | None = 
 def _rep_estimates(cfg: McConfig, pop: Population, row_idx: np.ndarray) -> np.ndarray:
     """Heritability estimates for one subsample: shape (kernels, grid), NaN = undefined."""
     z_rows = GenotypeMatrix(pop.genotypes.data[row_idx])
-    design, bandwidth = design_matrix(z_rows, cfg.standardize, cfg.gaussian_bandwidth)
+    design = design_matrix(z_rows, cfg.standardize, cfg.gaussian_bandwidth)
     y = pop.phenotypes[row_idx]
     out = np.empty((len(cfg.kernels), len(cfg.lambda_grid)))
     for i, kind in enumerate(cfg.kernels):
-        kernel = make_kernel(kind, design, gaussian_bandwidth=bandwidth)
+        kernel = make_kernel(kind, design)
         out[i] = [fit_res.h2_hat for fit_res in lambda_grid_fit(kernel, y, cfg.lambda_grid)]
     return out
 
@@ -251,12 +250,10 @@ def run_mc(
                         n=int(n),
                         mean=mean,
                         sd=sd,
-                        reps=cfg.repetitions,
-                        true_h2=pop.true_h2,
                         excluded=excluded,
                     )
                 )
-    return McResultTable(rows=tuple(rows), true_h2=pop.true_h2)
+    return McResultTable(rows=tuple(rows), reps=cfg.repetitions, true_h2=pop.true_h2)
 
 
 TABLE_HEADER = "kernel,nlambda,n,mean,sd,reps,true_h2,excluded"
@@ -269,7 +266,7 @@ def write_table_csv(table: McResultTable, path) -> None:
         for c in table.rows:
             fh.write(
                 f"{c.kernel},{c.nlambda!r},{c.n},{c.mean!r},{c.sd!r},"
-                f"{c.reps},{c.true_h2!r},{c.excluded}\n"
+                f"{table.reps},{table.true_h2!r},{c.excluded}\n"
             )
 
 

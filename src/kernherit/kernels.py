@@ -8,12 +8,13 @@ design matrix):
     poly2       K = elementwise square of (1 + X X^T / p)
     gaussian    K_ij = exp(-||x_i - x_j||^2 / (2 * bandwidth)), unit diagonal
 
-The Gaussian bandwidth defaults to 1. :func:`design_matrix` turns
-genotypes into a :class:`Design`, which computes the Gram matrix
-X X^T once and shares it with every kernel built from it; each kernel
-is then an elementwise map of that Gram, done in place. It also picks
-the Gaussian bandwidth, so the CLI and the Monte Carlo harness build
-their kernels alike through it.
+A :class:`Design` holds X and its Gaussian bandwidth, which defaults to
+1 and is checked when the design is built. It computes the Gram matrix
+X X^T once and shares it with every kernel built from it;
+:func:`make_kernel`, the one kernel builder, maps that Gram elementwise,
+in place. :func:`design_matrix` turns genotypes into a design and picks
+its bandwidth, so the CLI and the Monte Carlo harness build their
+kernels alike through it.
 
 :class:`KernelMatrix`, the one kernel type, checks its matrix where it
 enters and owns a read-only copy. Its eigendecomposition, ``eig``, is
@@ -38,15 +39,20 @@ KERNEL_KINDS = ("linear", "poly2", "gaussian")
 
 
 class Design:
-    """A read-only n-by-p kernel input and its Gram matrix Z Z^T.
+    """A read-only n-by-p kernel input, its Gaussian bandwidth and its Gram Z Z^T.
 
     The Gram is computed on first use and shared by every kernel built
     from this design. The design keeps a read-only C-contiguous view of
     ``data``, copying it only when it is laid out otherwise (e.g. a
     strided view), so a contiguous array must not change afterwards.
+    ``gaussian_bandwidth`` rescales squared distances in the Gaussian
+    kernel; the default of 1 leaves them unscaled.
     """
 
-    def __init__(self, data):
+    def __init__(self, data, gaussian_bandwidth: float = 1.0):
+        if not 0 < gaussian_bandwidth < math.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {gaussian_bandwidth}")
+        self.gaussian_bandwidth = float(gaussian_bandwidth)
         z = np.asarray(data, dtype=np.float64)
         if z.ndim != 2:
             raise ValueError(f"design matrix must be 2-D, got shape {z.shape}")
@@ -77,28 +83,19 @@ class Design:
         return g
 
 
-def _as_design(x) -> Design:
-    if isinstance(x, Design):
-        return x
-    if isinstance(x, GenotypeMatrix):
-        return Design(x.as_float())
-    return Design(x)
-
-
 def design_matrix(
     g: GenotypeMatrix, standardize: bool, gaussian_bandwidth: float | None = None
-) -> tuple[Design, float]:
-    """Kernel input and Gaussian bandwidth for genotypes ``g``.
+) -> Design:
+    """The kernel input for genotypes ``g``, with its Gaussian bandwidth.
 
     The input is column-standardized genotypes, or raw allele counts. A
     bandwidth of ``None`` picks the default: p/2 on standardized input
     (the scale at which pairwise squared distances between standardized
     rows concentrate) and 1 on raw allele counts.
     """
-    design = Design(g.standardized() if standardize else g.as_float())
     if gaussian_bandwidth is None:
         gaussian_bandwidth = g.p / 2.0 if standardize else 1.0
-    return design, float(gaussian_bandwidth)
+    return Design(g.standardized() if standardize else g.as_float(), gaussian_bandwidth)
 
 
 class KernelMatrix:
@@ -145,47 +142,28 @@ class KernelMatrix:
         return math.sqrt(float(np.einsum("ij,ij->", a, a)))
 
 
-def linear_kernel(x) -> KernelMatrix:
-    """Inner-product kernel scaled by the number of columns: X X^T / p."""
-    d = _as_design(x)
-    return KernelMatrix(d.gram / d.p)
+def make_kernel(kind: str, design: Design) -> KernelMatrix:
+    """The kernel ``kind`` of ``design``, mapped in place from its shared Gram.
 
-
-def polynomial_kernel(x) -> KernelMatrix:
-    """Degree-2 polynomial kernel: elementwise square of (1 + X X^T / p)."""
-    d = _as_design(x)
-    k = d.gram / d.p
-    k += 1.0
-    np.square(k, out=k)
-    return KernelMatrix(k)
-
-
-def gaussian_kernel(x, bandwidth: float = 1.0) -> KernelMatrix:
-    """Gaussian kernel exp(-||x_i - x_j||^2 / (2 * bandwidth)).
-
-    The diagonal is exactly 1. ``bandwidth`` rescales squared distances;
-    the default of 1 leaves them unscaled.
+    The Gaussian kernel's diagonal is exactly 1; it reads the design's
+    bandwidth, which the other two kernels ignore.
     """
-    if not 0 < bandwidth < math.inf:
-        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
-    d = _as_design(x)
-    sq = np.einsum("ij,ij->i", d.data, d.data)
-    d2 = sq[:, None] + sq[None, :]
-    d2 -= 2.0 * d.gram
-    np.fill_diagonal(d2, 0.0)
-    np.maximum(d2, 0.0, out=d2)
-    d2 *= -0.5
-    d2 /= bandwidth
-    np.exp(d2, out=d2)
-    return KernelMatrix(d2)
-
-
-def make_kernel(kind: str, x, gaussian_bandwidth: float = 1.0) -> KernelMatrix:
-    """Build a kernel by name; ``gaussian_bandwidth`` applies to 'gaussian' only."""
     if kind == "linear":
-        return linear_kernel(x)
-    if kind == "poly2":
-        return polynomial_kernel(x)
-    if kind == "gaussian":
-        return gaussian_kernel(x, bandwidth=gaussian_bandwidth)
-    raise ValueError(f"unknown kernel kind {kind!r}; choose one of {KERNEL_KINDS}")
+        k = design.gram / design.p
+    elif kind == "poly2":
+        k = design.gram / design.p
+        k += 1.0
+        np.square(k, out=k)
+    elif kind == "gaussian":
+        z = design.data
+        sq = np.einsum("ij,ij->i", z, z)
+        k = sq[:, None] + sq[None, :]
+        k -= 2.0 * design.gram
+        np.fill_diagonal(k, 0.0)
+        np.maximum(k, 0.0, out=k)
+        k *= -0.5
+        k /= design.gaussian_bandwidth
+        np.exp(k, out=k)
+    else:
+        raise ValueError(f"unknown kernel kind {kind!r}; choose one of {KERNEL_KINDS}")
+    return KernelMatrix(k)

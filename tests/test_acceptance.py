@@ -28,7 +28,7 @@ from kernherit.harness import (
     preset_config,
     run_mc,
 )
-from kernherit.kernels import KERNEL_KINDS, KernelMatrix, make_kernel
+from kernherit.kernels import KERNEL_KINDS, Design, KernelMatrix, make_kernel
 from kernherit.krr import DEFAULT_NLAMBDA_GRID, fit, lambda_grid_fit
 from kernherit.matrixcore import eigh
 from kernherit.phenosim import FAMILIES, SimulationSpec, build_population
@@ -73,7 +73,7 @@ def identity_instances():
         )
         pop = build_population(spec, genotypes)
         kind = KERNEL_KINDS[i % len(KERNEL_KINDS)]
-        kernel = make_kernel(kind, genotypes.standardized(), gaussian_bandwidth=p / 2.0)
+        kernel = make_kernel(kind, Design(genotypes.standardized(), gaussian_bandwidth=p / 2.0))
         fits = lambda_grid_fit(kernel, pop.phenotypes, DEFAULT_NLAMBDA_GRID)
         out.append((kernel, pop, fits))
     return out
@@ -103,7 +103,7 @@ def _genotype_instance(rng: np.random.Generator):
         seed=int(seeds[1]),
     )
     pop = build_population(spec, genotypes)
-    kernel = make_kernel("poly2", genotypes.standardized(), gaussian_bandwidth=p / 2.0)
+    kernel = make_kernel("poly2", Design(genotypes.standardized(), gaussian_bandwidth=p / 2.0))
     return kernel, pop.g_values, pop.phenotypes
 
 
@@ -185,7 +185,7 @@ def test_criterion_2_oracle_equivalence():
         p = int(rng.integers(2, 6))
         genotypes = simulate_hwe(n, p, seed=int(rng.integers(0, 2**63)))
         kind = KERNEL_KINDS[case % len(KERNEL_KINDS)]
-        kernel = make_kernel(kind, genotypes.standardized(), gaussian_bandwidth=p / 2.0)
+        kernel = make_kernel(kind, Design(genotypes.standardized(), gaussian_bandwidth=p / 2.0))
         y = rng.normal(size=n) * 3.0
         nlam = float(rng.choice(DEFAULT_NLAMBDA_GRID))
         res = fit(kernel, y, nlam)
@@ -266,7 +266,7 @@ def test_criterion_5_asymptotic_trend():
         for r in range(reps):
             idx = subsample_indices(n_pop, n, seed=int(seeds[i, r]))
             rows = GenotypeMatrix(pop.genotypes.data[idx], maf=pop.genotypes.maf)
-            kernel = make_kernel("linear", rows.standardized())
+            kernel = make_kernel("linear", Design(rows.standardized()))
             report = check_conditions(kernel, pop.g_values[idx])
             rpt = bound_report(
                 kernel, pop.phenotypes[idx], pop.g_values[idx], nlam, sigma_eps2, report

@@ -370,6 +370,25 @@ class TestEmptyInput:
         assert not [w for w in recwarn if "loadtxt" in str(w.message)]
 
 
+class TestRowCountMismatch:
+    """An input file with another row count than the genotypes is a data error
+    naming both files and both counts."""
+
+    @pytest.mark.parametrize("flag", ["--phenotypes", "--true-g", "--covariates"])
+    def test_names_both_files_and_counts(self, tmp_path, capsys, flag):
+        short = tmp_path / "short.csv"
+        short.write_text("1.0\n2.0\n")
+        files = {"--phenotypes": FIXTURE_PHENO, flag: str(short)}
+        command = "estimate" if flag == "--covariates" else "diagnose"
+        argv = [command, "--genotypes", FIXTURE_GENO, "--kernel", "poly2", "--nlambda", "1.0"]
+        for name, path in files.items():
+            argv += [name, path]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {short}: row count 2 does not match the 30 rows of {FIXTURE_GENO}\n"
+        )
+
+
 class TestDiagnose:
     @staticmethod
     def _assert_matches_golden(text, golden_path):
@@ -445,8 +464,8 @@ class TestDiagnose:
     def test_report_text_is_a_prefix_of_the_cli_report(self, capsys, kind, true_g):
         nlam = 2.3
         y = np.loadtxt(FIXTURE_PHENO)
-        design, bandwidth = design_matrix(read_genotype_csv(FIXTURE_GENO), True, None)
-        kernel = make_kernel(kind, design, gaussian_bandwidth=bandwidth)
+        design = design_matrix(read_genotype_csv(FIXTURE_GENO), True, None)
+        kernel = make_kernel(kind, design)
         fit_res = fit(kernel, y, nlam)
         if true_g:
             g = np.loadtxt(FIXTURE_G)

@@ -78,7 +78,7 @@ def test_diagnose_calls_each_spectra_layer_once_through_the_module(monkeypatch, 
 def test_design_has_the_shape_the_bench_reads(standardize):
     """``spans._design`` sizes a kernel span by ``np.shape`` of its input."""
     g = simulate_hwe(9, 4, seed=0)
-    design, _ = kernels.design_matrix(g, standardize)
+    design = kernels.design_matrix(g, standardize)
     assert np.shape(design) == (g.n, g.p)
     assert _load_spans()._design("linear", design) == {"n": g.n, "p": g.p}
     for kind in kernels.KERNEL_KINDS:
@@ -88,7 +88,7 @@ def test_design_has_the_shape_the_bench_reads(standardize):
 @pytest.mark.parametrize("kind", kernels.KERNEL_KINDS)
 def test_kernel_matrix_has_the_order_the_bench_reads(kind):
     """``spans._order`` sizes an ``eigh`` span by the plain kernel array it gets."""
-    k = kernels.make_kernel(kind, simulate_hwe(9, 4, seed=0))
+    k = kernels.make_kernel(kind, kernels.design_matrix(simulate_hwe(9, 4, seed=0), False))
     assert _load_spans()._order(k.matrix) == {"n": k.n}
 
 

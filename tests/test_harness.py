@@ -31,7 +31,7 @@ from kernherit.harness import (
     write_manifest,
     write_table_csv,
 )
-from kernherit.kernels import KERNEL_KINDS, design_matrix, make_kernel
+from kernherit.kernels import KERNEL_KINDS, Design, design_matrix, make_kernel
 from kernherit.krr import lambda_grid_fit
 from kernherit.phenosim import FAMILIES
 
@@ -173,9 +173,9 @@ class TestRunMc:
     def test_single_repetition_sd_zero_by_convention(self):
         cfg = tiny_config(repetitions=1, sample_sizes=(30,))
         table = run_mc(cfg)
+        assert table.reps == 1
         for cell in table.rows:
             assert cell.sd == 0.0
-            assert cell.reps == 1
 
     def test_row_count_matches_grid(self):
         cfg = tiny_config()
@@ -202,8 +202,8 @@ class TestRunMc:
             for r in range(cfg.repetitions):
                 idx = subsample_indices(cfg.population_size, n, seed=int(seeds[i, r]))
                 rows = GenotypeMatrix(pop.genotypes.data[idx], maf=pop.genotypes.maf)
-                design = rows.standardized()
-                kernel = make_kernel("poly2", design, gaussian_bandwidth=cfg.snp_count / 2.0)
+                design = Design(rows.standardized(), gaussian_bandwidth=cfg.snp_count / 2.0)
+                kernel = make_kernel("poly2", design)
                 for nlam, res in zip(
                     cfg.lambda_grid, lambda_grid_fit(kernel, pop.phenotypes[idx], cfg.lambda_grid)
                 ):
@@ -286,22 +286,24 @@ class TestTableCsv:
         path = tmp_path / "t.csv"
         write_table_csv(table, path)
         header, *lines = path.read_text().splitlines()
-        assert header == ",".join(f.name for f in dataclasses.fields(McCell))
+        cell_fields = [f.name for f in dataclasses.fields(McCell)]
+        assert header.split(",") == cell_fields[:-1] + ["reps", "true_h2"] + cell_fields[-1:]
         assert table.rows
         for line, cell in zip(lines, table.rows, strict=True):
-            values = dataclasses.astuple(cell)
+            *own, excluded = dataclasses.astuple(cell)
+            values = (*own, table.reps, table.true_h2, excluded)
             fields = line.split(",")
             assert tuple(type(v)(f) for v, f in zip(values, fields, strict=True)) == values
 
     def test_empty_table_is_header_only(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_table_csv(McResultTable(rows=(), true_h2=float("nan")), path)
+        write_table_csv(McResultTable(rows=(), reps=3, true_h2=float("nan")), path)
         assert path.read_text() == "kernel,nlambda,n,mean,sd,reps,true_h2,excluded\n"
 
     def test_single_row_parses(self, tmp_path):
-        cell = McCell("linear", 1.0, 10, 0.5, 0.1, 7, 0.6, 0)
+        cell = McCell("linear", 1.0, 10, 0.5, 0.1, 0)
         path = tmp_path / "t.csv"
-        write_table_csv(McResultTable(rows=(cell,), true_h2=0.6), path)
+        write_table_csv(McResultTable(rows=(cell,), reps=7, true_h2=0.6), path)
         assert path.read_text() == (
             "kernel,nlambda,n,mean,sd,reps,true_h2,excluded\nlinear,1.0,10,0.5,0.1,7,0.6,0\n"
         )
@@ -372,8 +374,9 @@ class TestConfigFile:
         assert "gaussian_bandwidth=auto" in serialize_config(cfg)
         assert parse_config(serialize_config(cfg)).gaussian_bandwidth is None
         g = simulate_hwe(5, cfg.snp_count, seed=0)
-        assert design_matrix(g, cfg.standardize, cfg.gaussian_bandwidth)[1] == cfg.snp_count / 2.0
-        assert design_matrix(g, False, cfg.gaussian_bandwidth)[1] == 1.0
+        design = design_matrix(g, cfg.standardize, cfg.gaussian_bandwidth)
+        assert design.gaussian_bandwidth == cfg.snp_count / 2.0
+        assert design_matrix(g, False, cfg.gaussian_bandwidth).gaussian_bandwidth == 1.0
 
     def test_every_field_has_one_codec_in_declaration_order(self):
         assert list(FIELD_CODECS) == [f.name for f in dataclasses.fields(McConfig)]

@@ -7,16 +7,7 @@ from hypothesis.extra.numpy import arrays
 from kernherit import krr, matrixcore, spectra
 from kernherit.exceptions import NumericalError
 from kernherit.genotypes import GenotypeMatrix, simulate_hwe
-from kernherit.kernels import (
-    KERNEL_KINDS,
-    Design,
-    KernelMatrix,
-    design_matrix,
-    gaussian_kernel,
-    linear_kernel,
-    make_kernel,
-    polynomial_kernel,
-)
+from kernherit.kernels import KERNEL_KINDS, Design, KernelMatrix, design_matrix, make_kernel
 
 from helpers import naive_gaussian_kernel, naive_linear_kernel, symmetrize
 
@@ -80,33 +71,34 @@ class TestKernelMatrix:
 
 class TestLinearKernel:
     def test_identity_like(self):
-        k = linear_kernel(GenotypeMatrix(np.eye(2, dtype=np.int8)))
+        k = make_kernel("linear", design_matrix(GenotypeMatrix(np.eye(2, dtype=np.int8)), False))
         assert np.allclose(k.matrix, [[0.5, 0.0], [0.0, 0.5]])
 
     def test_single_snp_outer_product(self):
-        k = linear_kernel(GenotypeMatrix(np.array([[2], [1]], dtype=np.int8)))
+        g = GenotypeMatrix(np.array([[2], [1]], dtype=np.int8))
+        k = make_kernel("linear", design_matrix(g, False))
         assert np.allclose(k.matrix, [[4.0, 2.0], [2.0, 1.0]])
 
     def test_matches_naive_double_loop(self):
         g = simulate_hwe(6, 4, seed=5)
-        k = linear_kernel(g)
+        k = make_kernel("linear", design_matrix(g, False))
         assert np.max(np.abs(k.matrix - naive_linear_kernel(g.as_float()))) < 1e-12
 
 
 class TestPolynomialKernel:
     def test_zero_matrix_gives_all_ones(self):
-        k = polynomial_kernel(np.zeros((3, 2)))
+        k = make_kernel("poly2", Design(np.zeros((3, 2))))
         assert np.array_equal(k.matrix, np.ones((3, 3)))
 
     def test_entrywise_square_of_one_plus_linear(self):
         z = np.eye(2)  # linear diagonal entries 0.5
-        k = polynomial_kernel(z)
+        k = make_kernel("poly2", Design(z))
         assert np.allclose(np.diag(k.matrix), 2.25)
         assert np.allclose(k.matrix[0, 1], 1.0)
 
     def test_numerically_psd(self):
         g = simulate_hwe(15, 6, seed=7)
-        k = polynomial_kernel(g)
+        k = make_kernel("poly2", design_matrix(g, False))
         lam = k.eig.eigenvalues
         assert lam[-1] >= -matrixcore.PSD_RTOL * lam[0]
 
@@ -114,70 +106,91 @@ class TestPolynomialKernel:
 class TestGaussianKernel:
     def test_identical_rows(self):
         z = np.array([[1.0, 2.0], [1.0, 2.0]])
-        k = gaussian_kernel(z)
+        k = make_kernel("gaussian", Design(z))
         assert k.matrix[0, 1] == 1.0
 
     def test_one_snp_apart(self):
         z = np.array([[1.0, 0.0], [1.0, 1.0]])
-        k = gaussian_kernel(z)
+        k = make_kernel("gaussian", Design(z))
         assert np.isclose(k.matrix[0, 1], np.exp(-0.5))
 
     def test_unit_diagonal_exact(self):
         g = simulate_hwe(10, 5, seed=2)
-        k = gaussian_kernel(g)
+        k = make_kernel("gaussian", design_matrix(g, False))
         assert np.array_equal(np.diag(k.matrix), np.ones(10))
 
     def test_matches_naive_distance_loop(self):
         g = simulate_hwe(7, 4, seed=9)
-        k = gaussian_kernel(g)
+        k = make_kernel("gaussian", design_matrix(g, False))
         assert np.max(np.abs(k.matrix - naive_gaussian_kernel(g.as_float()))) < 1e-12
 
     def test_bandwidth_rescales_distances(self):
         z = np.array([[0.0], [2.0]])
-        k = gaussian_kernel(z, bandwidth=4.0)
+        k = make_kernel("gaussian", Design(z, gaussian_bandwidth=4.0))
         assert np.isclose(k.matrix[0, 1], np.exp(-0.5 * 4.0 / 4.0))
 
     def test_entries_in_unit_interval(self):
         g = simulate_hwe(12, 6, seed=3)
-        k = gaussian_kernel(g)
+        k = make_kernel("gaussian", design_matrix(g, False))
         assert np.all(k.matrix > 0.0) and np.all(k.matrix <= 1.0)
 
     def test_rejects_bad_bandwidth(self):
+        g = simulate_hwe(4, 3, seed=0)
         for bad in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="bandwidth"):
-                gaussian_kernel(np.zeros((2, 2)), bandwidth=bad)
+            message = f"bandwidth must be positive and finite, got {bad}"
+            with pytest.raises(ValueError, match=message):
+                make_kernel("gaussian", Design(np.zeros((2, 2)), gaussian_bandwidth=bad))
+            # Rejected where the design is built, even when no Gaussian kernel is asked for.
+            with pytest.raises(ValueError, match=message):
+                make_kernel("linear", Design(np.zeros((2, 2)), gaussian_bandwidth=bad))
+            for standardize in (True, False):
+                with pytest.raises(ValueError, match=message):
+                    design_matrix(g, standardize, bad)
+
+
+@st.composite
+def raw_count_designs(draw):
+    """Raw allele counts of any shape, as a GenotypeMatrix, and a Gaussian bandwidth."""
+    n = draw(st.integers(1, 30))
+    p = draw(st.integers(1, 30))
+    counts = draw(arrays(np.int8, (n, p), elements=st.integers(0, 2)))
+    return GenotypeMatrix(counts), draw(st.floats(1e-2, 1e3))
 
 
 class TestSharedProperties:
     @pytest.mark.parametrize("kind", KERNEL_KINDS)
-    def test_exact_bit_symmetry(self, kind):
-        g = simulate_hwe(9, 5, seed=4)
-        k = make_kernel(kind, g)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(instance=raw_count_designs(), standardize=st.booleans())
+    def test_exact_bit_symmetry(self, kind, instance, standardize):
+        g, bandwidth = instance
+        k = make_kernel(kind, design_matrix(g, standardize, bandwidth))
         assert np.array_equal(k.matrix, k.matrix.T)
 
     @pytest.mark.parametrize("kind", KERNEL_KINDS)
-    def test_permuting_rows_permutes_kernel(self, kind):
-        g = simulate_hwe(8, 5, seed=6)
-        perm = np.random.default_rng(0).permutation(8)
-        k = make_kernel(kind, g.as_float())
-        kp = make_kernel(kind, g.as_float()[perm])
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(instance=raw_count_designs(), data=st.data())
+    def test_permuting_rows_permutes_kernel(self, kind, instance, data):
+        g, bandwidth = instance
+        perm = np.array(data.draw(st.permutations(range(g.n))))
+        k = make_kernel(kind, Design(g.as_float(), bandwidth))
+        kp = make_kernel(kind, Design(g.as_float()[perm], bandwidth))
         assert np.allclose(kp.matrix, k.matrix[np.ix_(perm, perm)], atol=1e-13)
 
     @pytest.mark.parametrize("kind", ["linear", "poly2"])
     def test_column_order_invariance(self, kind):
         g = simulate_hwe(8, 6, seed=8)
         shuffled = g.as_float()[:, ::-1]
-        a = make_kernel(kind, g).matrix
-        b = make_kernel(kind, shuffled).matrix
+        a = make_kernel(kind, design_matrix(g, False)).matrix
+        b = make_kernel(kind, Design(shuffled)).matrix
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel kind"):
-            make_kernel("cubic", np.zeros((2, 2)))
+            make_kernel("cubic", Design(np.zeros((2, 2))))
 
     def test_empty_design_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            linear_kernel(np.zeros((0, 3)))
+            Design(np.zeros((0, 3)))
 
 
 @st.composite
@@ -221,11 +234,11 @@ class TestSharedDesign:
     @given(genotype_designs())
     def test_shared_gram_matches_fresh_and_dense_kernels(self, instance):
         g, standardize = instance
-        design, bandwidth = design_matrix(g, standardize)
-        z = np.array(design.data)
+        design = design_matrix(g, standardize)
+        z, bandwidth = np.array(design.data), design.gaussian_bandwidth
         for kind in KERNEL_KINDS:
-            shared = make_kernel(kind, design, gaussian_bandwidth=bandwidth).matrix
-            fresh = make_kernel(kind, z, gaussian_bandwidth=bandwidth).matrix
+            shared = make_kernel(kind, design).matrix
+            fresh = make_kernel(kind, Design(z, bandwidth)).matrix
             assert np.array_equal(shared, fresh)
             assert np.array_equal(shared, _out_of_place_kernel(kind, z, bandwidth))
             assert np.max(np.abs(shared - _dense_kernel(kind, z, bandwidth))) <= 1e-12
@@ -242,10 +255,10 @@ class TestSharedDesign:
 
         monkeypatch.setattr(Design.gram, "func", recording)
         g = simulate_hwe(20, 7, seed=3)
-        design, _ = design_matrix(g, standardize)
+        design = design_matrix(g, standardize, 3.5)
         assert np.shape(design) == (20, 7) and orders == []
         for kind in KERNEL_KINDS:
-            make_kernel(kind, design, gaussian_bandwidth=3.5)
+            make_kernel(kind, design)
         assert orders == [(20, 20)]
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -256,26 +269,27 @@ class TestSharedDesign:
         base = np.random.default_rng(seed).normal(size=(n, p))
         views = (base, np.asfortranarray(base), base[:, ::2], base[::-1, ::-1])
         for view in views:
-            design, copy = Design(view), Design(np.ascontiguousarray(view))
             bandwidth = view.shape[1] / 2.0
+            design = Design(view, bandwidth)
+            copy = Design(np.ascontiguousarray(view), bandwidth)
             for kind in KERNEL_KINDS:
-                got = make_kernel(kind, design, gaussian_bandwidth=bandwidth).matrix
-                want = make_kernel(kind, copy, gaussian_bandwidth=bandwidth).matrix
+                got = make_kernel(kind, design).matrix
+                want = make_kernel(kind, copy).matrix
                 assert np.array_equal(got, want), (kind, view.strides)
 
     def test_design_is_read_only_and_leaves_its_input_writable(self):
         g = simulate_hwe(6, 3, seed=1)
-        design, _ = design_matrix(g, True)
+        design = design_matrix(g, True)
         assert not design.data.flags.writeable and not design.gram.flags.writeable
         z = g.standardized()
-        linear_kernel(z)
+        make_kernel("linear", Design(z))
         assert z.flags.writeable
 
 
 class TestEigCaching:
     def test_lazy_and_cached(self, monkeypatch):
         calls = _counted_eigh_calls(monkeypatch)
-        k = linear_kernel(simulate_hwe(6, 3, seed=1))
+        k = make_kernel("linear", design_matrix(simulate_hwe(6, 3, seed=1), False))
         assert len(calls) == 0
         first = k.eig
         assert len(calls) == 1
@@ -293,7 +307,7 @@ class TestEigCaching:
         from kernherit import kernels as kernels_mod
 
         monkeypatch.setattr(kernels_mod.matrixcore, "verify_eigh", counting)
-        k = linear_kernel(simulate_hwe(30, 5, seed=2))
+        k = make_kernel("linear", design_matrix(simulate_hwe(30, 5, seed=2), False))
         y = np.arange(30.0)
         krr.lambda_grid_fit(k, y, (0.5, 1.0))
         assert calls == []
@@ -321,9 +335,9 @@ class TestCorruptedFactorization:
     @staticmethod
     def instances():
         """A linear kernel of rank below n and a full-rank poly2 one, on one design."""
-        z = simulate_hwe(40, 12, seed=4).standardized()
+        design = Design(simulate_hwe(40, 12, seed=4).standardized())
         y = np.random.default_rng(1).normal(size=40)
-        return [(linear_kernel(z), y), (polynomial_kernel(z), y)]
+        return [(make_kernel("linear", design), y), (make_kernel("poly2", design), y)]
 
     def test_ridge_sweep_fails_its_residual_check(self, monkeypatch):
         real = krr._back_substitute

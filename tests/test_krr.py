@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from kernherit import krr, matrixcore
 from kernherit.exceptions import NumericalError
 from kernherit.genotypes import simulate_hwe
-from kernherit.kernels import KERNEL_KINDS, KernelMatrix, linear_kernel, make_kernel, polynomial_kernel
+from kernherit.kernels import KERNEL_KINDS, Design, KernelMatrix, make_kernel
 from kernherit.krr import (
     DEFAULT_NLAMBDA_GRID,
     fit,
@@ -31,7 +31,7 @@ def random_instance(seed: int, n: int = 12, p: int = 5, kind: str = "poly2"):
         n_individuals=n, n_snps=p, sigma_g=0.3, family="linear", seed=int(rng_seed[1])
     )
     pop = build_population(spec, g)
-    kernel = make_kernel(kind, g.standardized())
+    kernel = make_kernel(kind, Design(g.standardized()))
     return kernel, pop
 
 
@@ -274,7 +274,7 @@ def gram_instances(draw):
     y = draw(arrays(np.float64, n, elements=st.floats(-5.0, 5.0)))
     kind = draw(st.sampled_from(KERNEL_KINDS))
     nlambda = draw(st.floats(1e-3, 1e3))
-    return make_kernel(kind, x), y, nlambda
+    return make_kernel(kind, Design(x)), y, nlambda
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -307,7 +307,7 @@ def design_instances(draw):
     y = draw(arrays(np.float64, n, elements=st.floats(-5.0, 5.0)))
     kind = draw(st.sampled_from(KERNEL_KINDS))
     nlambda = draw(st.floats(1e-3, 1e3))
-    return make_kernel(kind, x), y, nlambda
+    return make_kernel(kind, Design(x)), y, nlambda
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -356,7 +356,7 @@ def _counted_lanczos_steps(monkeypatch) -> list[int]:
 def test_dual_route_factors_only_the_gram(monkeypatch):
     """A linear-kernel sweep with p < n eigendecomposes nothing, not even T_k."""
     orders = _recorded_eigh_orders(monkeypatch)
-    k = linear_kernel(simulate_hwe(30, 5, seed=2).standardized())
+    k = make_kernel("linear", Design(simulate_hwe(30, 5, seed=2).standardized()))
     y = np.random.default_rng(3).normal(size=30)
     lambda_grid_fit(k, y, DEFAULT_NLAMBDA_GRID)
     assert orders == []
@@ -365,7 +365,7 @@ def test_dual_route_factors_only_the_gram(monkeypatch):
 def test_sweep_stops_before_the_krylov_space_is_exhausted(monkeypatch):
     orders = _recorded_eigh_orders(monkeypatch)
     steps = _counted_lanczos_steps(monkeypatch)
-    k = polynomial_kernel(simulate_hwe(200, 50, seed=5).standardized())
+    k = make_kernel("poly2", Design(simulate_hwe(200, 50, seed=5).standardized()))
     y = np.random.default_rng(6).normal(size=200)
     for res in lambda_grid_fit(k, y, DEFAULT_NLAMBDA_GRID):
         assert _relative_residual(k.matrix, y, res.nlambda, res.alpha_hat) <= 1e-12
@@ -389,7 +389,7 @@ def sweep_instances(draw):
 def test_sweep_matches_dense_solve_over_grids_property(instance):
     n, p, kind, seed, grid = instance
     x = simulate_hwe(n, p, seed=seed).standardized()
-    kernel = make_kernel(kind, x, gaussian_bandwidth=p / 2.0)
+    kernel = make_kernel(kind, Design(x, gaussian_bandwidth=p / 2.0))
     y = np.random.default_rng(seed).normal(size=n)
     k = kernel.matrix
     for nlambda, res in zip(grid, lambda_grid_fit(kernel, y, grid)):
@@ -479,7 +479,7 @@ def barely_excited_instances(draw):
     null -= q @ (q.T @ null)
     span = z @ rng.normal(size=p)
     y = null / np.linalg.norm(null) + eps * span / np.linalg.norm(span)
-    return linear_kernel(z), y
+    return make_kernel("linear", Design(z)), y
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -513,8 +513,8 @@ def invariance_instances(draw):
 @given(invariance_instances())
 def test_permuting_individuals_leaves_estimates_unchanged(instance):
     kind, x, y, nlambda, perm, _ = instance
-    a = fit(make_kernel(kind, x), y, nlambda)
-    b = fit(make_kernel(kind, x[perm]), y[perm], nlambda)
+    a = fit(make_kernel(kind, Design(x)), y, nlambda)
+    b = fit(make_kernel(kind, Design(x[perm])), y[perm], nlambda)
     total = a.sigma_g2_hat + a.sigma_eps2_hat
     assert abs(a.sigma_g2_hat - b.sigma_g2_hat) <= 1e-12 * total
     assert abs(a.sigma_eps2_hat - b.sigma_eps2_hat) <= 1e-12 * total
@@ -526,7 +526,7 @@ def test_permuting_individuals_leaves_estimates_unchanged(instance):
 @given(invariance_instances())
 def test_scaling_phenotypes_leaves_h2_unchanged(instance):
     kind, x, y, nlambda, _, c = instance
-    k = make_kernel(kind, x)
+    k = make_kernel(kind, Design(x))
     a, b = fit(k, y, nlambda), fit(k, c * y, nlambda)
     assert np.isfinite([a.h2_hat, b.h2_hat]).all()
     assert abs(a.h2_hat - b.h2_hat) <= 1e-12

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from kernherit.exceptions import ConditionNotMet
 from kernherit.genotypes import simulate_hwe
-from kernherit.kernels import KernelMatrix, make_kernel
+from kernherit.kernels import Design, KernelMatrix, make_kernel
 from kernherit.krr import fit
 from kernherit.matrixcore import EigenDecomposition
 from kernherit.phenosim import SimulationSpec, build_population
@@ -40,7 +40,7 @@ def genotype_instance(seed: int, n: int = 14, p: int = 4):
         n_individuals=n, n_snps=p, sigma_g=0.4, family="linear", seed=int(seeds[1])
     )
     pop = build_population(spec, g)
-    kernel = make_kernel("poly2", g.standardized())
+    kernel = make_kernel("poly2", Design(g.standardized()))
     return kernel, pop.g_values, pop.phenotypes
 
 
@@ -323,7 +323,7 @@ class TestBoundReport:
         # rank * sigma_eps^2 / (n - 1).
         n, p = 16, 3
         g_mat = simulate_hwe(n, p, seed=41)
-        kernel = make_kernel("linear", g_mat.standardized())
+        kernel = make_kernel("linear", Design(g_mat.standardized()))
         rank = np.linalg.matrix_rank(kernel.matrix)
         g = np.ones(n) + 0.1 * np.random.default_rng(0).normal(size=n)
         rep = check_conditions(kernel, g)
@@ -382,7 +382,7 @@ class TestReportSerialization:
         spec = SimulationSpec(n_individuals=n, n_snps=p, sigma_g=0.08, family="linear", seed=21)
         genotypes = simulate_hwe(n, p, seed=20)
         pop = build_population(spec, genotypes)
-        kernel = make_kernel("poly2", genotypes.standardized())
+        kernel = make_kernel("poly2", Design(genotypes.standardized()))
         y, g = pop.phenotypes, pop.g_values
         res = fit(kernel, y, nlam)
 
