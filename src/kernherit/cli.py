@@ -205,11 +205,14 @@ def _write_lines(lines, out) -> int:
 
 
 def cmd_estimate(args) -> int:
+    grid = tuple(args.nlambda) if args.nlambda else krr.DEFAULT_NLAMBDA_GRID
+    for i, value in enumerate(grid):
+        if value in grid[:i]:  # as mc's lambda_grid, before any file is read
+            raise UsageError(f"--nlambda must be distinct, got {value!r} more than once")
     y, design = _load_inputs(args)
     if args.covariates is not None:
         x = _read_numeric(args.covariates, column=False, rows=(args.genotypes, y.shape[0]))
         y = krr.residualize(y, x)
-    grid = tuple(args.nlambda) if args.nlambda else krr.DEFAULT_NLAMBDA_GRID
 
     lines = [krr.estimate_csv_header()]
     for kind in _kernel_kinds(args.kernel):

@@ -11,17 +11,20 @@ design matrix):
 A :class:`Design` holds X and its Gaussian bandwidth, which defaults to
 1 and is checked when the design is built. It computes the Gram matrix
 X X^T once and shares it with every kernel built from it;
-:func:`make_kernel`, the one kernel builder, maps that Gram elementwise,
-in place. :func:`design_matrix` turns genotypes into a design and picks
-its bandwidth, so the CLI and the Monte Carlo harness build their
-kernels alike through it.
+:func:`make_kernel`, the one kernel builder, maps that Gram elementwise
+into one fresh n-by-n array, a block of rows at a time, so a build
+allocates no other n-by-n array. :func:`design_matrix` turns genotypes
+into a design and picks its bandwidth, so the CLI and the Monte Carlo
+harness build their kernels alike through it.
 
 :class:`KernelMatrix`, the one kernel type, checks its matrix where it
-enters and owns a read-only copy. Its eigendecomposition, ``eig``, is
-computed on first access, cached, and checked to be numerically PSD and
-to reconstruct the kernel from an orthonormal basis. Only the spectral
-diagnostics read it; ridge fits need none (``krr`` solves them by a
-Krylov sweep over ``matrix``).
+enters and keeps it read-only. A kernel from :func:`make_kernel` adopts
+the array that was filled for it; the public constructor copies its
+argument, which the caller can then change freely. Its
+eigendecomposition, ``eig``, is computed on first access, cached, and
+checked to be numerically PSD and to reconstruct the kernel from an
+orthonormal basis. Only the spectral diagnostics read it; ridge fits
+need none (``krr`` solves them by a Krylov sweep over ``matrix``).
 """
 
 from __future__ import annotations
@@ -36,6 +39,36 @@ from .genotypes import GenotypeMatrix
 from .matrixcore import EigenDecomposition
 
 KERNEL_KINDS = ("linear", "poly2", "gaussian")
+
+# Entries per row block when a kernel is built or checked: 32768 float64
+# entries are 256 KB, so a block and its temporaries stay in cache.
+_BLOCK_ENTRIES = 32768
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """The rows of an n-column matrix in blocks of about _BLOCK_ENTRIES entries."""
+    step = max(1, _BLOCK_ENTRIES // max(n, 1))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def _checked(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only, once it is square, finite and exactly symmetric.
+
+    Reads ``a`` a block of rows at a time, so the checks allocate nothing
+    of order n^2. Every block is checked for finiteness before any for
+    symmetry, so a matrix that fails both is reported as non-finite. Each
+    block's entries on and right of the diagonal are compared with their
+    mirror images, which covers every pair once.
+    """
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    blocks = _row_blocks(a.shape[0])
+    if not all(np.isfinite(a[rows]).all() for rows in blocks):
+        raise ValueError("matrix entries must be finite")
+    if not all(np.array_equal(a[rows, rows.start :], a[rows.start :, rows].T) for rows in blocks):
+        raise ValueError("matrix is not exactly symmetric")
+    a.setflags(write=False)
+    return a
 
 
 class Design:
@@ -103,19 +136,21 @@ class KernelMatrix:
 
     Rejects a non-square, non-finite or not exactly (bitwise) symmetric
     matrix and keeps a read-only float64 copy as ``matrix``, which the
-    caller's array cannot change.
+    caller's array cannot change. :func:`make_kernel` instead hands over
+    the array it filled, to which nothing else holds a reference, and the
+    kernel adopts it without a copy (:meth:`_adopt`); both paths run the
+    same checks (:func:`_checked`).
     """
 
     def __init__(self, matrix: np.ndarray):
-        a = np.array(matrix, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        if not np.array_equal(a, a.T):
-            raise ValueError("matrix is not exactly symmetric")
-        a.setflags(write=False)
-        self.matrix = a
+        self.matrix = _checked(np.array(matrix, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, a: np.ndarray) -> KernelMatrix:
+        """A kernel that owns ``a``, a float64 array nothing else writes to."""
+        k = cls.__new__(cls)
+        k.matrix = _checked(a)
+        return k
 
     @property
     def n(self) -> int:
@@ -143,27 +178,38 @@ class KernelMatrix:
 
 
 def make_kernel(kind: str, design: Design) -> KernelMatrix:
-    """The kernel ``kind`` of ``design``, mapped in place from its shared Gram.
+    """The kernel ``kind`` of ``design``, mapped from its shared Gram.
 
-    The Gaussian kernel's diagonal is exactly 1; it reads the design's
-    bandwidth, which the other two kernels ignore.
+    The map fills one fresh n-by-n array a block of rows at a time, with
+    each entry's operations in the order of the formula, so the kernel is
+    bitwise the same whatever the block size; the kernel adopts that
+    array. The Gaussian kernel's diagonal is exactly 1; it reads the
+    design's bandwidth, which the other two kernels ignore.
     """
-    if kind == "linear":
-        k = design.gram / design.p
-    elif kind == "poly2":
-        k = design.gram / design.p
-        k += 1.0
-        np.square(k, out=k)
-    elif kind == "gaussian":
+    if kind not in KERNEL_KINDS:
+        raise ValueError(f"unknown kernel kind {kind!r}; choose one of {KERNEL_KINDS}")
+    gram, p = design.gram, design.p
+    n = gram.shape[0]
+    blocks = _row_blocks(n)
+    k = np.empty((n, n))
+    if kind == "gaussian":
         z = design.data
         sq = np.einsum("ij,ij->i", z, z)
-        k = sq[:, None] + sq[None, :]
-        k -= 2.0 * design.gram
-        np.fill_diagonal(k, 0.0)
-        np.maximum(k, 0.0, out=k)
-        k *= -0.5
-        k /= design.gaussian_bandwidth
-        np.exp(k, out=k)
-    else:
-        raise ValueError(f"unknown kernel kind {kind!r}; choose one of {KERNEL_KINDS}")
-    return KernelMatrix(k)
+        twice_gram = np.empty_like(k[blocks[0]])  # reused by every block
+    for rows in blocks:
+        out = k[rows]
+        if kind == "linear":
+            np.divide(gram[rows], p, out=out)
+        elif kind == "poly2":
+            np.divide(gram[rows], p, out=out)
+            out += 1.0
+            np.square(out, out=out)
+        else:
+            np.add(sq[rows, None], sq, out=out)
+            out -= np.multiply(gram[rows], 2.0, out=twice_gram[: len(out)])
+            np.fill_diagonal(out[:, rows.start :], 0.0)  # entries (i, i) of this block
+            np.maximum(out, 0.0, out=out)
+            out *= -0.5
+            out /= design.gaussian_bandwidth
+            np.exp(out, out=out)
+    return KernelMatrix._adopt(k)

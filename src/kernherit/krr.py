@@ -50,6 +50,12 @@ _H2_DENOM_FLOOR = 1e-300
 # Relative tolerance on the ridge solve residual; see _finalize.
 _SOLVE_RTOL = 1e-10
 
+# Products and norms on the sweep and fit path call BLAS through
+# ndarray.dot rather than the matmul operator: the same BLAS routine
+# without the ufunc dispatch, so the same bits at less overhead per call,
+# which is most of a Lanczos step at n of a few hundred. A norm is
+# math.sqrt(x.dot(x)), numpy's own formula for a real vector.
+
 # A shift's sweep stops once its residual estimate is below
 # _STOP_RTOL * 2 ||y||, and the Krylov space counts as exhausted once the
 # next Lanczos vector has norm below _BREAKDOWN_RTOL * ||K||_F; see _sweep.
@@ -89,10 +95,11 @@ def _finalize(k: KernelMatrix, y: np.ndarray, nlambda: float, alpha: np.ndarray)
     The check costs O(n): g_hat = K alpha is needed anyway.
     """
     n = k.n
-    g_hat = k.matrix @ alpha
-    r_norm = float(np.linalg.norm(g_hat + nlambda * alpha - y))
+    g_hat = k.matrix.dot(alpha)
+    r = g_hat + nlambda * alpha - y
+    r_norm = math.sqrt(r.dot(r))
     bound = _SOLVE_RTOL * (
-        (k.frobenius_norm + nlambda) * float(np.linalg.norm(alpha)) + float(np.linalg.norm(y))
+        (k.frobenius_norm + nlambda) * math.sqrt(alpha.dot(alpha)) + math.sqrt(y.dot(y))
     )
     if not r_norm <= bound:
         raise NumericalError(
@@ -100,10 +107,10 @@ def _finalize(k: KernelMatrix, y: np.ndarray, nlambda: float, alpha: np.ndarray)
             f"(||(K + nlambda I) alpha - y|| = {r_norm:.3e}, bound {bound:.3e})"
         )
     resid = y - g_hat
-    sigma_eps2 = float(resid @ resid) / n
+    sigma_eps2 = float(resid.dot(resid)) / n
     if n > 1:
         gc = g_hat - g_hat.mean()
-        sigma_g2 = float(gc @ gc) / (n - 1)
+        sigma_g2 = float(gc.dot(gc)) / (n - 1)
     else:
         sigma_g2 = 0.0
     denom = sigma_g2 + sigma_eps2
@@ -127,10 +134,10 @@ def _orthogonalize(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
     Two classical Gram-Schmidt passes against orthonormal rows; returns
     the summed coefficients of both passes.
     """
-    h = basis @ w
-    w -= h @ basis
-    h2 = basis @ w
-    w -= h2 @ basis
+    h = basis.dot(w)
+    w -= h.dot(basis)
+    h2 = basis.dot(w)
+    w -= h2.dot(basis)
     return h + h2
 
 
@@ -171,7 +178,7 @@ def _sweep(k: KernelMatrix, y: np.ndarray, grid: Sequence[float]) -> list[np.nda
     but it cannot move alpha either.
     """
     n = k.n
-    y_norm = float(np.linalg.norm(y))
+    y_norm = math.sqrt(y.dot(y))
     if y_norm == 0.0:
         return [np.zeros(n) for _ in grid]
     a = k.matrix
@@ -190,10 +197,10 @@ def _sweep(k: KernelMatrix, y: np.ndarray, grid: Sequence[float]) -> list[np.nda
     stop = [0] * len(mus)  # k_mu once shift i has stopped
     pending = list(range(len(mus)))
     for j in range(n):
-        w = a @ basis[j]
+        w = a.dot(basis[j])
         aj = float(_orthogonalize(basis[: j + 1], w)[j])
         diag.append(aj)
-        beta = math.sqrt(w @ w)
+        beta = math.sqrt(w.dot(w))
         still = []
         for i in pending:
             if j == 0:
@@ -223,10 +230,10 @@ def _sweep(k: KernelMatrix, y: np.ndarray, grid: Sequence[float]) -> list[np.nda
             break
         b_prev = beta
         off.append(beta)
-        basis[j + 1] = w / beta
+        np.divide(w, beta, out=basis[j + 1])
 
     matrixcore.require_psd_tridiagonal(diag, off, max(diag[: min(stop)]))
-    return [_back_substitute(lower[i], v[i]) @ basis[: stop[i]] for i in range(len(mus))]
+    return [_back_substitute(lower[i], v[i]).dot(basis[: stop[i]]) for i in range(len(mus))]
 
 
 def fit(k: KernelMatrix, y, nlambda: float) -> KrrFit:

@@ -183,6 +183,15 @@ class TestEstimate:
         assert lines[0] == "kernel,nlambda,n,sigma_g2,sigma_eps2,h2"
         assert len(lines) == 4
 
+    def test_repeated_nlambda_is_usage_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")  # rejected before any file is read
+        code = run("estimate", "--genotypes", missing, "--phenotypes", missing,
+                   "--nlambda", "0.5", "--nlambda", "0.8", "--nlambda", "0.5")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error: --nlambda must be distinct, got 0.5 more than once" in captured.err
+
     def test_zero_phenotypes_print_undefined(self, tmp_path, capsys):
         geno, pheno = tmp_path / "g.csv", tmp_path / "y.csv"
         geno.write_text("0,1\n1,2\n2,0\n")
@@ -536,6 +545,16 @@ class TestMc:
                    flag, value, "--out", str(out))
         assert code == 1
         assert f"{field} must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_nlambda_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run("mc", "--preset", "desk", "--reps", "1",
+                   "--nlambda", "0.8", "--nlambda", "0.8", "--out", str(out))
+        assert code == 1
+        assert "usage error: lambda_grid must be distinct, got 0.8 more than once" in (
+            capsys.readouterr().err
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(

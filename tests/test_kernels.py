@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kernherit import krr, matrixcore, spectra
+from kernherit import kernels, krr, matrixcore, spectra
 from kernherit.exceptions import NumericalError
 from kernherit.genotypes import GenotypeMatrix, simulate_hwe
 from kernherit.kernels import KERNEL_KINDS, Design, KernelMatrix, design_matrix, make_kernel
@@ -284,6 +286,78 @@ class TestSharedDesign:
         z = g.standardized()
         make_kernel("linear", Design(z))
         assert z.flags.writeable
+
+
+def _block_rows(monkeypatch, n, rows):
+    """Make kernel builds and checks of order n use blocks of ``rows`` rows."""
+    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows * n)
+    assert len(kernels._row_blocks(n)) == -(-n // rows)
+
+
+def _rejection(build, a) -> str:
+    with pytest.raises(ValueError) as exc:
+        build(a)
+    return str(exc.value)
+
+
+class TestBlockedBuild:
+    """``make_kernel`` fills one array in row blocks and the kernel adopts it."""
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("rows", [1, 2, 3, "n+1"])
+    def test_block_size_leaves_kernel_bits_unchanged(self, monkeypatch, n, rows):
+        _block_rows(monkeypatch, n, n + 1 if rows == "n+1" else rows)
+        z = np.random.default_rng(n).normal(size=(n, 9))
+        design = Design(z, 4.5)
+        for kind in KERNEL_KINDS:
+            got = make_kernel(kind, design).matrix
+            assert np.array_equal(got, _out_of_place_kernel(kind, z, 4.5)), kind
+
+    @staticmethod
+    def symmetric(n):
+        return symmetrize(np.random.default_rng(n).normal(size=(n, n)))
+
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_nan_in_last_partial_block_rejected(self, monkeypatch, rows):
+        n = 7  # blocks of 2 or 3 rows end with a block of 1 row
+        _block_rows(monkeypatch, n, rows)
+        a = self.symmetric(n)
+        a[n - 1, 0] = np.nan  # also breaks symmetry, but finiteness is checked first
+        public = _rejection(KernelMatrix, a)
+        assert public == "matrix entries must be finite"
+        assert _rejection(KernelMatrix._adopt, a) == public
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_asymmetric_pair_across_blocks_rejected(self, monkeypatch, rows):
+        n = 7
+        _block_rows(monkeypatch, n, rows)
+        a = self.symmetric(n)
+        a[n - 1, 0] = np.nextafter(a[0, n - 1], np.inf)
+        public = _rejection(KernelMatrix, a)
+        assert public == "matrix is not exactly symmetric"
+        assert _rejection(KernelMatrix._adopt, a) == public
+
+    def test_adopted_array_is_kept_without_a_copy(self):
+        a = self.symmetric(5)
+        k = KernelMatrix._adopt(a)
+        assert k.matrix is a and not a.flags.writeable
+        for kind in KERNEL_KINDS:
+            m = make_kernel(kind, Design(np.eye(5))).matrix
+            assert m.flags.owndata and not m.flags.writeable
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_build_allocates_one_kernel_sized_array(self, kind):
+        n = 400
+        design = Design(np.random.default_rng(0).normal(size=(n, 50)), 25.0)
+        design.gram  # cached before tracing, as every kernel of a design shares it
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            make_kernel(kind, design)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * n * n
 
 
 class TestEigCaching:
