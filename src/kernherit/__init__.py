@@ -9,6 +9,8 @@ Monte Carlo harness (harness) with a thin command-line front end (cli).
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .exceptions import ConditionNotMet, DataError, KernheritError, NumericalError
 from .genotypes import (
     GenotypeMatrix,
@@ -35,17 +37,28 @@ from .phenosim import (
     draw_beta,
     export_population,
 )
-from .spectra import (
-    BoundReport,
-    ConditionReport,
-    TermDecomposition,
-    bound_report,
-    check_conditions,
-    decompose_terms,
-    esd_integrals,
-    prop3_check,
-    prop4_check,
+
+# spectra, which only ``diagnose`` and the spectral API use, is imported
+# on first access to one of its exports (PEP 562).
+_SPECTRA_EXPORTS = (
+    "BoundReport",
+    "ConditionReport",
+    "TermDecomposition",
+    "bound_report",
+    "check_conditions",
+    "decompose_terms",
+    "esd_integrals",
+    "prop3_check",
+    "prop4_check",
 )
+
+
+def __getattr__(name):
+    if name == "spectra" or name in _SPECTRA_EXPORTS:
+        spectra = importlib.import_module(".spectra", __name__)
+        return spectra if name == "spectra" else getattr(spectra, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",
@@ -75,13 +88,5 @@ __all__ = [
     "build_population",
     "draw_beta",
     "export_population",
-    "BoundReport",
-    "ConditionReport",
-    "TermDecomposition",
-    "bound_report",
-    "check_conditions",
-    "decompose_terms",
-    "esd_integrals",
-    "prop3_check",
-    "prop4_check",
+    *_SPECTRA_EXPORTS,
 ]

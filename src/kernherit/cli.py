@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from . import harness, kernels, krr, phenosim, spectra
+from . import harness, kernels, krr, phenosim
 from .exceptions import ConditionNotMet, DataError, KernheritError, NumericalError
 from .genotypes import read_genotype_csv, write_genotype_csv
 from .phenosim import export_population
@@ -223,6 +223,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    from . import spectra  # imported here: no other command needs it
+
     y, design = _load_inputs(args)
     n = y.shape[0]
     kernel = kernels.make_kernel(args.kernel, design)

@@ -21,8 +21,11 @@ reproduces the whole population bitwise, so those cells have exactly
 zero standard deviation. Repetitions with identical row sets are
 computed once and shared, both serially and in parallel; parallel and
 serial runs produce bitwise identical tables. The repetition job is a
-pure function of (config, population, rows) and reaches pool workers by
-argument, so parallel runs work under any multiprocessing start method.
+pure function of (config, population, rows), plus a scratch that holds
+only memory: it builds each Gram and kernel in the scratch's buffers,
+where one is valid until the next of its role is built, and returns only
+floats. The job reaches pool workers by argument, so parallel runs work
+under any multiprocessing start method.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 from . import __version__
 from .exceptions import DataError
 from .genotypes import GenotypeMatrix, MafLaw, simulate_hwe, subsample, subsample_indices
-from .kernels import KERNEL_KINDS, design_matrix, make_kernel
+from .kernels import KERNEL_KINDS, _Scratch, design_matrix, make_kernel
 from .krr import DEFAULT_NLAMBDA_GRID, lambda_grid_fit
 from .phenosim import FAMILIES, Population, SimulationSpec, build_population, check_scales
 
@@ -175,10 +178,15 @@ def build_mc_population(cfg: McConfig, genotype_source: GenotypeMatrix | None = 
     return build_population(simulation_spec(cfg), genotypes)
 
 
-def _rep_estimates(cfg: McConfig, pop: Population, row_idx: np.ndarray) -> np.ndarray:
-    """Heritability estimates for one subsample: shape (kernels, grid), NaN = undefined."""
+def _rep_estimates(
+    cfg: McConfig, pop: Population, scratch: _Scratch, row_idx: np.ndarray
+) -> np.ndarray:
+    """Heritability estimates for one subsample: shape (kernels, grid), NaN = undefined.
+
+    Builds the Gram and kernels in ``scratch``, over those of the last call.
+    """
     z_rows = GenotypeMatrix(pop.genotypes.data[row_idx])
-    design = design_matrix(z_rows, cfg.standardize, cfg.gaussian_bandwidth)
+    design = design_matrix(z_rows, cfg.standardize, cfg.gaussian_bandwidth, scratch)
     y = pop.phenotypes[row_idx]
     out = np.empty((len(cfg.kernels), len(cfg.lambda_grid)))
     for i, kind in enumerate(cfg.kernels):
@@ -212,7 +220,10 @@ def run_mc(
             unique_rows.setdefault(key, idx)
         rep_keys.append(keys)
 
-    job = functools.partial(_rep_estimates, cfg, pop)
+    # Pickled once per pool chunk, so each chunk reuses its own empty copy
+    # of the scratch, and a serial run reuses this one.
+    scratch = _Scratch(max(cfg.sample_sizes))
+    job = functools.partial(_rep_estimates, cfg, pop, scratch)
     workers = min(workers, len(unique_rows))  # a pool forks every worker up front
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

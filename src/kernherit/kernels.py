@@ -12,10 +12,14 @@ A :class:`Design` holds X and its Gaussian bandwidth, which defaults to
 1 and is checked when the design is built. It computes the Gram matrix
 X X^T once and shares it with every kernel built from it;
 :func:`make_kernel`, the one kernel builder, maps that Gram elementwise
-into one fresh n-by-n array, a block of rows at a time, so a build
-allocates no other n-by-n array. :func:`design_matrix` turns genotypes
-into a design and picks its bandwidth, so the CLI and the Monte Carlo
-harness build their kernels alike through it.
+into one n-by-n array, a block of rows at a time, so a build allocates
+no other n-by-n array. :func:`design_matrix` turns genotypes into a
+design and picks its bandwidth, so the CLI and the Monte Carlo harness
+build their kernels alike through it.
+
+A design given a :class:`_Scratch` builds its Gram and kernels in the
+scratch's two reused buffers instead of fresh arrays, which spares a
+Monte Carlo job the page faults of fresh n-by-n arrays per repetition.
 
 :class:`KernelMatrix`, the one kernel type, checks its matrix where it
 enters and keeps it read-only. A kernel from :func:`make_kernel` adopts
@@ -51,8 +55,14 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
+def _require_finite(a: np.ndarray) -> None:
+    """Raise unless every entry of ``a`` is finite, reading one row block at a time."""
+    if not all(np.isfinite(a[rows]).all() for rows in _row_blocks(a.shape[1])):
+        raise ValueError("matrix entries must be finite")
+
+
 def _checked(a: np.ndarray) -> np.ndarray:
-    """``a`` made read-only, once it is square, finite and exactly symmetric.
+    """``a`` made read-only, once it is non-empty, square, finite and exactly symmetric.
 
     Reads ``a`` a block of rows at a time, so the checks allocate nothing
     of order n^2. Every block is checked for finiteness before any for
@@ -60,15 +70,38 @@ def _checked(a: np.ndarray) -> np.ndarray:
     block's entries on and right of the diagonal are compared with their
     mirror images, which covers every pair once.
     """
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
+    _require_finite(a)
     blocks = _row_blocks(a.shape[0])
-    if not all(np.isfinite(a[rows]).all() for rows in blocks):
-        raise ValueError("matrix entries must be finite")
     if not all(np.array_equal(a[rows, rows.start :], a[rows.start :, rows].T) for rows in blocks):
         raise ValueError("matrix is not exactly symmetric")
     a.setflags(write=False)
     return a
+
+
+class _Scratch:
+    """Two reused float64 buffers, ``gram`` and ``kernel``, for one Monte Carlo job.
+
+    Each buffer is allocated on first use at ``n_max``^2 entries and lent
+    out as the C-contiguous n-by-n view of its first n^2 entries, so
+    builds of any order up to ``n_max`` reuse the same pages. A pickled
+    copy carries no buffers, so each pool task that receives one starts
+    empty.
+    """
+
+    def __init__(self, n_max: int):
+        self.n_max = n_max
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def view(self, role: str, n: int) -> np.ndarray:
+        """The n-by-n view of buffer ``role``, sharing memory with every view lent before."""
+        if role not in self._buffers:
+            self._buffers[role] = np.empty(self.n_max * self.n_max)
+        return self._buffers[role][: n * n].reshape(n, n)
+
+    def __getstate__(self) -> dict:
+        return {"n_max": self.n_max, "_buffers": {}}
 
 
 class Design:
@@ -80,9 +113,14 @@ class Design:
     strided view), so a contiguous array must not change afterwards.
     ``gaussian_bandwidth`` rescales squared distances in the Gaussian
     kernel; the default of 1 leaves them unscaled.
+
+    Without a ``scratch`` the Gram and every kernel built from the design
+    get fresh arrays of their own. With one, they are built in its
+    buffers, and each is valid only until the next Gram, or the next
+    kernel, is built in the same scratch.
     """
 
-    def __init__(self, data, gaussian_bandwidth: float = 1.0):
+    def __init__(self, data, gaussian_bandwidth: float = 1.0, scratch: _Scratch | None = None):
         if not 0 < gaussian_bandwidth < math.inf:
             raise ValueError(f"bandwidth must be positive and finite, got {gaussian_bandwidth}")
         self.gaussian_bandwidth = float(gaussian_bandwidth)
@@ -97,6 +135,12 @@ class Design:
         z = np.ascontiguousarray(z).view()
         z.setflags(write=False)
         self.data = z
+        self._scratch = scratch
+
+    def _buffer(self, role: str) -> np.ndarray:
+        """An n-by-n array to build the Gram or a kernel in: fresh, or the scratch's."""
+        n = self.data.shape[0]
+        return np.empty((n, n)) if self._scratch is None else self._scratch.view(role, n)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -109,37 +153,41 @@ class Design:
     @functools.cached_property
     def gram(self) -> np.ndarray:
         """Z Z^T, exactly symmetric, finite and read-only."""
-        g = self.data @ self.data.T
-        if not np.all(np.isfinite(g)):  # the Gaussian map can hide an overflow
-            raise ValueError("matrix entries must be finite")
+        z = self.data
+        g = np.matmul(z, z.T, out=self._buffer("gram"))  # the SYRK path of z @ z.T
+        _require_finite(g)  # the Gaussian map can hide an overflow
         g.setflags(write=False)
         return g
 
 
 def design_matrix(
-    g: GenotypeMatrix, standardize: bool, gaussian_bandwidth: float | None = None
+    g: GenotypeMatrix,
+    standardize: bool,
+    gaussian_bandwidth: float | None = None,
+    scratch: _Scratch | None = None,
 ) -> Design:
     """The kernel input for genotypes ``g``, with its Gaussian bandwidth.
 
     The input is column-standardized genotypes, or raw allele counts. A
     bandwidth of ``None`` picks the default: p/2 on standardized input
     (the scale at which pairwise squared distances between standardized
-    rows concentrate) and 1 on raw allele counts.
+    rows concentrate) and 1 on raw allele counts. ``scratch`` is passed
+    to the :class:`Design`.
     """
     if gaussian_bandwidth is None:
         gaussian_bandwidth = g.p / 2.0 if standardize else 1.0
-    return Design(g.standardized() if standardize else g.as_float(), gaussian_bandwidth)
+    return Design(g.standardized() if standardize else g.as_float(), gaussian_bandwidth, scratch)
 
 
 class KernelMatrix:
     """A symmetric PSD kernel with a cached eigendecomposition.
 
-    Rejects a non-square, non-finite or not exactly (bitwise) symmetric
-    matrix and keeps a read-only float64 copy as ``matrix``, which the
-    caller's array cannot change. :func:`make_kernel` instead hands over
-    the array it filled, to which nothing else holds a reference, and the
-    kernel adopts it without a copy (:meth:`_adopt`); both paths run the
-    same checks (:func:`_checked`).
+    Rejects an empty, non-square, non-finite or not exactly (bitwise)
+    symmetric matrix and keeps a read-only float64 copy as ``matrix``,
+    which the caller's array cannot change. :func:`make_kernel` instead
+    hands over the array it filled, to which nothing else writes while
+    the kernel is in use, and the kernel adopts it without a copy
+    (:meth:`_adopt`); both paths run the same checks (:func:`_checked`).
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -147,7 +195,11 @@ class KernelMatrix:
 
     @classmethod
     def _adopt(cls, a: np.ndarray) -> KernelMatrix:
-        """A kernel that owns ``a``, a float64 array nothing else writes to."""
+        """A kernel that keeps ``a``, a float64 array nothing else writes to.
+
+        A kernel adopted from a :class:`_Scratch` buffer is valid only
+        until the next kernel is built in that scratch.
+        """
         k = cls.__new__(cls)
         k.matrix = _checked(a)
         return k
@@ -180,18 +232,21 @@ class KernelMatrix:
 def make_kernel(kind: str, design: Design) -> KernelMatrix:
     """The kernel ``kind`` of ``design``, mapped from its shared Gram.
 
-    The map fills one fresh n-by-n array a block of rows at a time, with
-    each entry's operations in the order of the formula, so the kernel is
+    The map fills one n-by-n array a block of rows at a time, with each
+    entry's operations in the order of the formula, so the kernel is
     bitwise the same whatever the block size; the kernel adopts that
-    array. The Gaussian kernel's diagonal is exactly 1; it reads the
-    design's bandwidth, which the other two kernels ignore.
+    array. The array is fresh, unless the design has a scratch: then it
+    is the scratch's kernel buffer, and the kernel is valid only until
+    the next kernel is built there. The Gaussian kernel's diagonal is
+    exactly 1; it reads the design's bandwidth, which the other two
+    kernels ignore.
     """
     if kind not in KERNEL_KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}; choose one of {KERNEL_KINDS}")
     gram, p = design.gram, design.p
     n = gram.shape[0]
     blocks = _row_blocks(n)
-    k = np.empty((n, n))
+    k = design._buffer("kernel")
     if kind == "gaussian":
         z = design.data
         sq = np.einsum("ij,ij->i", z, z)

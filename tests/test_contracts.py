@@ -9,7 +9,7 @@ independent oracle's check on the smallest workload and on the one that
 fits every kernel at n = 1092 and runs the diagnostics; its traced run
 must report every declared layer, the genotype read among them. The CLI
 must also start without scipy, which the package no longer depends on at
-run time.
+run time, and without ``spectra``, which only ``diagnose`` uses.
 Every walkthrough in ``demos/`` must still run against the package, and
 every name the package exports must resolve.
 """
@@ -74,6 +74,65 @@ def test_diagnose_calls_each_spectra_layer_once_through_the_module(monkeypatch, 
     assert sorted(calls) == sorted(names)
 
 
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "stand_in_pool"])
+def test_mc_calls_each_traced_layer_once_per_row_set(monkeypatch, workers):
+    """``harness.unique_rows`` counts ``harness._rep_estimates`` spans, and
+    ``kernels.build_calls`` counts ``harness.make_kernel(kind, design)``
+    spans: one per unique row set, and one per row set and kernel, each
+    followed by one ``harness.lambda_grid_fit`` of that kernel."""
+    from kernherit import harness
+
+    log = []
+
+    def counted(name):
+        original = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            log.append((name, args, kwargs))
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    class InProcessPool:
+        """A stand-in pool that maps in process, so the wrappers see every call."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    for name in ("_rep_estimates", "make_kernel", "lambda_grid_fit"):
+        monkeypatch.setattr(harness, name, counted(name))
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    cfg = harness.McConfig(
+        kernels=("linear", "gaussian"), lambda_grid=(1.0, 2.0), sample_sizes=(20, 30),
+        repetitions=3, population_size=30, snp_count=8, sigma_g=0.1,
+    )
+    harness.run_mc(cfg, workers=workers)
+    seeds = harness.derive_sampling_seeds(cfg.sampling_seed, 2, 3)
+    rows = {
+        harness.subsample_indices(30, n, seed=int(seed)).tobytes()
+        for n, row in zip(cfg.sample_sizes, seeds)
+        for seed in row
+    }
+    assert len(rows) == 4  # three at n = 20, and the whole population once
+    per_row_set = ["_rep_estimates"] + ["make_kernel", "lambda_grid_fit"] * len(cfg.kernels)
+    assert [name for name, _, _ in log] == per_row_set * len(rows)
+    reps = [args for name, args, _ in log if name == "_rep_estimates"]
+    assert sorted(args[-1].tobytes() for args in reps) == sorted(rows)
+    builds = [(args, kwargs) for name, args, kwargs in log if name == "make_kernel"]
+    assert all(len(args) == 2 and not kwargs for args, kwargs in builds)
+    assert all(isinstance(args[1], kernels.Design) for args, _ in builds)
+    assert [args[0] for args, _ in builds] == list(cfg.kernels) * len(rows)
+
+
 @pytest.mark.parametrize("standardize", [True, False])
 def test_design_has_the_shape_the_bench_reads(standardize):
     """``spans._design`` sizes a kernel span by ``np.shape`` of its input."""
@@ -115,6 +174,19 @@ def test_cli_import_does_not_load_scipy():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_spectra():
+    """Only ``diagnose`` needs ``spectra``; it is imported when first used."""
+    code = (
+        "import sys, kernherit.cli; print('kernherit.spectra' in sys.modules)\n"
+        "print(kernherit.check_conditions.__module__, 'kernherit.spectra' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.split("\n")[:2] == ["False", "kernherit.spectra True"]
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (REPO / "demos").glob("*.py")))

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kernherit
-from kernherit import harness
+from kernherit import harness, kernels
 from kernherit.exceptions import DataError
 from kernherit.genotypes import GenotypeMatrix, simulate_hwe, subsample_indices
 from kernherit.harness import (
@@ -277,6 +278,88 @@ class TestRunMc:
     def test_sample_size_exceeding_population_rejected(self):
         with pytest.raises(ValueError, match="sample size"):
             tiny_config(sample_sizes=(100,))
+
+
+class TestScratchReuse:
+    """A run builds every Gram and kernel in one reused scratch per job."""
+
+    def test_non_monotone_sizes_match_fresh_builds(self, monkeypatch, tmp_path):
+        cfg = tiny_config(sample_sizes=(40, 20, 60), repetitions=4)
+        reused = {}
+        for workers in (1, 2):
+            reused[workers] = tmp_path / f"reused{workers}.csv"
+            write_table_csv(run_mc(cfg, workers=workers), reused[workers])
+
+        def fresh_design(g, standardize, gaussian_bandwidth, scratch):
+            assert isinstance(scratch, kernels._Scratch)
+            return design_matrix(g, standardize, gaussian_bandwidth)
+
+        monkeypatch.setattr(harness, "design_matrix", fresh_design)
+        fresh = tmp_path / "fresh.csv"
+        write_table_csv(run_mc(cfg), fresh)
+        assert reused[1].read_bytes() == fresh.read_bytes()
+        assert reused[2].read_bytes() == fresh.read_bytes()
+
+    def test_serial_kernels_share_one_scratch_buffer(self, monkeypatch):
+        made, fitted = [], []
+
+        class RecordedScratch(kernels._Scratch):
+            def __init__(self, n_max):
+                super().__init__(n_max)
+                made.append(self)
+
+        def recording_fit(kernel, y, grid):
+            fitted.append(kernel.matrix)
+            return lambda_grid_fit(kernel, y, grid)
+
+        monkeypatch.setattr(harness, "_Scratch", RecordedScratch)
+        monkeypatch.setattr(harness, "lambda_grid_fit", recording_fit)
+        cfg = tiny_config(sample_sizes=(40, 20, 60))
+        run_mc(cfg)
+        assert len(made) == 1 and made[0].n_max == 60
+        assert len(fitted) > 3 * len(KERNEL_KINDS)
+        assert all(np.shares_memory(k, made[0]._buffers["kernel"]) for k in fitted)
+
+    def test_repetition_after_the_first_allocates_no_n2_array(self, monkeypatch):
+        """Measured by tracemalloc over one repetition with a used scratch.
+
+        The builds (subsample, design, Gram, three kernels) are measured
+        apart from the ridge sweeps, whose Krylov basis is the one n-by-n
+        array a repetition allocates (``krr._sweep``).
+        """
+        n = 400
+        cfg = tiny_config(population_size=n + 20, sample_sizes=(n,), snp_count=12)
+        pop = build_mc_population(cfg)
+        scratch = kernels._Scratch(n)
+        rows = [subsample_indices(n + 20, n, seed=seed) for seed in (1, 2)]
+        harness._rep_estimates(cfg, pop, scratch, rows[0])
+        build_peaks = []
+
+        def sweep_measured_apart(kernel, y, grid):
+            build_peaks.append(tracemalloc.get_traced_memory()[1])
+            try:
+                return lambda_grid_fit(kernel, y, grid)
+            finally:
+                tracemalloc.reset_peak()
+
+        monkeypatch.setattr(harness, "lambda_grid_fit", sweep_measured_apart)
+        tracemalloc.start()
+        try:
+            harness._rep_estimates(cfg, pop, scratch, rows[1])
+            build_peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(build_peaks) == len(cfg.kernels) + 1
+        assert max(build_peaks) < 0.5 * 8 * n * n, build_peaks
+
+        monkeypatch.undo()
+        tracemalloc.start()
+        try:
+            harness._rep_estimates(cfg, pop, scratch, rows[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n, peak  # the sweep's basis, and less than half another
 
 
 class TestTableCsv:

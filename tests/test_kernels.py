@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -41,6 +42,14 @@ class TestKernelMatrix:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             KernelMatrix(np.zeros((2, 3)))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match=r"non-empty square matrix, got shape \(0, 0\)"):
+            KernelMatrix(np.zeros((0, 0)))
+
+    def test_adopt_rejects_empty(self):
+        with pytest.raises(ValueError, match=r"non-empty square matrix, got shape \(0, 0\)"):
+            KernelMatrix._adopt(np.zeros((0, 0)))
 
     def test_symmetrize_produces_exact_symmetry(self):
         a = np.random.default_rng(0).normal(size=(5, 5))
@@ -358,6 +367,56 @@ class TestBlockedBuild:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * 8 * n * n
+
+
+class TestScratch:
+    """A design given a scratch builds its Gram and kernels in the scratch's buffers."""
+
+    @pytest.mark.parametrize(
+        "shape, strided",
+        [((1, 5), False), ((6, 1), False), ((30, 7), False), ((7, 30), False), ((20, 9), True)],
+        ids=["n=1", "p=1", "n>p", "n<p", "strided"],
+    )
+    def test_gram_is_bitwise_z_zt(self, shape, strided):
+        scratch = kernels._Scratch(40)
+        Design(np.ones((40, 3)), scratch=scratch).gram  # leaves stale entries behind
+        base = np.random.default_rng(shape[0]).normal(size=(shape[0], 2 * shape[1]))
+        view = base[:, ::2] if strided else base[:, : shape[1]]
+        design = Design(view, scratch=scratch)
+        z = np.ascontiguousarray(view)
+        gram = design.gram
+        assert np.shares_memory(gram, scratch._buffers["gram"])
+        assert gram.flags.c_contiguous and not gram.flags.writeable
+        assert np.array_equal(gram, z @ z.T) and np.array_equal(gram, gram.T)
+        for kind in KERNEL_KINDS:
+            k = make_kernel(kind, design).matrix
+            assert np.shares_memory(k, scratch._buffers["kernel"])
+            assert np.array_equal(k, make_kernel(kind, Design(z)).matrix), kind
+
+    def test_pickled_scratch_has_no_buffers(self):
+        scratch = kernels._Scratch(100)
+        make_kernel("gaussian", Design(np.ones((100, 4)), scratch=scratch))
+        assert sorted(scratch._buffers) == ["gram", "kernel"]
+        data = pickle.dumps(scratch)
+        copy = pickle.loads(data)
+        assert copy.n_max == 100 and copy._buffers == {}
+        assert len(data) < 1000
+        assert sorted(scratch._buffers) == ["gram", "kernel"]  # the original keeps its own
+
+    def test_gram_check_allocates_no_order_n2_array(self):
+        """The Gram's finiteness check reads a block of rows at a time."""
+        n = 400
+        scratch = kernels._Scratch(n)
+        data = np.random.default_rng(0).normal(size=(n, 50))
+        Design(data, scratch=scratch).gram  # allocates the scratch's Gram buffer
+        design = Design(data, scratch=scratch)
+        tracemalloc.start()
+        try:
+            design.gram
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n / 4  # an n-by-n bool array is n^2 bytes
 
 
 class TestEigCaching:
