@@ -186,9 +186,19 @@ def cmd_simulate(args) -> int:
 
 
 def _load_inputs(args):
-    """Phenotypes and design matrix for estimate and diagnose."""
+    """Phenotypes and design matrix for estimate and diagnose.
+
+    A non-zero phenotype without variance is a DataError, as every kernel
+    that spans the ones vector would give it a non-zero h2. All zeros
+    pass: their fit is zero and their h2 is reported undefined.
+    """
     genotypes = read_genotype_csv(args.genotypes)
     y = _read_numeric(args.phenotypes, column=True, rows=(args.genotypes, genotypes.n))
+    if y[0] != 0.0 and np.all(y == y[0]):
+        raise DataError(
+            f"{args.phenotypes}: all {y.shape[0]} phenotype values equal {float(y[0])!r}, "
+            "so the trait has no variance"
+        )
     return y, kernels.design_matrix(genotypes, args.standardize, args.gaussian_bandwidth)
 
 

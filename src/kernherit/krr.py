@@ -21,11 +21,12 @@ K Q_k = Q_k T_k + beta_k q_k e_k^T, and for each nlambda = mu
 
 whose residual has norm beta_k |last entry of (T_k + mu I)^-1 ||Y|| e_1|.
 Both come from the LDL^T recurrence of T_k + mu I, carried one row per
-step, and the PSD check of T_k is the inertia of the same recurrence, so
-a fit calls no eigendecomposition at all. One basis serves the whole
-grid, at k matrix-vector products with K plus O(n k^2) of
-reorthogonalization. Each fit is checked by its own solve residual (see
-:func:`_finalize`) rather than by re-multiplying a factorization.
+step, and the PSD check is the inertia of the same recurrence for
+T_k + sigma I, with sigma at the kernel's own scale, so a fit calls no
+eigendecomposition at all. One basis serves the whole grid, at k
+matrix-vector products with K plus O(n k^2) of reorthogonalization.
+Each fit is checked by its own solve residual (see :func:`_finalize`)
+rather than by re-multiplying a factorization.
 """
 
 from __future__ import annotations
@@ -168,10 +169,15 @@ def _sweep(k: KernelMatrix, y: np.ndarray, grid: Sequence[float]) -> list[np.nda
     pending stops when beta_j <= 1e-15 ||K||_F or j + 1 = n (the Krylov
     space is exhausted) and leaves the verdict to :func:`_finalize`.
 
-    Once every shift has stopped, T_{k_max} must pass
-    ``matrixcore.require_psd_tridiagonal`` with the reference
-    max(diag T_{k_min}); see there for why that is at least as strict as
-    checking the Ritz values of every T_{k_mu}. Then c solves L^T c = v
+    Each step first extends the pivots p_j of the same recurrence for
+    T_{j+1} + sigma I, sigma = PSD_RTOL max(max_i K_ii, 0), and raises
+    NumericalError at the first p_j that is not >= 0 (a zero pivot
+    followed by a non-zero coupling counts as -inf). By Sylvester's law
+    of inertia that is as soon as some T_k has an eigenvalue below
+    -sigma; as K_ii <= lambda_1(K), that covers every Ritz value below
+    the tolerance ``matrixcore.require_psd`` applies to K. And sigma > 0
+    for every non-zero PSD K, also when y lies in null(K) and T_1 is
+    rounding. Once every shift has stopped, c solves L^T c = v
     (:func:`_back_substitute`) and alpha_mu = c Q_{k_mu}. No step
     depends on another shift, so a single fit and a grid sweep agree
     bitwise. A direction of K that y does not excite is invisible here,
@@ -184,10 +190,9 @@ def _sweep(k: KernelMatrix, y: np.ndarray, grid: Sequence[float]) -> list[np.nda
     a = k.matrix
     target = _STOP_RTOL * 2.0 * y_norm
     floor = _BREAKDOWN_RTOL * k.frobenius_norm
+    sigma = matrixcore.PSD_RTOL * max(float(a.diagonal().max()), 0.0)
     basis = np.empty((n, n))  # rows are touched (and paid for) only once used
     basis[0] = y / y_norm
-    diag: list[float] = []
-    off: list[float] = []
     # Per shift i: mu, pivot d_j, z_j = d_j v_j, and the rows of L and v so far.
     mus = [float(mu) for mu in grid]
     d = [0.0] * len(mus)
@@ -199,7 +204,17 @@ def _sweep(k: KernelMatrix, y: np.ndarray, grid: Sequence[float]) -> list[np.nda
     for j in range(n):
         w = a.dot(basis[j])
         aj = float(_orthogonalize(basis[: j + 1], w)[j])
-        diag.append(aj)
+        if j == 0:
+            p = aj + sigma
+        elif p:
+            p = aj + sigma - b_prev * b_prev / p
+        else:
+            p = -math.inf
+        if not p >= 0.0:
+            raise NumericalError(
+                f"kernel is not positive semidefinite: pivot {j} of T_{j + 1} + sigma I "
+                f"is {p:.3e} with sigma {sigma:.3e}, so K has an eigenvalue below -sigma"
+            )
         beta = math.sqrt(w.dot(w))
         still = []
         for i in pending:
@@ -229,10 +244,8 @@ def _sweep(k: KernelMatrix, y: np.ndarray, grid: Sequence[float]) -> list[np.nda
         if not pending:
             break
         b_prev = beta
-        off.append(beta)
         np.divide(w, beta, out=basis[j + 1])
 
-    matrixcore.require_psd_tridiagonal(diag, off, max(diag[: min(stop)]))
     return [_back_substitute(lower[i], v[i]).dot(basis[: stop[i]]) for i in range(len(mus))]
 
 

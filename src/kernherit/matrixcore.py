@@ -1,8 +1,7 @@
 """Dense symmetric linear algebra primitives.
 
 Spectral diagnostics are built on a symmetric eigendecomposition and a
-definiteness check of its spectrum; ridge solves need only a
-definiteness check of a tridiagonal. All functions are pure and take
+definiteness check of its spectrum. All functions are pure and take
 plain arrays; the checks that make an array a kernel (square, finite,
 exactly symmetric) live with the one kernel type,
 ``kernels.KernelMatrix``. Factorizations are returned read-only, so a
@@ -13,14 +12,15 @@ Checks: :func:`eigh` rejects a non-converged or non-finite result, and
 reconstruction and orthonormality check, :func:`verify_eigh`, is left to
 the callers that use the eigenvectors as a basis (spectral diagnostics
 and :func:`solve_spd_shifted`); a ridge fit checks its own solve
-residual instead (see ``krr``). The ridge sweep's projected tridiagonal
-is checked without an eigendecomposition, by the inertia of its LDL^T
-pivots (:func:`require_psd_tridiagonal`).
+residual instead (see ``krr``). The ridge sweep checks definiteness
+without an eigendecomposition, by the inertia of its projected
+tridiagonal shifted by PSD_RTOL times the kernel's largest diagonal
+entry (see ``krr._sweep``), which is at least as strict as
+:func:`require_psd` on the kernel for the Ritz values it computes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,38 +130,6 @@ def require_psd(dec: EigenDecomposition) -> None:
             f"order {w.size} matrix is not positive semidefinite: "
             f"min eigenvalue {lmin:.3e} vs PSD tolerance {tol:.3e}"
         )
-
-
-def require_psd_tridiagonal(diag, off, ref: float) -> None:
-    """Raise NumericalError unless T + sigma I has no negative pivot.
-
-    T is the symmetric tridiagonal with diagonal ``diag`` and off-diagonal
-    ``off``, and sigma = PSD_RTOL * max(ref, 0). By Sylvester's law of
-    inertia, the first k pivots of the LDL^T recurrence of T + sigma I
-    include as many negative ones as the leading block T_k + sigma I has
-    negative eigenvalues. So this raises whenever :func:`require_psd`
-    would reject a leading block T_k whose largest eigenvalue is at least
-    ``ref``; the largest diagonal entry of any T_j with j <= k is such a
-    ``ref``. A zero pivot followed by a non-zero coupling makes the next
-    leading block indefinite, and a NaN pivot is rejected too.
-    O(len(diag)) in Python floats.
-    """
-    sigma = PSD_RTOL * max(float(ref), 0.0)
-    pivot = 1.0
-    for j, a in enumerate(diag):
-        b2 = float(off[j - 1]) ** 2 if j else 0.0
-        if not b2:
-            pivot = float(a) + sigma
-        elif pivot:
-            pivot = float(a) + sigma - b2 / pivot
-        else:
-            pivot = -math.inf
-        if not pivot >= 0.0:
-            raise NumericalError(
-                f"order {len(diag)} tridiagonal is not positive semidefinite: "
-                f"pivot {j} of T + sigma I is {pivot:.3e} with sigma {sigma:.3e}, "
-                f"so T has an eigenvalue below -sigma"
-            )
 
 
 def solve_spd_shifted(a: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:

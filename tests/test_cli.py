@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from kernherit import harness, spectra
+from kernherit import harness, kernels, spectra
 from kernherit.cli import build_parser, main
 from kernherit.genotypes import read_genotype_csv, simulate_hwe, write_genotype_csv
 from kernherit.exceptions import DataError
@@ -359,6 +359,32 @@ class TestNonFiniteInput:
                    "--covariates", str(cov), "--kernel", "linear", "--nlambda", "1.0")
         assert code == 2
         assert f"{cov}: non-finite value nan at row 7, column 2" in capsys.readouterr().err
+
+
+class TestConstantPhenotypes:
+    """A non-zero phenotype file whose values are all equal is a data error
+    naming the file, raised before any kernel is built."""
+
+    @pytest.mark.parametrize("command", ["estimate", "diagnose"])
+    def test_is_data_error(self, tmp_path, capsys, monkeypatch, command):
+        # A monomorphic SNP, as in a 30 x 8 file where the constant trait once
+        # started the ridge sweep in null(K) and failed as a non-PSD kernel.
+        rng = np.random.default_rng(9)
+        x = rng.integers(0, 3, size=(30, 8))
+        x[:, 3] = 1
+        geno, pheno = tmp_path / "g.csv", tmp_path / "y.csv"
+        geno.write_text("".join(",".join(map(str, row)) + "\n" for row in x))
+        pheno.write_text("2.0\n" * 30)
+        built = []
+        monkeypatch.setattr(kernels, "make_kernel", lambda *args: built.append(args))
+        kernel = "all" if command == "estimate" else "poly2"
+        code = run(command, "--genotypes", str(geno), "--phenotypes", str(pheno),
+                   "--kernel", kernel, "--nlambda", "1")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: {pheno}: all 30 phenotype values equal 2.0, so the trait has no variance\n"
+        )
+        assert built == []
 
 
 class TestEmptyInput:

@@ -1,3 +1,4 @@
+import math
 import pickle
 import tracemalloc
 
@@ -495,8 +496,9 @@ class TestCorruptedFactorization:
             return h
 
         monkeypatch.setattr(krr, "_orthogonalize", perturbed)
-        # The residual check alone must catch it; the PSD check may fire first.
-        monkeypatch.setattr(matrixcore, "require_psd_tridiagonal", lambda diag, off, ref: None)
+        # The residual check alone must catch it; the PSD check, off at an
+        # infinite tolerance, may fire first.
+        monkeypatch.setattr(matrixcore, "PSD_RTOL", math.inf)
         for k, y in self.instances():
             with pytest.raises(NumericalError, match="residual check"):
                 krr.lambda_grid_fit(k, y, krr.DEFAULT_NLAMBDA_GRID)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -260,6 +260,26 @@ def test_singular_shifted_projection_raises():
         fit(kernel, np.array([1.0]), 1.0)
 
 
+def test_zero_pivot_of_a_shift_at_or_below_sigma_raises():
+    # T_1 = -1e-9 passes the PSD check, as sigma = 1e-8 max K_ii = 1e-8, but
+    # T_1 + nlambda I = 0 at nlambda = 1e-9.
+    kernel = KernelMatrix(np.diag([-1e-9, 1.0]))
+    with pytest.raises(NumericalError, match="singular at nlambda=1e-09"):
+        fit(kernel, np.array([1.0, 0.0]), 1e-9)
+
+
+def test_phenotype_in_the_null_space_of_a_centered_design_is_fit():
+    # Centered columns map the ones vector to zero under the linear kernel, so the
+    # sweep starts in null(K) and T_1 = 1^T K 1 / n is rounding of either sign.
+    for seed in range(5):
+        x = np.random.default_rng(seed).normal(size=(30, 8))
+        x -= x.mean(axis=0)
+        x[:, 3] = 0.0  # a monomorphic SNP, standardized
+        for res in lambda_grid_fit(make_kernel("linear", Design(x)), np.full(30, 2.0),
+                                   DEFAULT_NLAMBDA_GRID):
+            assert np.isfinite([res.sigma_g2_hat, res.sigma_eps2_hat, res.h2_hat]).all()
+
+
 def _relative_residual(k: np.ndarray, y: np.ndarray, nlambda: float, alpha: np.ndarray) -> float:
     residual = np.linalg.norm(k @ alpha + nlambda * alpha - y)
     scale = (np.linalg.norm(k) + nlambda) * np.linalg.norm(alpha) + np.linalg.norm(y)
@@ -312,14 +332,20 @@ def design_instances(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(design_instances())
+# y nearly in the range of K: sum((y - K alpha)^2) would lose its digits to cancellation.
+@example((make_kernel("linear", Design(np.full((6, 1), 10.0))), np.full(6, 3.0), 2.0**-8))
 def test_sweep_matches_spectral_solve_property(instance):
     kernel, y, nlambda = instance
     res = fit(kernel, y, nlambda)
     k = kernel.matrix
     eig = kernel.eig
-    alpha = eig.eigenvectors @ ((eig.eigenvectors.T @ y) / (eig.eigenvalues + nlambda))
+    coef = eig.eigenvectors.T @ y
+    alpha = eig.eigenvectors @ (coef / (eig.eigenvalues + nlambda))
     g = k @ alpha
-    sigma_g2, sigma_eps2 = float(np.var(g, ddof=1)), float(np.sum((y - g) ** 2)) / len(y)
+    # y - K alpha = sum_i nlambda / (l_i + nlambda) (v_i . y) v_i, summed without cancellation.
+    shrink = nlambda / (eig.eigenvalues + nlambda)
+    sigma_g2 = float(np.var(g, ddof=1))
+    sigma_eps2 = float(np.sum((shrink * coef) ** 2)) / len(y)
     assert _relative_residual(k, y, nlambda, res.alpha_hat) <= 1e-12
     assert np.max(np.abs(res.alpha_hat - alpha)) <= 1e-8 * max(1.0, np.max(np.abs(alpha)))
     total = sigma_g2 + sigma_eps2
@@ -466,11 +492,12 @@ def barely_excited_instances(draw):
 
     T_1 = y^T K y / ||y||^2 is then about eps^2 times the kernel's scale,
     so a PSD tolerance taken from T_1 alone would reject the rounding-level
-    negative Ritz values of a PSD kernel.
+    negative Ritz values of a PSD kernel. With eps = 0, y lies in null(K),
+    T_1 is rounding of either sign and the sweep breaks down at step 1.
     """
     n = draw(st.integers(40, 200))
     p = draw(st.integers(2, 39))
-    eps = 10.0 ** draw(st.floats(-8.0, -2.0))
+    eps = draw(st.just(0.0) | st.floats(-8.0, -2.0).map(lambda e: 10.0**e))
     seed = draw(st.integers(0, 2**32 - 1))
     z = simulate_hwe(n, p, seed=seed).standardized()
     rng = np.random.default_rng(seed)

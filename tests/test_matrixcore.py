@@ -1,11 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kernherit import matrixcore
+from kernherit import krr, matrixcore
 from kernherit.exceptions import NumericalError
+from kernherit.kernels import KernelMatrix
 from kernherit.matrixcore import eigh, solve_spd_shifted
 
 from helpers import (
@@ -139,52 +142,81 @@ def test_psd_tolerance_constant_exported():
     assert matrixcore.PSD_RTOL == 1e-8
 
 
+def sweep_tridiagonal(diag, off, grid=(0.5,)):
+    """The ridge sweep on K = T, the symmetric tridiagonal with ``diag`` and
+    ``off``, started at y = e_1.
+
+    Lanczos then rebuilds T exactly, up to its first zero coupling, so the
+    sweep's PSD check (``krr._sweep``) sees the pivots of T + sigma I with
+    sigma = PSD_RTOL max(max diag, 0).
+    """
+    y = np.zeros(len(diag))
+    y[0] = 1.0
+    return krr._sweep(KernelMatrix(_tridiagonal(diag, off)), y, grid)
+
+
 class TestRequirePsdTridiagonal:
+    """The ridge sweep's PSD check of its tridiagonal, against PSD_RTOL."""
+
     def test_accepts_psd_and_semidefinite(self):
-        matrixcore.require_psd_tridiagonal([2.0, 2.0, 2.0], [1.0, 1.0], 2.0)
-        matrixcore.require_psd_tridiagonal([1.0, 1.0], [1.0], 1.0)  # eigenvalues 0 and 2
-        matrixcore.require_psd_tridiagonal([0.0, 1.0], [0.0], 1.0)  # decoupled zero block
+        sweep_tridiagonal([2.0, 2.0, 2.0], [1.0, 1.0])
+        sweep_tridiagonal([1.0, 1.0], [1.0])  # eigenvalues 0 and 2
+        sweep_tridiagonal([0.0, 1.0], [0.0])  # decoupled zero block
 
     def test_rejects_a_negative_pivot(self):
+        # [[1, 0.5], [0.5, -0.5]] has determinant -0.75.
         with pytest.raises(NumericalError, match="not positive semidefinite.*eigenvalue"):
-            matrixcore.require_psd_tridiagonal([1.0, -0.5], [0.0], 1.0)
+            sweep_tridiagonal([1.0, -0.5], [0.5])
 
     def test_zero_pivot_with_coupling_is_indefinite(self):
-        # [[0, 1], [1, 0]] has eigenvalues -1 and 1.
+        # [[0, 1], [1, 0]] has eigenvalues -1 and 1, and sigma is 0.
         with pytest.raises(NumericalError, match="not positive semidefinite"):
-            matrixcore.require_psd_tridiagonal([0.0, 0.0], [1.0], 0.0)
+            sweep_tridiagonal([0.0, 0.0], [1.0])
 
-    def test_nan_is_rejected(self):
+    def test_nan_is_rejected(self, monkeypatch):
+        real = krr._orthogonalize
+
+        def poisoned(basis, w):
+            h = real(basis, w)
+            if len(basis) == 2:
+                h[1] = np.nan  # the diagonal entry of the second Lanczos step
+            return h
+
+        monkeypatch.setattr(krr, "_orthogonalize", poisoned)
         with pytest.raises(NumericalError, match="not positive semidefinite"):
-            matrixcore.require_psd_tridiagonal([1.0, np.nan], [0.5], 1.0)
+            sweep_tridiagonal([1.0, 1.0], [0.5])
 
     def test_tolerance_scales_with_nonnegative_reference(self):
-        # -1e-9 is within PSD_RTOL * 1 of zero, but not of zero itself.
-        matrixcore.require_psd_tridiagonal([1.0, -1e-9], [0.0], 1.0)
-        for ref in (0.0, -5.0):
+        # -1e-9 is within PSD_RTOL * max K_ii = 1e-8 of zero, but not of zero itself.
+        sweep_tridiagonal([-1e-9, 1.0], [0.0])
+        for top in (0.0, -5.0):
             with pytest.raises(NumericalError, match="eigenvalue"):
-                matrixcore.require_psd_tridiagonal([1.0, -1e-9], [0.0], ref)
+                sweep_tridiagonal([-1e-9, top], [0.0])
 
 
 @st.composite
 def boundary_tridiagonals(draw):
-    """A tridiagonal T of order k_max shifted so that a leading block T_k*
-    has min eigenvalue -c PSD_RTOL max eigenvalue, and the range k_min..k_max.
+    """A tridiagonal T of order k shifted so that a leading block T_k*
+    has min eigenvalue -c PSD_RTOL lambda_1(T), and a grid of 1 to 3 shifts.
 
-    c < 0 gives PSD blocks, c > 1 indefinite ones just past the tolerance.
-    |c - 1| >= 1e-3 keeps rounding from deciding a tie between the checks.
+    c < 0 gives PSD blocks, c > 1 indefinite ones just past the tolerance
+    that ``require_psd`` applies to K = T. |c - 1| >= 1e-3 keeps rounding
+    from deciding a tie between the checks. Shifts from 1e-6 to 1 times
+    the scale of T let the sweep stop after anywhere from 1 to k steps.
     """
-    k_max = draw(st.integers(1, 30))
-    k_min = draw(st.integers(1, k_max))
-    k_star = draw(st.integers(1, k_max))
+    k = draw(st.integers(1, 30))
+    k_star = draw(st.integers(1, k))
     scale = 10.0 ** draw(st.floats(-3.0, 3.0))
-    diag = scale * draw(arrays(np.float64, k_max, elements=st.floats(-1.0, 1.0)))
-    off = scale * draw(arrays(np.float64, k_max - 1, elements=st.floats(1e-2, 1.0)))
+    diag = scale * draw(arrays(np.float64, k, elements=st.floats(-1.0, 1.0)))
+    off = scale * draw(arrays(np.float64, k - 1, elements=st.floats(1e-2, 1.0)))
     c = draw(st.one_of(st.floats(-2.0, 0.999), st.floats(1.001, 3.0)))
-    theta = np.linalg.eigvalsh(_tridiagonal(diag, off)[:k_star, :k_star])
+    grid = [scale * 10.0**e for e in draw(st.lists(st.floats(-6.0, 0.0), min_size=1, max_size=3))]
+    theta = np.linalg.eigvalsh(_tridiagonal(diag, off)[:k_star, :k_star])[0]
+    top = np.linalg.eigvalsh(_tridiagonal(diag, off))[-1]
+    # After the shift s: theta + s = -eps (top + s).
     eps = c * matrixcore.PSD_RTOL
-    diag = diag - (theta[0] + eps * theta[-1]) / (1.0 - eps)
-    return diag, off, k_min
+    diag = diag - (theta + eps * top) / (1.0 + eps)
+    return diag, off, grid
 
 
 def _tridiagonal(diag, off):
@@ -194,23 +226,29 @@ def _tridiagonal(diag, off):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(boundary_tridiagonals())
 def test_tridiagonal_inertia_check_is_at_least_as_strict_as_ritz_values(instance):
-    """Whenever require_psd(eigh(T_k)) rejects a leading block with
-    k_min <= k <= k_max, the inertia check of T_{k_max} with reference
-    max diag(T_{k_min}) rejects too; and it rejects only indefinite T."""
-    diag, off, k_min = instance
+    """Whenever the tolerance of require_psd on K = T, -PSD_RTOL lambda_1(T),
+    is above a Ritz value of a leading block T_k that the sweep built, the
+    sweep's inertia check rejects; and it rejects only indefinite T."""
+    diag, off, grid = instance
     t = _tridiagonal(diag, off)
-    ritz_rejects = False
-    for k in range(k_min, len(diag) + 1):
+    tol = -matrixcore.PSD_RTOL * max(np.linalg.eigvalsh(t)[-1], 0.0)
+    steps = []
+    real = krr._orthogonalize
+
+    def counting(basis, w):
+        steps.append(1)
+        return real(basis, w)
+
+    with mock.patch.object(krr, "_orthogonalize", counting):
         try:
-            matrixcore.require_psd(eigh(t[:k, :k]))
+            sweep_tridiagonal(diag, off, grid)
         except NumericalError:
-            ritz_rejects = True
-    try:
-        matrixcore.require_psd_tridiagonal(list(diag), list(off), float(np.max(diag[:k_min])))
-    except NumericalError:
-        inertia_rejects = True
-    else:
-        inertia_rejects = False
+            inertia_rejects = True
+        else:
+            inertia_rejects = False
+    ritz_rejects = any(
+        np.linalg.eigvalsh(t[:k, :k])[0] < tol for k in range(1, len(steps) + 1)
+    )
     if ritz_rejects:
         assert inertia_rejects
     if inertia_rejects:
