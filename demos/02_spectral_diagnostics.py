@@ -12,7 +12,7 @@ from kernherit.genotypes import simulate_hwe
 from kernherit.kernels import Design, make_kernel
 from kernherit.krr import fit
 from kernherit.phenosim import SimulationSpec, build_population
-from kernherit.spectra import bound_report, check_conditions, prop3_check, report_text
+from kernherit.spectra import bound_report, check_conditions, prop3_check, report_items
 
 N, P = 200, 40
 spec = SimulationSpec(n_individuals=N, n_snps=P, sigma_g=0.08, family="linear", seed=21)
@@ -49,7 +49,8 @@ print(f"noise trace expectation gap: {rpt.i2e_gap:.2e} "
 res = fit(kernel, pop.phenotypes, nlam)
 proxy_cond = check_conditions(kernel, res.g_hat)
 proxy_rpt = bound_report(kernel, pop.phenotypes, res.g_hat, nlam, res.sigma_eps2_hat, proxy_cond)
-proxy_lines = report_text(proxy_cond, proxy_rpt, proxy=True).splitlines()
+proxy_items = report_items(proxy_cond, proxy_rpt, proxy=True)
+proxy_lines = [f"{key}={value}" for key, value in proxy_items]
 print("proxy-labeled report (first lines):")
 for line in proxy_lines[:6]:
     print("  " + line)

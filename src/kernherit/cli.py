@@ -185,21 +185,30 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_inputs(args):
-    """Phenotypes and design matrix for estimate and diagnose.
+def _load_inputs(args, covariates=None):
+    """Design matrix and the phenotype to fit, for estimate and diagnose.
 
-    A non-zero phenotype without variance is a DataError, as every kernel
-    that spans the ones vector would give it a non-zero h2. All zeros
-    pass: their fit is zero and their h2 is reported undefined.
+    The intercept, and the ``covariates`` file's columns if given, are
+    projected out of the phenotypes once; the residual is fitted when
+    there are covariates, the phenotypes themselves otherwise. A non-zero
+    phenotype whose residual is rounding (norm at most n*eps times its
+    own) has no variance to split: a DataError naming its files, raised
+    before any kernel is built. All zeros pass; their h2 is undefined.
     """
     genotypes = read_genotype_csv(args.genotypes)
-    y = _read_numeric(args.phenotypes, column=True, rows=(args.genotypes, genotypes.n))
-    if y[0] != 0.0 and np.all(y == y[0]):
-        raise DataError(
-            f"{args.phenotypes}: all {y.shape[0]} phenotype values equal {float(y[0])!r}, "
-            "so the trait has no variance"
-        )
-    return y, kernels.design_matrix(genotypes, args.standardize, args.gaussian_bandwidth)
+    rows = (args.genotypes, genotypes.n)
+    y = _read_numeric(args.phenotypes, column=True, rows=rows)
+    x = None if covariates is None else _read_numeric(covariates, column=False, rows=rows)
+    files = args.phenotypes if x is None else f"{args.phenotypes} and {covariates}"
+    try:
+        r = krr.residualize(y, x)
+    except ValueError as exc:
+        raise DataError(f"{files}: {exc}") from None
+    norm_y = np.linalg.norm(y)
+    if 0.0 < norm_y < math.inf and np.linalg.norm(r) <= y.size * np.finfo(np.float64).eps * norm_y:
+        raise DataError(f"{files}: the phenotypes have no variance to split")
+    design = kernels.design_matrix(genotypes, args.standardize, args.gaussian_bandwidth)
+    return (y if x is None else r), design
 
 
 def _write_lines(lines, out) -> int:
@@ -219,10 +228,7 @@ def cmd_estimate(args) -> int:
     for i, value in enumerate(grid):
         if value in grid[:i]:  # as mc's lambda_grid, before any file is read
             raise UsageError(f"--nlambda must be distinct, got {value!r} more than once")
-    y, design = _load_inputs(args)
-    if args.covariates is not None:
-        x = _read_numeric(args.covariates, column=False, rows=(args.genotypes, y.shape[0]))
-        y = krr.residualize(y, x)
+    y, design = _load_inputs(args, args.covariates)
 
     lines = [krr.estimate_csv_header()]
     for kind in _kernel_kinds(args.kernel):
@@ -236,18 +242,16 @@ def cmd_diagnose(args) -> int:
     from . import spectra  # imported here: no other command needs it
 
     y, design = _load_inputs(args)
-    n = y.shape[0]
     kernel = kernels.make_kernel(args.kernel, design)
     fit_res = krr.fit(kernel, y, args.nlambda)
-    if args.true_g is not None:
-        g = _read_numeric(args.true_g, column=True, rows=(args.genotypes, n))
-        proxy = False
-        resid = y - g
-        sigma_eps2 = float(resid @ resid) / n
+    proxy = args.true_g is None
+    if proxy:
+        g, source, sigma_eps2 = fit_res.g_hat, args.phenotypes, fit_res.sigma_eps2_hat
     else:
-        g = fit_res.g_hat
-        proxy = True
-        sigma_eps2 = fit_res.sigma_eps2_hat
+        g = _read_numeric(args.true_g, column=True, rows=(args.genotypes, y.size))
+        source, sigma_eps2 = args.true_g, float((y - g) @ (y - g)) / y.size
+    if not g.any():
+        raise DataError(f"{source}: the signal to diagnose is all zero")
 
     cond = spectra.check_conditions(kernel, g)
     bound = spectra.bound_report(kernel, y, g, args.nlambda, sigma_eps2, cond)

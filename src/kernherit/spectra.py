@@ -525,9 +525,3 @@ def report_items(
     for report in (cond, bound):
         items += [report_item(key, value, proxy) for key, value in _scalars(report)]
     return items
-
-
-def report_text(cond: ConditionReport, bound: BoundReport, proxy: bool = False) -> str:
-    """key=value serialization of a diagnostic report; ``proxy`` as in :func:`report_items`."""
-    items = report_items(cond, bound, proxy)
-    return "\n".join(f"{key}={value}" for key, value in items) + "\n"

@@ -361,9 +361,24 @@ class TestNonFiniteInput:
         assert f"{cov}: non-finite value nan at row 7, column 2" in capsys.readouterr().err
 
 
+def write_column(path, values) -> str:
+    path.write_text("".join(f"{float(v)!r}\n" for v in values))
+    return str(path)
+
+
 class TestConstantPhenotypes:
-    """A non-zero phenotype file whose values are all equal is a data error
-    naming the file, raised before any kernel is built."""
+    """A non-zero phenotype with no variance beyond its mean, or beyond the
+    intercept and covariates, is a data error naming its files, raised
+    before any kernel is built."""
+
+    @staticmethod
+    def run_unbuilt(monkeypatch, *argv) -> int:
+        """Exit code of a command that must build no kernel."""
+        built = []
+        monkeypatch.setattr(kernels, "make_kernel", lambda *args: built.append(args))
+        code = run(*argv)
+        assert built == []
+        return code
 
     @pytest.mark.parametrize("command", ["estimate", "diagnose"])
     def test_is_data_error(self, tmp_path, capsys, monkeypatch, command):
@@ -375,16 +390,72 @@ class TestConstantPhenotypes:
         geno, pheno = tmp_path / "g.csv", tmp_path / "y.csv"
         geno.write_text("".join(",".join(map(str, row)) + "\n" for row in x))
         pheno.write_text("2.0\n" * 30)
-        built = []
-        monkeypatch.setattr(kernels, "make_kernel", lambda *args: built.append(args))
         kernel = "all" if command == "estimate" else "poly2"
-        code = run(command, "--genotypes", str(geno), "--phenotypes", str(pheno),
-                   "--kernel", kernel, "--nlambda", "1")
+        code = self.run_unbuilt(monkeypatch, command, "--genotypes", str(geno),
+                                "--phenotypes", str(pheno), "--kernel", kernel, "--nlambda", "1")
         assert code == 2
         assert capsys.readouterr().err == (
-            f"data error: {pheno}: all 30 phenotype values equal 2.0, so the trait has no variance\n"
+            f"data error: {pheno}: the phenotypes have no variance to split\n"
         )
-        assert built == []
+
+    def test_near_constant_is_data_error(self, tmp_path, capsys, monkeypatch):
+        noise = np.random.default_rng(0).normal(size=30)
+        pheno = write_column(tmp_path / "y.csv", 2.0 + 1e-15 * noise)
+        assert len(set(np.loadtxt(pheno))) > 1  # not all equal, only within rounding
+        code = self.run_unbuilt(monkeypatch, "estimate", "--genotypes", FIXTURE_GENO,
+                                "--phenotypes", pheno, "--nlambda", "1")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: {pheno}: the phenotypes have no variance to split\n"
+        )
+
+    def test_explained_by_the_covariates_is_data_error(self, tmp_path, capsys, monkeypatch):
+        column = [(i % 7) + 0.5 for i in range(30)]
+        pheno = write_column(tmp_path / "y.csv", column)
+        cov = write_column(tmp_path / "cov.csv", column)
+        code = self.run_unbuilt(monkeypatch, "estimate", "--genotypes", FIXTURE_GENO,
+                                "--phenotypes", pheno, "--covariates", cov, "--nlambda", "1")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: {pheno} and {cov}: the phenotypes have no variance to split\n"
+        )
+
+    @pytest.mark.parametrize("value", ["0.0", "2.0"])
+    def test_single_row_is_data_error(self, tmp_path, capsys, monkeypatch, value):
+        geno, pheno = tmp_path / "g.csv", tmp_path / "y.csv"
+        geno.write_text("0,1,2\n")
+        pheno.write_text(value + "\n")
+        code = self.run_unbuilt(monkeypatch, "estimate", "--genotypes", str(geno),
+                                "--phenotypes", str(pheno), "--nlambda", "1")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: {pheno}: need more observations (1) than fitted coefficients (1)\n"
+        )
+
+    def test_overflowing_norm_is_not_taken_for_no_variance(self, tmp_path, capsys):
+        # ||y|| overflows to inf, which must not pass for a residual of rounding;
+        # the ridge solve then fails on the overflow, as a numerical error.
+        noise = np.random.default_rng(1).normal(size=30)
+        pheno = write_column(tmp_path / "y.csv", 1e160 * (1.0 + noise))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run("estimate", "--genotypes", FIXTURE_GENO, "--phenotypes", pheno,
+                       "--kernel", "linear", "--nlambda", "1")
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical error: ridge solve")
+
+    @pytest.mark.parametrize("offset, scale", [(0.0, 0.0), (1e8, 1e-3)])
+    def test_zeros_and_small_variance_at_a_large_offset_pass(
+        self, tmp_path, capsys, offset, scale
+    ):
+        noise = np.random.default_rng(0).normal(size=30)
+        pheno = write_column(tmp_path / "y.csv", offset + scale * noise)
+        code = run("estimate", "--genotypes", FIXTURE_GENO, "--phenotypes", pheno, "--nlambda", "1")
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 3
+        for row in rows:
+            h2 = row.split(",")[-1]
+            assert h2 == "undefined" if scale == 0.0 else 0.0 <= float(h2) <= 1.0
 
 
 class TestEmptyInput:
@@ -509,14 +580,33 @@ class TestDiagnose:
             g, sigma_eps2 = fit_res.g_hat, fit_res.sigma_eps2_hat
         cond = spectra.check_conditions(kernel, g)
         bound = spectra.bound_report(kernel, y, g, nlam, sigma_eps2, cond)
-        text = spectra.report_text(cond, bound, proxy=not true_g)
+        items = spectra.report_items(cond, bound, proxy=not true_g)
+        lines = [f"{key}={value}" for key, value in items]
 
         argv = ["--kernel", kind, "--nlambda", str(nlam)]
         if true_g:
             argv += ["--true-g", FIXTURE_G]
         code = run("diagnose", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO, *argv)
         assert code == 0
-        assert capsys.readouterr().out.startswith(text)
+        assert capsys.readouterr().out.splitlines()[: len(lines)] == lines
+
+    def test_all_zero_true_signal_is_data_error(self, tmp_path, capsys):
+        g = write_column(tmp_path / "g.csv", np.zeros(30))
+        code = run("diagnose", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO,
+                   "--true-g", g, "--kernel", "poly2", "--nlambda", "1.0")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: {g}: the signal to diagnose is all zero\n"
+        )
+
+    def test_all_zero_phenotypes_without_true_signal_is_data_error(self, tmp_path, capsys):
+        pheno = write_column(tmp_path / "y.csv", np.zeros(30))
+        code = run("diagnose", "--genotypes", FIXTURE_GENO, "--phenotypes", pheno,
+                   "--kernel", "poly2", "--nlambda", "1.0")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: {pheno}: the signal to diagnose is all zero\n"
+        )
 
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     def test_bad_nlambda_is_usage_error(self, capsys, value):

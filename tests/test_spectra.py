@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kernherit.exceptions import ConditionNotMet
 from kernherit.genotypes import simulate_hwe
-from kernherit.kernels import Design, KernelMatrix, make_kernel
+from kernherit.kernels import KERNEL_KINDS, Design, KernelMatrix, design_matrix, make_kernel
 from kernherit.krr import fit
 from kernherit.matrixcore import EigenDecomposition
-from kernherit.phenosim import SimulationSpec, build_population
+from kernherit.phenosim import FAMILIES, SimulationSpec, build_population
 from kernherit.spectra import (
     KERNEL_ONLY_KEYS,
     bound_report,
@@ -18,7 +18,6 @@ from kernherit.spectra import (
     prop3_check,
     prop4_check,
     report_items,
-    report_text,
 )
 
 from helpers import rel_err, symmetrize
@@ -32,16 +31,41 @@ def diag_kernel(values) -> KernelMatrix:
     return KernelMatrix(np.diag(np.asarray(values, dtype=float)))
 
 
-def genotype_instance(seed: int, n: int = 14, p: int = 4):
-    """Population-backed instance whose intercept keeps alignment high."""
+def genotype_instance(
+    seed: int,
+    n: int = 14,
+    p: int = 4,
+    kind: str = "poly2",
+    standardize: bool = True,
+    family: str = "linear",
+):
+    """Population-backed instance; the default poly2 kernel's intercept keeps alignment high."""
     seeds = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64)
     g = simulate_hwe(n, p, seed=int(seeds[0]))
     spec = SimulationSpec(
-        n_individuals=n, n_snps=p, sigma_g=0.4, family="linear", seed=int(seeds[1])
+        n_individuals=n, n_snps=p, sigma_g=0.4, family=family, seed=int(seeds[1])
     )
     pop = build_population(spec, g)
-    kernel = make_kernel("poly2", Design(g.standardized()))
+    kernel = make_kernel(kind, design_matrix(g, standardize))
     return kernel, pop.g_values, pop.phenotypes
+
+
+@st.composite
+def admissible_instances(draw):
+    """A genotype-backed (kernel, g, y, conditions, nlambda) that meets (C3)/(C4),
+    at 1, 1.01, 2 or 10 times its positive admissibility threshold."""
+    kernel, g, y = genotype_instance(
+        draw(st.integers(0, 2**32 - 1)),
+        n=draw(st.integers(5, 59)),
+        p=draw(st.integers(2, 39)),
+        kind=draw(st.sampled_from(KERNEL_KINDS)),
+        standardize=draw(st.booleans()),
+        family=draw(st.sampled_from(FAMILIES)),
+    )
+    assume(g.any())  # e.g. every SNP monomorphic
+    rep = check_conditions(kernel, g)
+    assume(rep.conditions_met and rep.lambda_threshold > 0.0)
+    return kernel, g, y, rep, draw(st.sampled_from([1.0, 1.01, 2.0, 10.0])) * rep.lambda_threshold
 
 
 def spiked_instance(seed: int, n: int = 10):
@@ -244,15 +268,11 @@ class TestProp3:
         assert np.isclose(res.lhs, n**2 / (n + nlam))
         assert res.rhs == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_holds_on_passing_instances(self, seed):
-        kernel, g, _ = spiked_instance(seed)
-        rep = check_conditions(kernel, g)
-        if not rep.conditions_met:
-            pytest.skip("instance does not satisfy the preconditions")
-        nlam = max(1.01 * rep.lambda_threshold, 0.5)
-        res = prop3_check(kernel, g, nlam, rep)
-        assert res.holds
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(admissible_instances())
+    def test_holds_on_passing_instances(self, instance):
+        kernel, g, _, rep, nlam = instance
+        assert prop3_check(kernel, g, nlam, rep).holds
 
     def test_refusal_names_failed_condition(self):
         n = 6
@@ -271,16 +291,18 @@ class TestProp3:
 
 
 class TestProp4:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_sandwich_on_passing_instances(self, seed):
-        kernel, g, _ = spiked_instance(seed + 20)
-        rep = check_conditions(kernel, g)
-        if not rep.conditions_met:
-            pytest.skip("instance does not satisfy the preconditions")
-        nlam = max(1.01 * rep.lambda_threshold, 0.5)
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(admissible_instances())
+    def test_sandwich_on_passing_instances(self, instance):
+        """Prop 4 and the deterministic i1e and i1g sandwiches of bound_report."""
+        kernel, g, y, rep, nlam = instance
         res = prop4_check(kernel, g, nlam, rep)
         assert res.holds
         assert res.lower <= res.upper
+        rpt = bound_report(kernel, y, g, nlam, 0.25, rep)
+        assert rpt.conditions_available
+        assert rpt.i1e_lower - 1e-10 <= rpt.terms.i1e <= rpt.i1e_upper + 1e-10
+        assert rpt.i1g_lower - 1e-10 <= rpt.terms.i1g <= rpt.i1g_upper + 1e-10
 
 
 class TestBoundReport:
@@ -344,20 +366,20 @@ class TestReportSerialization:
         kernel, g, y = genotype_instance(34)
         rep = check_conditions(kernel, g)
         rpt = bound_report(kernel, y, g, 1.0, 0.25, rep)
-        text = report_text(rep, rpt)
-        assert "signal_source=true_g" in text
-        assert "c_star=" in text
-        assert ".proxy" not in text
+        items = dict(report_items(rep, rpt))
+        assert items["signal_source"] == "true_g"
+        assert "c_star" in items
+        assert not [key for key in items if ".proxy" in key]
 
     def test_proxy_labeling(self):
         kernel, g, y = genotype_instance(35)
         res = fit(kernel, y, 1.0)
         rep = check_conditions(kernel, res.g_hat)
         rpt = bound_report(kernel, y, res.g_hat, 1.0, res.sigma_eps2_hat, rep)
-        text = report_text(rep, rpt, proxy=True)
-        assert "signal_source=proxy_g_hat" in text
-        assert "c_star.proxy=" in text
-        assert "i1g.proxy=" in text
+        items = dict(report_items(rep, rpt, proxy=True))
+        assert items["signal_source"] == "proxy_g_hat"
+        assert "c_star.proxy" in items
+        assert "i1g.proxy" in items
 
 
     def test_values_print_as_python_scalars(self):
