@@ -268,9 +268,17 @@ class TestProp3:
         assert np.isclose(res.lhs, n**2 / (n + nlam))
         assert res.rhs == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_holds_on_passing_instances(self, seed):
+        kernel, g, _ = spiked_instance(seed)
+        rep = check_conditions(kernel, g)
+        assert rep.conditions_met
+        nlam = max(1.01 * rep.lambda_threshold, 0.5)
+        assert prop3_check(kernel, g, nlam, rep).holds
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(admissible_instances())
-    def test_holds_on_passing_instances(self, instance):
+    def test_holds_on_admissible_instances(self, instance):
         kernel, g, _, rep, nlam = instance
         assert prop3_check(kernel, g, nlam, rep).holds
 
@@ -291,9 +299,19 @@ class TestProp3:
 
 
 class TestProp4:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sandwich_on_passing_instances(self, seed):
+        kernel, g, _ = spiked_instance(seed + 20)
+        rep = check_conditions(kernel, g)
+        assert rep.conditions_met
+        nlam = max(1.01 * rep.lambda_threshold, 0.5)
+        res = prop4_check(kernel, g, nlam, rep)
+        assert res.holds
+        assert res.lower <= res.upper
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(admissible_instances())
-    def test_sandwich_on_passing_instances(self, instance):
+    def test_sandwich_on_admissible_instances(self, instance):
         """Prop 4 and the deterministic i1e and i1g sandwiches of bound_report."""
         kernel, g, y, rep, nlam = instance
         res = prop4_check(kernel, g, nlam, rep)
