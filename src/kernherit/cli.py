@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from . import harness, kernels, krr, phenosim
+from . import harness, kernels, krr
 from .exceptions import ConditionNotMet, DataError, KernheritError, NumericalError
 from .genotypes import read_genotype_csv, write_genotype_csv
 from .phenosim import export_population
@@ -89,8 +89,15 @@ def _config_field_arg(name: str):
     return parse
 
 
-# mc flags that each set one McConfig field and parse as its config key:
-# flag -> (field, help).
+# simulate and mc flags that each set one McConfig field and parse as its
+# config key: flag -> (field, help).
+_SIMULATE_FIELD_FLAGS = {
+    "--n-individuals": ("population_size", None),
+    "--n-snps": ("snp_count", None),
+    "--sigma-g": ("sigma_g", None),
+    "--sigma-eps": ("sigma_eps", None),
+    "--family": ("family", "one of " + ", ".join(harness.FAMILIES)),
+}
 _MC_FIELD_FLAGS = {
     "--reps": ("repetitions", None),
     "--kernels": ("kernels", "comma-separated kernel kinds"),
@@ -99,6 +106,20 @@ _MC_FIELD_FLAGS = {
     "--sampling-seed": ("sampling_seed", None),
     "--out": ("output_path", "output directory"),
 }
+
+
+def _add_field_flags(parser, flags) -> None:
+    for flag, (field, help_text) in flags.items():
+        parser.add_argument(
+            flag, dest=field, type=_config_field_arg(field), default=None,
+            metavar=flag[2:].upper().replace("-", "_"), help=help_text,
+        )
+
+
+def _given_fields(args, flags) -> dict:
+    """Field -> value of each of the field ``flags`` given on the command line."""
+    values = {field: getattr(args, field) for field, _ in flags.values()}
+    return {field: value for field, value in values.items() if value is not None}
 
 
 def _add_pipeline_flags(parser) -> None:
@@ -138,34 +159,18 @@ def _genotype_source(cfg, path):
 
 
 def cmd_simulate(args) -> int:
-    explicit = {
-        "--n-individuals": args.n_individuals,
-        "--n-snps": args.n_snps,
-        "--sigma-g": args.sigma_g,
-        "--sigma-eps": args.sigma_eps,
-        "--family": args.family,
-    }
+    fields = _given_fields(args, _SIMULATE_FIELD_FLAGS)
+    given = [flag for flag, (field, _) in _SIMULATE_FIELD_FLAGS.items() if field in fields]
     if args.preset is not None:
-        given = [flag for flag, value in explicit.items() if value is not None]
         if given:
             raise UsageError(f"{', '.join(given)} cannot be combined with --preset")
-        base, fields = harness.preset_config(args.preset), {}
+        base = harness.preset_config(args.preset)
     else:
-        missing = [
-            flag for flag, value in explicit.items() if value is None and flag != "--sigma-eps"
-        ]
+        missing = [flag for flag in _SIMULATE_FIELD_FLAGS if flag not in given + ["--sigma-eps"]]
         if missing:
             raise UsageError(f"missing {', '.join(missing)} (or use --preset)")
         base = harness.McConfig()
-        fields = dict(
-            population_size=args.n_individuals,
-            snp_count=args.n_snps,
-            sigma_g=args.sigma_g,
-            family=args.family,
-            sample_sizes=(args.n_individuals,),  # unused here; must fit the population
-        )
-        if args.sigma_eps is not None:
-            fields["sigma_eps"] = args.sigma_eps
+        fields["sample_sizes"] = (fields["population_size"],)  # unused here; must fit the population
     try:
         cfg = dataclasses.replace(base, population_seed=args.seed, **fields)
     except ValueError as exc:
@@ -190,22 +195,26 @@ def _load_inputs(args, covariates=None):
 
     The intercept, and the ``covariates`` file's columns if given, are
     projected out of the phenotypes once; the residual is fitted when
-    there are covariates, the phenotypes themselves otherwise. A non-zero
-    phenotype whose residual is rounding (norm at most n*eps times its
-    own) has no variance to split: a DataError naming its files, raised
-    before any kernel is built. All zeros pass; their h2 is undefined.
+    there are covariates, the phenotypes themselves otherwise. A phenotype
+    whose norm overflows, or a non-zero one whose residual is rounding
+    (norm at most n*eps times its own) and so has no variance to split,
+    is a DataError naming its files, raised before any kernel is built.
+    All zeros pass; their h2 is undefined.
     """
     genotypes = read_genotype_csv(args.genotypes)
     rows = (args.genotypes, genotypes.n)
     y = _read_numeric(args.phenotypes, column=True, rows=rows)
     x = None if covariates is None else _read_numeric(covariates, column=False, rows=rows)
     files = args.phenotypes if x is None else f"{args.phenotypes} and {covariates}"
+    with np.errstate(over="ignore"):
+        norm_y = np.linalg.norm(y)
+    if norm_y == math.inf:
+        raise DataError(f"{files}: the norm of the phenotypes overflows")
     try:
         r = krr.residualize(y, x)
     except ValueError as exc:
         raise DataError(f"{files}: {exc}") from None
-    norm_y = np.linalg.norm(y)
-    if 0.0 < norm_y < math.inf and np.linalg.norm(r) <= y.size * np.finfo(np.float64).eps * norm_y:
+    if norm_y > 0.0 and np.linalg.norm(r) <= y.size * np.finfo(np.float64).eps * norm_y:
         raise DataError(f"{files}: the phenotypes have no variance to split")
     design = kernels.design_matrix(genotypes, args.standardize, args.gaussian_bandwidth)
     return (y if x is None else r), design
@@ -277,11 +286,7 @@ def cmd_mc(args) -> int:
         cfg = harness.read_config(args.config)
     else:
         cfg = harness.preset_config(args.preset)
-    overrides = {
-        field: getattr(args, field)
-        for field, _ in _MC_FIELD_FLAGS.values()
-        if getattr(args, field) is not None
-    }
+    overrides = _given_fields(args, _MC_FIELD_FLAGS)
     if args.nlambda:
         overrides["lambda_grid"] = tuple(args.nlambda)
     try:
@@ -317,11 +322,7 @@ def build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate", help="simulate a genotype/phenotype population")
     p_sim.add_argument("--preset", choices=sorted(harness.PRESETS), default=None)
-    p_sim.add_argument("--n-individuals", type=int, default=None)
-    p_sim.add_argument("--n-snps", type=int, default=None)
-    p_sim.add_argument("--sigma-g", type=float, default=None)
-    p_sim.add_argument("--sigma-eps", type=float, default=None)
-    p_sim.add_argument("--family", choices=phenosim.FAMILIES, default=None)
+    _add_field_flags(p_sim, _SIMULATE_FIELD_FLAGS)
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--genotypes", default=None, help="source matrix for external presets")
     p_sim.add_argument("--out", required=True, help="output path prefix")
@@ -355,11 +356,7 @@ def build_parser() -> _Parser:
     source.add_argument("--config", default=None)
     source.add_argument("--preset", choices=sorted(harness.PRESETS), default=None)
     p_mc.add_argument("--genotypes", default=None, help="matrix for the external scenario")
-    for flag, (field, help_text) in _MC_FIELD_FLAGS.items():
-        p_mc.add_argument(
-            flag, dest=field, type=_config_field_arg(field), default=None,
-            metavar=flag[2:].upper().replace("-", "_"), help=help_text,
-        )
+    _add_field_flags(p_mc, _MC_FIELD_FLAGS)
     p_mc.add_argument("--nlambda", type=_positive_float_arg, action="append", default=None)
     p_mc.add_argument("--workers", type=int, default=1)
     p_mc.set_defaults(func=cmd_mc)

@@ -237,8 +237,9 @@ def make_kernel(kind: str, design: Design) -> KernelMatrix:
     bitwise the same whatever the block size; the kernel adopts that
     array. The array is fresh, unless the design has a scratch: then it
     is the scratch's kernel buffer, and the kernel is valid only until
-    the next kernel is built there. The Gaussian kernel's diagonal is
-    exactly 1; it reads the design's bandwidth, which the other two
+    the next kernel is built there. The Gaussian kernel takes its squared
+    distances G_ii + G_jj - 2 G_ij from the Gram G too, so its diagonal
+    is exactly 1; it reads the design's bandwidth, which the other two
     kernels ignore.
     """
     if kind not in KERNEL_KINDS:
@@ -248,8 +249,7 @@ def make_kernel(kind: str, design: Design) -> KernelMatrix:
     blocks = _row_blocks(n)
     k = design._buffer("kernel")
     if kind == "gaussian":
-        z = design.data
-        sq = np.einsum("ij,ij->i", z, z)
+        sq = gram.diagonal()  # squared row norms: each distance (i, i) is 2 G_ii - 2 G_ii = 0
         twice_gram = np.empty_like(k[blocks[0]])  # reused by every block
     for rows in blocks:
         out = k[rows]
@@ -262,7 +262,6 @@ def make_kernel(kind: str, design: Design) -> KernelMatrix:
         else:
             np.add(sq[rows, None], sq, out=out)
             out -= np.multiply(gram[rows], 2.0, out=twice_gram[: len(out)])
-            np.fill_diagonal(out[:, rows.start :], 0.0)  # entries (i, i) of this block
             np.maximum(out, 0.0, out=out)
             out *= -0.5
             out /= design.gaussian_bandwidth

@@ -432,16 +432,23 @@ class TestConstantPhenotypes:
             f"data error: {pheno}: need more observations (1) than fitted coefficients (1)\n"
         )
 
-    def test_overflowing_norm_is_not_taken_for_no_variance(self, tmp_path, capsys):
-        # ||y|| overflows to inf, which must not pass for a residual of rounding;
-        # the ridge solve then fails on the overflow, as a numerical error.
+    def test_overflowing_norm_is_not_taken_for_no_variance(self, tmp_path, capsys, monkeypatch):
+        # ||y|| overflows to inf, which must not pass for a residual of rounding:
+        # finite values that no fit can square are a data error of their own,
+        # raised without a RuntimeWarning (which the test settings make errors).
         noise = np.random.default_rng(1).normal(size=30)
         pheno = write_column(tmp_path / "y.csv", 1e160 * (1.0 + noise))
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run("estimate", "--genotypes", FIXTURE_GENO, "--phenotypes", pheno,
-                       "--kernel", "linear", "--nlambda", "1")
-        assert code == 3
-        assert capsys.readouterr().err.startswith("numerical error: ridge solve")
+        cov = write_column(tmp_path / "cov.csv", noise)
+        for command, extra, files in [("estimate", (), pheno),
+                                      ("diagnose", (), pheno),
+                                      ("estimate", ("--covariates", cov), f"{pheno} and {cov}")]:
+            code = self.run_unbuilt(monkeypatch, command, "--genotypes", FIXTURE_GENO,
+                                    "--phenotypes", pheno, *extra,
+                                    "--kernel", "linear", "--nlambda", "1")
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"data error: {files}: the norm of the phenotypes overflows\n"
+            )
 
     @pytest.mark.parametrize("offset, scale", [(0.0, 0.0), (1e8, 1e-3)])
     def test_zeros_and_small_variance_at_a_large_offset_pass(
@@ -713,14 +720,17 @@ class TestMc:
          ("--population-seed", "population_seed", "1e3"),
          ("--sampling-seed", "sampling_seed", ""),
          ("--kernels", "kernels", "linear,"),
-         ("--sizes", "sample_sizes", "100,x")],
+         ("--sizes", "sample_sizes", "100,x"),
+         ("--n-individuals", "population_size", "1e2"),
+         ("--n-snps", "snp_count", "5.0"),
+         ("--sigma-g", "sigma_g", "abc"),
+         ("--sigma-eps", "sigma_eps", "")],
     )
     def test_every_field_flag_rejects_what_its_key_rejects(self, tmp_path, capsys, flag, key, value):
-        out = tmp_path / "out"
-        code = run("mc", "--preset", "desk", flag, value, "--out", str(out))
+        code = run(*self.field_flag_argv(flag, value, str(tmp_path / "out")))
         assert code == 1
         assert f"argument {flag}:" in capsys.readouterr().err
-        assert not out.exists()
+        assert not list(tmp_path.iterdir())
         with pytest.raises(DataError, match=f"^run.cfg:1: bad value for '{key}'"):
             parse_config(f"{key}={value}\n", source="run.cfg")
 
@@ -731,11 +741,23 @@ class TestMc:
          ("--population-seed", "population_seed", "5 "),
          ("--sampling-seed", "sampling_seed", "7"),
          ("--kernels", "kernels", "linear, gaussian"),
-         ("--sizes", "sample_sizes", " 100 ,300")],
+         ("--sizes", "sample_sizes", " 100 ,300"),
+         ("--family", "family", " linear"),
+         ("--n-snps", "snp_count", "5 "),
+         ("--n-individuals", "population_size", " 1500"),
+         ("--sigma-g", "sigma_g", "0.1 "),
+         ("--sigma-eps", "sigma_eps", " 0.5")],
     )
     def test_every_field_flag_accepts_what_its_key_accepts(self, flag, key, value):
-        args = build_parser().parse_args(["mc", "--preset", "desk", flag, value])
+        args = build_parser().parse_args(self.field_flag_argv(flag, value, "x"))
         assert getattr(args, key) == getattr(parse_config(f"{key}={value}\n"), key)
+
+    @staticmethod
+    def field_flag_argv(flag, value, out):
+        """A simulate or mc command line that sets one field flag, writing to ``out``."""
+        if flag in ("--n-individuals", "--n-snps", "--sigma-g", "--sigma-eps", "--family"):
+            return ["simulate", "--seed", "1", "--out", out, flag, value]
+        return ["mc", "--preset", "desk", "--out", out, flag, value]
 
     def test_out_is_stripped_like_output_path(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

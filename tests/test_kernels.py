@@ -225,11 +225,8 @@ def _out_of_place_kernel(kind, z, bandwidth):
         return gram / z.shape[1]
     if kind == "poly2":
         return (1.0 + gram / z.shape[1]) ** 2
-    sq = np.einsum("ij,ij->i", z, z)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-    np.fill_diagonal(d2, 0.0)
-    np.maximum(d2, 0.0, out=d2)
-    return np.exp(-0.5 * d2 / bandwidth)
+    sq = np.diag(gram)
+    return np.exp(-0.5 * np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0) / bandwidth)
 
 
 def _dense_kernel(kind, z, bandwidth):
@@ -248,12 +245,21 @@ class TestSharedDesign:
         g, standardize = instance
         design = design_matrix(g, standardize)
         z, bandwidth = np.array(design.data), design.gaussian_bandwidth
+        # The Gaussian kernel is the Gram identity on the design's own Gram, so
+        # each distance (i, i) is 2 G_ii - 2 G_ii = 0 and K_ii is exactly 1.
+        gram = design.gram
+        sq = np.diag(gram)
+        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
+        from_gram = np.exp(-0.5 * d2 / bandwidth)
         for kind in KERNEL_KINDS:
             shared = make_kernel(kind, design).matrix
             fresh = make_kernel(kind, Design(z, bandwidth)).matrix
             assert np.array_equal(shared, fresh)
             assert np.array_equal(shared, _out_of_place_kernel(kind, z, bandwidth))
             assert np.max(np.abs(shared - _dense_kernel(kind, z, bandwidth))) <= 1e-12
+            if kind == "gaussian":
+                assert np.array_equal(shared, from_gram)
+                assert (np.diag(shared) == 1.0).all()
 
     @pytest.mark.parametrize("standardize", [True, False])
     def test_one_gram_product_per_design(self, monkeypatch, standardize):
