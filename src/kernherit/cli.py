@@ -74,7 +74,9 @@ def _positive_float_arg(raw: str) -> float:
 
 
 def _gaussian_bandwidth_arg(raw: str):
-    return None if raw == "auto" else _positive_float_arg(raw)
+    """The ``gaussian_bandwidth`` key's text; a number must be positive and finite."""
+    value = _config_field_arg("gaussian_bandwidth")(raw)
+    return None if value is None else _positive_float_arg(raw)
 
 
 def _config_field_arg(name: str):
@@ -251,16 +253,23 @@ def cmd_diagnose(args) -> int:
     from . import spectra  # imported here: no other command needs it
 
     y, design = _load_inputs(args)
+    proxy = args.true_g is None
+    if not proxy:  # checked before any kernel is built
+        g = _read_numeric(args.true_g, column=True, rows=(args.genotypes, y.size))
+        with np.errstate(over="ignore"):
+            noise = y - g
+            norms = (np.linalg.norm(g), np.linalg.norm(noise))
+        if not all(map(math.isfinite, norms)):
+            raise DataError(f"{args.true_g}: the norm of the signal or of the noise overflows")
+        if not g.any():
+            raise DataError(f"{args.true_g}: the signal to diagnose is all zero")
+        sigma_eps2 = float(noise @ noise) / y.size
     kernel = kernels.make_kernel(args.kernel, design)
     fit_res = krr.fit(kernel, y, args.nlambda)
-    proxy = args.true_g is None
     if proxy:
-        g, source, sigma_eps2 = fit_res.g_hat, args.phenotypes, fit_res.sigma_eps2_hat
-    else:
-        g = _read_numeric(args.true_g, column=True, rows=(args.genotypes, y.size))
-        source, sigma_eps2 = args.true_g, float((y - g) @ (y - g)) / y.size
-    if not g.any():
-        raise DataError(f"{source}: the signal to diagnose is all zero")
+        g, sigma_eps2 = fit_res.g_hat, fit_res.sigma_eps2_hat
+        if not g.any():
+            raise DataError(f"{args.phenotypes}: the signal to diagnose is all zero")
 
     cond = spectra.check_conditions(kernel, g)
     bound = spectra.bound_report(kernel, y, g, args.nlambda, sigma_eps2, cond)

@@ -26,9 +26,10 @@ enters and keeps it read-only. A kernel from :func:`make_kernel` adopts
 the array that was filled for it; the public constructor copies its
 argument, which the caller can then change freely. Its
 eigendecomposition, ``eig``, is computed on first access, cached, and
-checked to be numerically PSD and to reconstruct the kernel from an
-orthonormal basis. Only the spectral diagnostics read it; ridge fits
-need none (``krr`` solves them by a Krylov sweep over ``matrix``).
+checked: ``matrixcore.eigh`` verifies its orthonormal basis, then
+``matrixcore.require_psd`` its spectrum. Only the spectral diagnostics
+read it; ridge fits need none (``krr`` solves them by a Krylov sweep
+over ``matrix``).
 """
 
 from __future__ import annotations
@@ -212,14 +213,12 @@ class KernelMatrix:
     def eig(self) -> EigenDecomposition:
         """Spectral factorization, computed and checked on first access.
 
-        Raises NumericalError if the matrix is not numerically PSD or if
-        the factorization does not reconstruct it from an orthonormal
-        basis (:func:`matrixcore.verify_eigh`, O(n^3)); a failure is not
-        cached, so the next access tries again.
+        :func:`matrixcore.eigh` checks the basis (O(n^3)), then
+        :func:`matrixcore.require_psd` the spectrum; a NumericalError from
+        either is not cached, so the next access tries again.
         """
         dec = matrixcore.eigh(self.matrix)
         matrixcore.require_psd(dec)
-        matrixcore.verify_eigh(self.matrix, dec)
         return dec
 
     @functools.cached_property

@@ -7,16 +7,17 @@ exactly symmetric) live with the one kernel type,
 ``kernels.KernelMatrix``. Factorizations are returned read-only, so a
 cached one cannot be changed by its readers.
 
-Checks: :func:`eigh` rejects a non-converged or non-finite result, and
-:func:`require_psd` a spectrum no kernel can have. The O(n^3)
-reconstruction and orthonormality check, :func:`verify_eigh`, is left to
-the callers that use the eigenvectors as a basis (spectral diagnostics
-and :func:`solve_spd_shifted`); a ridge fit checks its own solve
-residual instead (see ``krr``). The ridge sweep checks definiteness
-without an eigendecomposition, by the inertia of its projected
-tridiagonal shifted by PSD_RTOL times the kernel's largest diagonal
-entry (see ``krr._sweep``), which is at least as strict as
-:func:`require_psd` on the kernel for the Ritz values it computes.
+Checks: :func:`eigh` returns only a factorization it has checked:
+converged, finite, and passing an O(n^3) reconstruction and
+orthonormality check. :func:`require_psd` rejects a spectrum no kernel
+can have; the users of a kernel's eigenbasis (spectral diagnostics and
+:func:`solve_spd_shifted`) call :func:`eigh` and then :func:`require_psd`.
+A ridge fit checks its own solve residual instead (see ``krr``). The
+ridge sweep checks definiteness without an eigendecomposition, by the
+inertia of its projected tridiagonal shifted by PSD_RTOL times the
+kernel's largest diagonal entry (see ``krr._sweep``), which is at least
+as strict as :func:`require_psd` on the kernel for the Ritz values it
+computes.
 """
 
 from __future__ import annotations
@@ -66,9 +67,10 @@ class EigenDecomposition:
 def eigh(a: np.ndarray) -> EigenDecomposition:
     """Eigendecompose a symmetric matrix, eigenvalues descending.
 
-    Raises NumericalError if the underlying solver does not converge or
-    returns non-finite values. The factorization itself is not
-    re-multiplied here; see :func:`verify_eigh`.
+    Raises NumericalError if the underlying solver does not converge,
+    returns non-finite values, or returns a factorization that fails
+    ||V diag(l) V^T - A||_F <= 1e-8 max(1, ||A||_F) or
+    ||V^T V - I||_F <= 1e-10 (checked at O(n^3)).
     """
     A = np.asarray(a, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -87,22 +89,14 @@ def eigh(a: np.ndarray) -> EigenDecomposition:
             f"symmetric eigensolver returned non-finite values for order {n} matrix"
         )
 
-    return EigenDecomposition(w[::-1].copy(), v[:, ::-1].copy())
-
-
-def verify_eigh(a: np.ndarray, dec: EigenDecomposition) -> None:
-    """Raise NumericalError unless ``dec`` reconstructs ``a`` orthonormally.
-
-    Checks ||V diag(l) V^T - A||_F <= 1e-8 max(1, ||A||_F) and
-    ||V^T V - I||_F <= 1e-10, at O(n^3).
-    """
-    A = np.asarray(a, dtype=np.float64)
+    dec = EigenDecomposition(w[::-1].copy(), v[:, ::-1].copy())
     recon, ortho = _residuals(A, dec)
     if recon > _RECON_RTOL * max(1.0, float(np.linalg.norm(A))) or ortho > _ORTHO_TOL:
         raise NumericalError(
-            f"eigendecomposition of order {dec.order} matrix failed verification "
+            f"eigendecomposition of order {n} matrix failed verification "
             f"(reconstruction residual {recon:.3e}, orthogonality residual {ortho:.3e})"
         )
+    return dec
 
 
 def _residuals(A: np.ndarray, dec: EigenDecomposition) -> tuple[float, float]:
@@ -137,7 +131,7 @@ def solve_spd_shifted(a: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:
 
     A must be numerically PSD (see :func:`require_psd`); anything worse
     raises NumericalError since PSD kernels cannot produce it, as does a
-    factorization that fails :func:`verify_eigh`.
+    factorization that fails :func:`eigh`'s check.
     """
     A = np.asarray(a, dtype=np.float64)
     if shift <= 0:
@@ -150,7 +144,6 @@ def solve_spd_shifted(a: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:
             f"dimension mismatch: matrix order {A.shape[0]} vs vector length {b.shape[0]}"
         )
     dec = eigh(A)
-    verify_eigh(A, dec)
     require_psd(dec)
     denom = (dec.eigenvalues + shift).reshape((-1,) + (1,) * (b.ndim - 1))
     return dec.eigenvectors @ ((dec.eigenvectors.T @ b) / denom)

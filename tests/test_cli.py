@@ -247,6 +247,17 @@ class TestEstimate:
         assert code == 1
         assert f"argument {flag}: must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [" auto", ""])
+    def test_gaussian_bandwidth_reads_auto_as_its_config_key(self, capsys, value):
+        outputs = []
+        for raw in ("auto", value):
+            code = run("estimate", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO,
+                       "--kernel", "gaussian", "--nlambda", "1", "--gaussian-bandwidth", raw)
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
+        assert harness.parse_value("gaussian_bandwidth", value) is None
+
     def test_dimension_mismatch_is_data_error(self, tmp_path, capsys):
         short = tmp_path / "short.csv"
         short.write_text("1.0\n2.0\n")
@@ -605,6 +616,33 @@ class TestDiagnose:
         assert capsys.readouterr().err == (
             f"data error: {g}: the signal to diagnose is all zero\n"
         )
+
+    def test_overflowing_true_signal_is_data_error(self, tmp_path, capsys):
+        # ||g|| overflows to inf; finite values that no report can square are a
+        # data error naming the file, raised without a RuntimeWarning.
+        noise = np.random.default_rng(1).normal(size=30)
+        g = write_column(tmp_path / "g.csv", 1e160 * (1.0 + noise))
+        code = run("diagnose", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO,
+                   "--true-g", g, "--kernel", "linear", "--nlambda", "1")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: {g}: the norm of the signal or of the noise overflows\n"
+        )
+
+    @pytest.mark.parametrize("scale", [0.0, 1e160])
+    def test_bad_true_signal_is_rejected_before_any_kernel(
+        self, tmp_path, capsys, monkeypatch, scale
+    ):
+        def unbuilt(*args):
+            raise AssertionError("a kernel was built")
+
+        monkeypatch.setattr(kernels, "make_kernel", unbuilt)
+        noise = np.random.default_rng(1).normal(size=30)
+        g = write_column(tmp_path / "g.csv", scale * (1.0 + noise))
+        code = run("diagnose", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO,
+                   "--true-g", g, "--kernel", "poly2", "--nlambda", "1")
+        assert code == 2
+        assert f"data error: {g}: " in capsys.readouterr().err
 
     def test_all_zero_phenotypes_without_true_signal_is_data_error(self, tmp_path, capsys):
         pheno = write_column(tmp_path / "y.csv", np.zeros(30))

@@ -155,6 +155,7 @@ def _package_env() -> dict:
     src = str(Path(kernherit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"  # as the pytest settings
     return env
 
 

@@ -438,15 +438,13 @@ class TestEigCaching:
 
     def test_basis_verified_once_and_never_for_fits(self, monkeypatch):
         calls = []
-        real = matrixcore.verify_eigh
+        real = matrixcore._residuals
 
         def counting(a, dec):
             calls.append(1)
             return real(a, dec)
 
-        from kernherit import kernels as kernels_mod
-
-        monkeypatch.setattr(kernels_mod.matrixcore, "verify_eigh", counting)
+        monkeypatch.setattr(matrixcore, "_residuals", counting)
         k = make_kernel("linear", design_matrix(simulate_hwe(30, 5, seed=2), False))
         y = np.arange(30.0)
         krr.lambda_grid_fit(k, y, (0.5, 1.0))
@@ -537,6 +535,12 @@ class TestCorruptedFactorization:
         for k, y in self.instances():
             with pytest.raises(NumericalError, match="residual check"):
                 krr._finalize(k, y, 1.0, np.full(k.n, np.nan))
+
+    def test_eigh_alone_fails_basis_verification(self, monkeypatch):
+        self.corrupt_eigh(monkeypatch)
+        for k, _ in self.instances():
+            with pytest.raises(NumericalError, match="failed verification"):
+                matrixcore.eigh(k.matrix)
 
     def test_spectra_fail_basis_verification(self, monkeypatch):
         self.corrupt_eigh(monkeypatch)

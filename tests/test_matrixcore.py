@@ -86,7 +86,6 @@ def test_eigh_and_residuals_equal_reference_bitwise(name, a):
     assert np.array_equal(dec.eigenvectors, v)
     assert dec.eigenvectors.flags.c_contiguous
     assert matrixcore._residuals(a, dec) == reference_eigh_residuals(a, w, v)
-    matrixcore.verify_eigh(a, dec)
 
 
 class TestSolveSpdShifted:
