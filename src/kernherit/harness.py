@@ -393,89 +393,43 @@ def write_manifest(cfg: McConfig, path, workers: int = 1) -> None:
 
 # ---------------------------------------------------------------------------
 # Named presets mirroring the stock simulation settings.
-
+#
+# One row per (source, dimension) cell of the paper's simulation design.
+# Source "hwe" simulates Hardy-Weinberg genotypes; "kgp" stands for the 1000
+# Genomes panel and runs the external scenario (a user-supplied matrix).
+# Dimension "low" has more samples than SNPs (N > p), "high" fewer (N < p).
+# Each row: scenario, population size, SNP count, sample sizes, then the
+# sigma_g of each effect family in FAMILIES order.
+_DESIGN = {
+    ("hwe", "low"): ("hwe", 1000, 500, LOW_DIM_SAMPLE_SIZES, (0.02, 0.03, 0.02)),
+    ("hwe", "high"): ("hwe", 500, 1000, HIGH_DIM_SAMPLE_SIZES, (0.01, 0.02, 0.05)),
+    ("kgp", "low"): ("external", 1092, 500, LOW_DIM_SAMPLE_SIZES, (0.02, 0.03, 0.05)),
+    ("kgp", "high"): ("external", 1092, 1500, HIGH_DIM_SAMPLE_SIZES, (0.01, 0.015, 0.05)),
+}
 
 PRESETS: dict[str, McConfig] = {
-    # Hardy-Weinberg scenario, low-dimensional (N > p).
-    "hwe-linear-low": McConfig(family="linear", population_size=1000, snp_count=500, sigma_g=0.02),
-    "hwe-quadratic-low": McConfig(
-        family="quadratic", population_size=1000, snp_count=500, sigma_g=0.03
-    ),
-    "hwe-trigonometric-low": McConfig(
-        family="trigonometric", population_size=1000, snp_count=500, sigma_g=0.02
-    ),
-    # Hardy-Weinberg scenario, high-dimensional (N < p).
-    "hwe-linear-high": McConfig(
-        family="linear",
-        population_size=500,
-        snp_count=1000,
-        sigma_g=0.01,
-        sample_sizes=HIGH_DIM_SAMPLE_SIZES,
-    ),
-    "hwe-quadratic-high": McConfig(
-        family="quadratic",
-        population_size=500,
-        snp_count=1000,
-        sigma_g=0.02,
-        sample_sizes=HIGH_DIM_SAMPLE_SIZES,
-    ),
-    "hwe-trigonometric-high": McConfig(
-        family="trigonometric",
-        population_size=500,
-        snp_count=1000,
-        sigma_g=0.05,
-        sample_sizes=HIGH_DIM_SAMPLE_SIZES,
-    ),
-    # External-genotype scenario (user-supplied matrix), low-dimensional.
-    "kgp-linear-low": McConfig(
-        scenario="external", family="linear", population_size=1092, snp_count=500, sigma_g=0.02
-    ),
-    "kgp-quadratic-low": McConfig(
-        scenario="external", family="quadratic", population_size=1092, snp_count=500, sigma_g=0.03
-    ),
-    "kgp-trigonometric-low": McConfig(
-        scenario="external",
-        family="trigonometric",
-        population_size=1092,
-        snp_count=500,
-        sigma_g=0.05,
-    ),
-    # External-genotype scenario, high-dimensional.
-    "kgp-linear-high": McConfig(
-        scenario="external",
-        family="linear",
-        population_size=1092,
-        snp_count=1500,
-        sigma_g=0.01,
-        sample_sizes=HIGH_DIM_SAMPLE_SIZES,
-    ),
-    "kgp-quadratic-high": McConfig(
-        scenario="external",
-        family="quadratic",
-        population_size=1092,
-        snp_count=1500,
-        sigma_g=0.015,
-        sample_sizes=HIGH_DIM_SAMPLE_SIZES,
-    ),
-    "kgp-trigonometric-high": McConfig(
-        scenario="external",
-        family="trigonometric",
-        population_size=1092,
-        snp_count=1500,
-        sigma_g=0.05,
-        sample_sizes=HIGH_DIM_SAMPLE_SIZES,
-    ),
-    # Small configuration that exercises the full pipeline in seconds.
-    "desk": McConfig(
-        family="linear",
-        population_size=300,
-        snp_count=60,
-        sigma_g=0.05,
-        lambda_grid=(0.8, 1.5, 2.3),
-        sample_sizes=(100, 150, 200, 250, 300),
-        repetitions=50,
-    ),
+    f"{source}-{family}-{dim}": McConfig(
+        scenario=scenario,
+        family=family,
+        population_size=size,
+        snp_count=snps,
+        sigma_g=sigma_g,
+        sample_sizes=sizes,
+    )
+    for (source, dim), (scenario, size, snps, sizes, sigmas) in _DESIGN.items()
+    for family, sigma_g in zip(FAMILIES, sigmas)
 }
+
+# Small configuration that exercises the full pipeline in seconds.
+PRESETS["desk"] = McConfig(
+    family="linear",
+    population_size=300,
+    snp_count=60,
+    sigma_g=0.05,
+    lambda_grid=(0.8, 1.5, 2.3),
+    sample_sizes=(100, 150, 200, 250, 300),
+    repetitions=50,
+)
 
 
 def preset_config(name: str) -> McConfig:

@@ -248,7 +248,9 @@ def make_kernel(kind: str, design: Design) -> KernelMatrix:
     blocks = _row_blocks(n)
     k = design._buffer("kernel")
     if kind == "gaussian":
-        sq = gram.diagonal()  # squared row norms: each distance (i, i) is 2 G_ii - 2 G_ii = 0
+        # Squared row norms, so each distance (i, i) is 2 G_ii - 2 G_ii = 0;
+        # copied because every block reads them all, and the view has stride n + 1.
+        sq = gram.diagonal().copy()
         twice_gram = np.empty_like(k[blocks[0]])  # reused by every block
     for rows in blocks:
         out = k[rows]

@@ -74,10 +74,6 @@ class Population:
     true_h2: float
     bound_m: float  # max |g|, the empirical signal-magnitude bound
 
-    @property
-    def n(self) -> int:
-        return self.genotypes.n
-
 
 def effect_function(family: str, u) -> np.ndarray:
     """Apply one of the three effect families elementwise to the array u."""

@@ -251,6 +251,15 @@ class TestCanonicalLayout:
             assert np.array_equal(read_genotype_csv(path).data, [[0, 1], [2, 0]])
         assert scans == [path]
 
+    def test_lone_carriage_returns_are_left_to_the_scan(self, tmp_path):
+        path, twin = tmp_path / "cr.csv", tmp_path / "lf.csv"
+        path.write_bytes(b"0,1,2\r1,2,0\r")
+        twin.write_bytes(b"0,1,2\n1,2,0\n")
+        with _counted_scans() as scans:
+            back = read_genotype_csv(path)
+        assert scans == [path]
+        assert np.array_equal(back.data, read_genotype_csv(twin).data)
+
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_matrices(8, 8), st.data(), st.sampled_from(["3", "x", "-1", "1.0", "9", "2 2"]))

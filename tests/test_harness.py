@@ -532,6 +532,34 @@ class TestPresets:
         with pytest.raises(DataError, match="unknown preset"):
             preset_config("nope")
 
+    def test_stock_presets_pin_the_simulation_design(self):
+        """Each stock preset sets exactly its cell's values; every other field is the default."""
+        low, high = (600, 700, 800, 900, 1000), (100, 200, 300, 400, 500)
+        stock = {
+            "hwe-linear-low": ("hwe", 1000, 500, 0.02, low),
+            "hwe-quadratic-low": ("hwe", 1000, 500, 0.03, low),
+            "hwe-trigonometric-low": ("hwe", 1000, 500, 0.02, low),
+            "hwe-linear-high": ("hwe", 500, 1000, 0.01, high),
+            "hwe-quadratic-high": ("hwe", 500, 1000, 0.02, high),
+            "hwe-trigonometric-high": ("hwe", 500, 1000, 0.05, high),
+            "kgp-linear-low": ("external", 1092, 500, 0.02, low),
+            "kgp-quadratic-low": ("external", 1092, 500, 0.03, low),
+            "kgp-trigonometric-low": ("external", 1092, 500, 0.05, low),
+            "kgp-linear-high": ("external", 1092, 1500, 0.01, high),
+            "kgp-quadratic-high": ("external", 1092, 1500, 0.015, high),
+            "kgp-trigonometric-high": ("external", 1092, 1500, 0.05, high),
+        }
+        assert list(PRESETS) == [*stock, "desk"]
+        for name, (scenario, size, snps, sigma_g, sizes) in stock.items():
+            assert PRESETS[name] == McConfig(
+                scenario=scenario,
+                family=name.split("-")[1],
+                population_size=size,
+                snp_count=snps,
+                sigma_g=sigma_g,
+                sample_sizes=sizes,
+            ), name
+
 
 def test_manifest_contents(tmp_path):
     cfg = tiny_config()

@@ -113,6 +113,11 @@ class TestFit:
             assert np.isfinite(res.h2_hat)
             assert 0.0 <= res.h2_hat <= 1.0
 
+    def test_single_individual_has_no_genetic_variance(self):
+        res = fit(KernelMatrix([[2.0]]), [3.0], 1.0)
+        assert res.alpha_hat.tolist() == [1.0]
+        assert (res.sigma_g2_hat, res.sigma_eps2_hat, res.h2_hat) == (0.0, 1.0, 0.0)
+
     def test_undefined_h2_flagged_not_raised(self):
         res = fit(identity_kernel(4), np.zeros(4), 1.0)
         assert np.isnan(res.h2_hat)

@@ -58,6 +58,14 @@ class TestEigh:
         dec = eigh(a)
         assert abs(dec.eigenvalues.sum() - np.trace(a)) <= 1e-8 * max(1.0, abs(np.trace(a)))
 
+    def test_solver_failure_is_a_numerical_error(self):
+        a = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, -3.0], [0.0, -3.0, 1.0]])
+        failing = mock.Mock(side_effect=np.linalg.LinAlgError("no convergence"))
+        message = r"did not converge for order 3 matrix \(max off-diagonal magnitude 3\.000e\+00\)"
+        with mock.patch.object(np.linalg, "eigh", failing):
+            with pytest.raises(NumericalError, match=message):
+                eigh(a)
+
 
 def _eigh_cases() -> dict[str, np.ndarray]:
     rng = np.random.default_rng(2024)

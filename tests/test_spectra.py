@@ -322,6 +322,16 @@ class TestProp4:
         assert rpt.i1e_lower - 1e-10 <= rpt.terms.i1e <= rpt.i1e_upper + 1e-10
         assert rpt.i1g_lower - 1e-10 <= rpt.terms.i1g <= rpt.i1g_upper + 1e-10
 
+    def test_refusal_when_ones_and_signal_are_orthogonal(self):
+        """1^T g = 0 needs a report made for another signal: its own would fail (C3)."""
+        n = 6
+        kernel = KernelMatrix(np.ones((n, n)) + 0.01 * np.eye(n))
+        rep = check_conditions(kernel, 1.0 + 0.01 * np.arange(n))
+        assert rep.conditions_met
+        g = np.tile([1.0, -1.0], 3)
+        with pytest.raises(ConditionNotMet, match=r"1\^T g is exactly zero"):
+            prop4_check(kernel, g, max(1.01 * rep.lambda_threshold, 0.5), rep)
+
 
 class TestBoundReport:
     def test_unconditional_noise_sandwich(self):
