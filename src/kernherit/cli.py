@@ -63,22 +63,6 @@ def _read_numeric(path, column: bool, rows: tuple[str, int]) -> np.ndarray:
     return data[:, 0] if column else data
 
 
-def _positive_float_arg(raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {raw!r}") from None
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {raw!r}")
-    return value
-
-
-def _gaussian_bandwidth_arg(raw: str):
-    """The ``gaussian_bandwidth`` key's text; a number must be positive and finite."""
-    value = _config_field_arg("gaussian_bandwidth")(raw)
-    return None if value is None else _positive_float_arg(raw)
-
-
 def _config_field_arg(name: str):
     """Flag type that parses its value as the config file's ``name`` field."""
 
@@ -91,8 +75,9 @@ def _config_field_arg(name: str):
     return parse
 
 
-# simulate and mc flags that each set one McConfig field and parse as its
-# config key: flag -> (field, help).
+# Flags that each set one McConfig field and parse as its config key:
+# flag -> (field, help). McConfig checks their ranges. A list field's flag
+# adds to its earlier uses; any other flag's last use wins.
 _SIMULATE_FIELD_FLAGS = {
     "--n-individuals": ("population_size", None),
     "--n-snps": ("snp_count", None),
@@ -102,19 +87,35 @@ _SIMULATE_FIELD_FLAGS = {
 }
 _MC_FIELD_FLAGS = {
     "--reps": ("repetitions", None),
-    "--kernels": ("kernels", "comma-separated kernel kinds"),
+    "--kernels": ("kernels", "comma-separated kernel kinds, or all"),
+    "--nlambda": ("lambda_grid", "comma-separated regularization strengths n*lambda"),
     "--sizes": ("sample_sizes", "comma-separated sample sizes"),
     "--population-seed": ("population_seed", None),
     "--sampling-seed": ("sampling_seed", None),
     "--out": ("output_path", "output directory"),
 }
+_FILE_FIELD_FLAGS = {  # estimate and diagnose
+    "--kernel": ("kernels", "comma-separated kernel kinds, or all"),
+    "--nlambda": ("lambda_grid", "comma-separated regularization strengths n*lambda"),
+    "--gaussian-bandwidth": ("gaussian_bandwidth", "auto (p/2 standardized, 1 raw) or a number"),
+}
+
+
+class _Extend(argparse.Action):
+    """Adds a list field's items to those of the flag's earlier uses."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, (getattr(namespace, self.dest) or ()) + values)
 
 
 def _add_field_flags(parser, flags) -> None:
+    defaults = harness.McConfig()
     for flag, (field, help_text) in flags.items():
         parser.add_argument(
             flag, dest=field, type=_config_field_arg(field), default=None,
-            metavar=flag[2:].upper().replace("-", "_"), help=help_text,
+            action=_Extend if isinstance(getattr(defaults, field), tuple) else "store",
+            metavar=flag[2:].upper().replace("-", "_"),
+            help=f"{field}: {help_text}" if help_text else field,
         )
 
 
@@ -124,25 +125,24 @@ def _given_fields(args, flags) -> dict:
     return {field: value for field, value in values.items() if value is not None}
 
 
-def _add_pipeline_flags(parser) -> None:
+def _configure(base, fields) -> harness.McConfig:
+    """``base`` with ``fields`` replaced; a value McConfig rejects is a usage error."""
+    try:
+        return dataclasses.replace(base, **fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _add_file_flags(parser) -> None:
+    """The input, settings and output flags that estimate and diagnose share."""
+    parser.add_argument("--genotypes", required=True)
+    parser.add_argument("--phenotypes", required=True)
+    _add_field_flags(parser, _FILE_FIELD_FLAGS)
     parser.add_argument(
-        "--no-standardize",
-        dest="standardize",
-        action="store_false",
+        "--no-standardize", dest="standardize", action="store_false",
         help="build kernels on raw allele counts instead of column-standardized ones",
     )
-    parser.set_defaults(standardize=True)
-    parser.add_argument(
-        "--gaussian-bandwidth",
-        type=_gaussian_bandwidth_arg,
-        default=None,
-        metavar="auto|FLOAT",
-        help="Gaussian kernel bandwidth; 'auto' means p/2 standardized, 1 raw",
-    )
-
-
-def _kernel_kinds(arg: str) -> tuple[str, ...]:
-    return kernels.KERNEL_KINDS if arg == "all" else (arg,)
+    parser.add_argument("--out", default=None)
 
 
 def _genotype_source(cfg, path):
@@ -173,10 +173,7 @@ def cmd_simulate(args) -> int:
             raise UsageError(f"missing {', '.join(missing)} (or use --preset)")
         base = harness.McConfig()
         fields["sample_sizes"] = (fields["population_size"],)  # unused here; must fit the population
-    try:
-        cfg = dataclasses.replace(base, population_seed=args.seed, **fields)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    cfg = _configure(base, {**fields, "population_seed": args.seed})
 
     source = _genotype_source(cfg, args.genotypes)
     pop = harness.build_mc_population(cfg, source)
@@ -193,7 +190,11 @@ def cmd_simulate(args) -> int:
 
 
 def _load_inputs(args, covariates=None):
-    """Design matrix and the phenotype to fit, for estimate and diagnose.
+    """Settings, design matrix and the phenotype to fit, for estimate and diagnose.
+
+    The settings are checked before any file is read; fields other than
+    ``kernels``, ``lambda_grid``, ``standardize`` and ``gaussian_bandwidth``
+    keep their defaults and are never read.
 
     The intercept, and the ``covariates`` file's columns if given, are
     projected out of the phenotypes once; the residual is fitted when
@@ -203,6 +204,8 @@ def _load_inputs(args, covariates=None):
     is a DataError naming its files, raised before any kernel is built.
     All zeros pass; their h2 is undefined.
     """
+    cfg = _configure(harness.McConfig(standardize=args.standardize),
+                     _given_fields(args, _FILE_FIELD_FLAGS))
     genotypes = read_genotype_csv(args.genotypes)
     rows = (args.genotypes, genotypes.n)
     y = _read_numeric(args.phenotypes, column=True, rows=rows)
@@ -218,8 +221,8 @@ def _load_inputs(args, covariates=None):
         raise DataError(f"{files}: {exc}") from None
     if norm_y > 0.0 and np.linalg.norm(r) <= y.size * np.finfo(np.float64).eps * norm_y:
         raise DataError(f"{files}: the phenotypes have no variance to split")
-    design = kernels.design_matrix(genotypes, args.standardize, args.gaussian_bandwidth)
-    return (y if x is None else r), design
+    design = kernels.design_matrix(genotypes, cfg.standardize, cfg.gaussian_bandwidth)
+    return cfg, (y if x is None else r), design
 
 
 def _write_lines(lines, out) -> int:
@@ -235,16 +238,12 @@ def _write_lines(lines, out) -> int:
 
 
 def cmd_estimate(args) -> int:
-    grid = tuple(args.nlambda) if args.nlambda else krr.DEFAULT_NLAMBDA_GRID
-    for i, value in enumerate(grid):
-        if value in grid[:i]:  # as mc's lambda_grid, before any file is read
-            raise UsageError(f"--nlambda must be distinct, got {value!r} more than once")
-    y, design = _load_inputs(args, args.covariates)
+    cfg, y, design = _load_inputs(args, args.covariates)
 
     lines = [krr.estimate_csv_header()]
-    for kind in _kernel_kinds(args.kernel):
+    for kind in cfg.kernels:
         kernel = kernels.make_kernel(kind, design)
-        for fit_res in krr.lambda_grid_fit(kernel, y, grid):
+        for fit_res in krr.lambda_grid_fit(kernel, y, cfg.lambda_grid):
             lines.append(krr.estimate_csv_row(kind, fit_res))
     return _write_lines(lines, args.out)
 
@@ -252,7 +251,10 @@ def cmd_estimate(args) -> int:
 def cmd_diagnose(args) -> int:
     from . import spectra  # imported here: no other command needs it
 
-    y, design = _load_inputs(args)
+    if len(args.kernels or ()) != 1 or len(args.lambda_grid or ()) != 1:
+        raise UsageError("diagnose takes exactly one --kernel value and one --nlambda value")
+    cfg, y, design = _load_inputs(args)
+    (kind,), (nlambda,) = cfg.kernels, cfg.lambda_grid
     proxy = args.true_g is None
     if not proxy:  # checked before any kernel is built
         g = _read_numeric(args.true_g, column=True, rows=(args.genotypes, y.size))
@@ -264,18 +266,18 @@ def cmd_diagnose(args) -> int:
         if not g.any():
             raise DataError(f"{args.true_g}: the signal to diagnose is all zero")
         sigma_eps2 = float(noise @ noise) / y.size
-    kernel = kernels.make_kernel(args.kernel, design)
-    fit_res = krr.fit(kernel, y, args.nlambda)
+    kernel = kernels.make_kernel(kind, design)
+    fit_res = krr.fit(kernel, y, nlambda)
     if proxy:
         g, sigma_eps2 = fit_res.g_hat, fit_res.sigma_eps2_hat
         if not g.any():
             raise DataError(f"{args.phenotypes}: the signal to diagnose is all zero")
 
     cond = spectra.check_conditions(kernel, g)
-    bound = spectra.bound_report(kernel, y, g, args.nlambda, sigma_eps2, cond)
+    bound = spectra.bound_report(kernel, y, g, nlambda, sigma_eps2, cond)
     items = spectra.report_items(cond, bound, proxy)
     try:
-        p3 = spectra.prop3_check(kernel, g, args.nlambda, cond)
+        p3 = spectra.prop3_check(kernel, g, nlambda, cond)
         items += [
             spectra.report_item(f"alignment_bound_{key}", value, proxy)
             for key, value in dataclasses.asdict(p3).items()
@@ -295,13 +297,7 @@ def cmd_mc(args) -> int:
         cfg = harness.read_config(args.config)
     else:
         cfg = harness.preset_config(args.preset)
-    overrides = _given_fields(args, _MC_FIELD_FLAGS)
-    if args.nlambda:
-        overrides["lambda_grid"] = tuple(args.nlambda)
-    try:
-        cfg = dataclasses.replace(cfg, **overrides)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    cfg = _configure(cfg, _given_fields(args, _MC_FIELD_FLAGS))
     if cfg.output_path is None:
         raise UsageError("no output directory: pass --out or set output_path in the config")
 
@@ -337,27 +333,18 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--out", required=True, help="output path prefix")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_est = sub.add_parser("estimate", help="estimate heritability from files")
-    p_est.add_argument("--genotypes", required=True)
-    p_est.add_argument("--phenotypes", required=True)
+    keys = "Settings flags parse as the config key in their help; a bad value is a usage error. "
+    p_est = sub.add_parser("estimate", help="estimate heritability from files", description=keys
+                           + "A repeated --kernel or --nlambda adds to its earlier uses. "
+                           "Defaults: --kernel all and the stock --nlambda grid.")
+    _add_file_flags(p_est)
     p_est.add_argument("--covariates", default=None)
-    p_est.add_argument("--kernel", choices=kernels.KERNEL_KINDS + ("all",), default="all")
-    p_est.add_argument(
-        "--nlambda", type=_positive_float_arg, action="append", default=None,
-        help="regularization strength n*lambda (repeatable; default: stock grid)",
-    )
-    _add_pipeline_flags(p_est)
-    p_est.add_argument("--out", default=None)
     p_est.set_defaults(func=cmd_estimate)
 
-    p_diag = sub.add_parser("diagnose", help="spectral condition and bound report")
-    p_diag.add_argument("--genotypes", required=True)
-    p_diag.add_argument("--phenotypes", required=True)
-    p_diag.add_argument("--kernel", choices=kernels.KERNEL_KINDS, required=True)
-    p_diag.add_argument("--nlambda", type=_positive_float_arg, required=True)
+    p_diag = sub.add_parser("diagnose", help="spectral condition and bound report", description=keys
+                            + "Takes exactly one --kernel value and one --nlambda value.")
+    _add_file_flags(p_diag)
     p_diag.add_argument("--true-g", default=None, help="signal values from simulation")
-    _add_pipeline_flags(p_diag)
-    p_diag.add_argument("--out", default=None)
     p_diag.set_defaults(func=cmd_diagnose)
 
     p_mc = sub.add_parser("mc", help="run the Monte Carlo harness")
@@ -366,7 +353,6 @@ def build_parser() -> _Parser:
     source.add_argument("--preset", choices=sorted(harness.PRESETS), default=None)
     p_mc.add_argument("--genotypes", default=None, help="matrix for the external scenario")
     _add_field_flags(p_mc, _MC_FIELD_FLAGS)
-    p_mc.add_argument("--nlambda", type=_positive_float_arg, action="append", default=None)
     p_mc.add_argument("--workers", type=int, default=1)
     p_mc.set_defaults(func=cmd_mc)
     return parser

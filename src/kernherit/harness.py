@@ -75,13 +75,12 @@ class McConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if not self.kernels:
-            raise ValueError("at least one kernel kind is required")
         for kind in self.kernels:
             if kind not in KERNEL_KINDS:
-                raise ValueError(f"unknown kernel kind {kind!r}")
-        if not self.lambda_grid or not all(0 < v < math.inf for v in self.lambda_grid):
-            raise ValueError("lambda_grid must be non-empty, positive and finite")
+                raise ValueError(f"kernels must be among {', '.join(KERNEL_KINDS)}, got {kind!r}")
+        for value in self.lambda_grid:
+            if not 0 < value < math.inf:
+                raise ValueError(f"lambda_grid must be positive and finite, got {value}")
         check_scales(self.sigma_g, self.sigma_eps)
         for name in ("repetitions", "population_size", "snp_count"):
             if getattr(self, name) < 1:
@@ -89,21 +88,22 @@ class McConfig:
         for name in ("population_seed", "sampling_seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.sample_sizes:
-            raise ValueError("at least one sample size is required")
         for n in self.sample_sizes:
             if not (1 <= n <= self.population_size):
                 raise ValueError(
                     f"sample size {n} outside [1, population size {self.population_size}]"
                 )
         for name in ("kernels", "lambda_grid", "sample_sizes"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be non-empty")
             seen = set()
             for value in getattr(self, name):
                 if value in seen:
                     raise ValueError(f"{name} must be distinct, got {value!r} more than once")
                 seen.add(value)
-        if self.gaussian_bandwidth is not None and not 0 < self.gaussian_bandwidth < math.inf:
-            raise ValueError("gaussian_bandwidth must be positive and finite when given")
+        bandwidth = self.gaussian_bandwidth
+        if bandwidth is not None and not 0 < bandwidth < math.inf:
+            raise ValueError(f"gaussian_bandwidth must be positive and finite, got {bandwidth}")
         path = self.output_path
         if path is not None and (path != path.strip() or len(path.splitlines()) != 1):
             raise ValueError(
@@ -284,10 +284,13 @@ def write_table_csv(table: McResultTable, path) -> None:
 # ---------------------------------------------------------------------------
 # Flat key=value run configuration files.
 
-def _list_codec(convert, what: str, fmt=str):
-    """Codec of a comma-separated list field; an empty item is an error."""
+def _list_codec(convert, what: str, fmt=str, every=None):
+    """Codec of a comma-separated list field; an empty item is an error, and
+    ``all`` parses as ``every`` if given."""
 
     def parse(raw: str) -> tuple:
+        if every is not None and raw == "all":
+            return every
         parts = [part.strip() for part in raw.split(",")]
         try:
             if "" in parts:
@@ -307,11 +310,11 @@ def _parse_bool(raw: str) -> bool:
 
 # (parse, format) of every McConfig field, in declaration order: the one
 # text form of a run setting, shared by config files, manifests and the
-# ``mc`` flags. Ranges are checked by McConfig, not here.
+# command-line settings flags. Ranges are checked by McConfig, not here.
 FIELD_CODECS = {
     "scenario": (str, str),
     "family": (str, str),
-    "kernels": _list_codec(str, "names"),
+    "kernels": _list_codec(str, "names", every=KERNEL_KINDS),
     "lambda_grid": _list_codec(float, "numbers", repr),
     "sample_sizes": _list_codec(int, "integers"),
     "repetitions": (int, str),

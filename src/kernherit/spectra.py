@@ -133,7 +133,8 @@ def check_conditions(k: KernelMatrix, g) -> ConditionReport:
     l1/l2 > (alpha + 1 - c^2)/c^2 strict with a 1% margin; the boundary
     alpha = max(2c^2 - 1, 0) is admitted as the limiting case (this is
     what makes the perfectly aligned rank-one kernel, where c = 1 and
-    the gap is infinite, come out feasible with threshold zero).
+    the gap is infinite, come out feasible with threshold zero). C3 holds
+    when c exceeds n times the float64 machine epsilon.
     """
     g = _signal(k, g)
     norm_g = float(np.linalg.norm(g))
@@ -152,7 +153,13 @@ def check_conditions(k: KernelMatrix, g) -> ConditionReport:
     r_v1_g = abs(float(v1 @ g)) / norm_g
     r_ones_g = abs(float(g.sum())) / (sqrt_n * norm_g)
     c = min(1.0, r_v1_ones, r_v1_g, r_ones_g)
-    c3_met = c > 0.0
+    # C3 asks for c > 0. Each ratio is a dot product of two unit vectors
+    # (v1, 1/sqrt(n), g/||g||), whose rounding over n terms is at most about
+    # n*eps (Cauchy-Schwarz); a backward-stable eigensolver leaves in v1 a
+    # component of that order (its backward error relative to l1) along any
+    # exact null direction of K, such as the ones vector of a standardized
+    # linear kernel. So a c at or below n*eps is rounding of zero.
+    c3_met = c > n * float(np.finfo(np.float64).eps)
 
     alpha_lo = max(2.0 * c * c - 1.0, 0.0)
     if l1 <= 0.0:

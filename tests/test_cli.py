@@ -190,7 +190,14 @@ class TestEstimate:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "usage error: --nlambda must be distinct, got 0.5 more than once" in captured.err
+        assert "usage error: lambda_grid must be distinct, got 0.5 more than once" in captured.err
+
+    def test_repeated_kernel_keeps_every_value_in_order(self, capsys):
+        code = run("estimate", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO,
+                   "--kernel", "poly2", "--kernel", "gaussian,linear", "--nlambda", "1")
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["poly2", "gaussian", "linear"]
 
     def test_zero_phenotypes_print_undefined(self, tmp_path, capsys):
         geno, pheno = tmp_path / "g.csv", tmp_path / "y.csv"
@@ -245,7 +252,10 @@ class TestEstimate:
         code = run("estimate", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO,
                    flag, value)
         assert code == 1
-        assert f"argument {flag}: must be positive and finite" in capsys.readouterr().err
+        key = {"--nlambda": "lambda_grid", "--gaussian-bandwidth": "gaussian_bandwidth"}[flag]
+        assert capsys.readouterr().err == (
+            f"usage error: {key} must be positive and finite, got {float(value)}\n"
+        )
 
     @pytest.mark.parametrize("value", [" auto", ""])
     def test_gaussian_bandwidth_reads_auto_as_its_config_key(self, capsys, value):
@@ -653,12 +663,47 @@ class TestDiagnose:
             f"data error: {pheno}: the signal to diagnose is all zero\n"
         )
 
+    @pytest.mark.parametrize(
+        "settings",
+        [["--kernel", "linear", "--kernel", "poly2", "--nlambda", "1"],
+         ["--kernel", "linear,poly2", "--nlambda", "1"],
+         ["--kernel", "all", "--nlambda", "1"],
+         ["--kernel", "linear", "--nlambda", "1", "--nlambda", "2"],
+         ["--kernel", "linear", "--nlambda", "1,2"],
+         ["--nlambda", "1"],
+         ["--kernel", "linear"]],
+        ids=["two-kernels", "kernel-list", "all", "two-nlambda", "nlambda-list",
+             "no-kernel", "no-nlambda"],
+    )
+    def test_one_kernel_and_one_nlambda_or_usage_error(self, tmp_path, capsys, settings):
+        missing = str(tmp_path / "missing.csv")  # rejected before any file is read
+        code = run("diagnose", "--genotypes", missing, "--phenotypes", missing, *settings)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "usage error: diagnose takes exactly one --kernel value and one --nlambda value\n"
+        )
+
+    def test_standardized_linear_kernel_refuses_on_alignment(self, capsys):
+        # The standardized linear kernel maps the ones vector to zero, so
+        # c is rounding of zero and C3, not C4, is what fails.
+        code = run("diagnose", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO,
+                   "--true-g", FIXTURE_G, "--kernel", "linear", "--nlambda", "2.3")
+        assert code == 0
+        report = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        assert float(report["c_star"]) < 1e-15
+        assert (report["c3_met"], report["c4_met"]) == ("false", "false")
+        assert report["alignment_bound"].startswith(
+            "refused: precondition not met: alignment condition (C3)"
+        )
+
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     def test_bad_nlambda_is_usage_error(self, capsys, value):
         code = run("diagnose", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO,
                    "--kernel", "linear", "--nlambda", value)
         assert code == 1
-        assert "argument --nlambda: must be positive and finite" in capsys.readouterr().err
+        assert f"usage error: lambda_grid must be positive and finite, got {float(value)}" in (
+            capsys.readouterr().err
+        )
 
 
 class TestMc:
@@ -729,7 +774,11 @@ class TestMc:
         out = tmp_path / "out"
         code = run("mc", "--preset", "desk", "--reps", "1", flag, value, "--out", str(out))
         assert code == 1
-        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if flag == "--nlambda":  # out of range: McConfig names the key and the value
+            assert f"usage error: lambda_grid {message}, got {float(value)}" in err
+        else:  # unparsable: argparse names the flag
+            assert f"usage error: argument {flag}: {message}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -762,7 +811,10 @@ class TestMc:
          ("--n-individuals", "population_size", "1e2"),
          ("--n-snps", "snp_count", "5.0"),
          ("--sigma-g", "sigma_g", "abc"),
-         ("--sigma-eps", "sigma_eps", "")],
+         ("--sigma-eps", "sigma_eps", ""),
+         ("--kernel", "kernels", "linear,"),
+         ("--nlambda", "lambda_grid", "1,,2"),
+         ("--gaussian-bandwidth", "gaussian_bandwidth", "wide")],
     )
     def test_every_field_flag_rejects_what_its_key_rejects(self, tmp_path, capsys, flag, key, value):
         code = run(*self.field_flag_argv(flag, value, str(tmp_path / "out")))
@@ -784,7 +836,12 @@ class TestMc:
          ("--n-snps", "snp_count", "5 "),
          ("--n-individuals", "population_size", " 1500"),
          ("--sigma-g", "sigma_g", "0.1 "),
-         ("--sigma-eps", "sigma_eps", " 0.5")],
+         ("--sigma-eps", "sigma_eps", " 0.5"),
+         ("--kernel", "kernels", " all"),
+         ("--kernel", "kernels", "poly2, linear"),
+         ("--nlambda", "lambda_grid", " 0.5,2.3 "),
+         ("--gaussian-bandwidth", "gaussian_bandwidth", " 7"),
+         ("--gaussian-bandwidth", "gaussian_bandwidth", "auto")],
     )
     def test_every_field_flag_accepts_what_its_key_accepts(self, flag, key, value):
         args = build_parser().parse_args(self.field_flag_argv(flag, value, "x"))
@@ -792,9 +849,14 @@ class TestMc:
 
     @staticmethod
     def field_flag_argv(flag, value, out):
-        """A simulate or mc command line that sets one field flag, writing to ``out``."""
+        """A simulate, estimate or mc command line that sets one field flag,
+        writing to ``out``; estimate's input files do not exist."""
         if flag in ("--n-individuals", "--n-snps", "--sigma-g", "--sigma-eps", "--family"):
             return ["simulate", "--seed", "1", "--out", out, flag, value]
+        if flag in ("--kernel", "--nlambda", "--gaussian-bandwidth"):
+            missing = os.path.join(os.path.dirname(out), "missing.csv")
+            return ["estimate", "--genotypes", missing, "--phenotypes", missing, "--out", out,
+                    flag, value]
         return ["mc", "--preset", "desk", "--out", out, flag, value]
 
     def test_out_is_stripped_like_output_path(self, tmp_path, monkeypatch):
@@ -817,6 +879,24 @@ class TestMc:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_repeated_list_flags_keep_every_value_in_order(self, tmp_path):
+        out = tmp_path / "out"
+        code = run("mc", "--preset", "desk", "--reps", "1", "--sizes", "100", "--sizes", "150",
+                   "--kernels", "linear", "--kernels", "poly2", "--nlambda", "1",
+                   "--out", str(out))
+        assert code == 0
+        rows = [line.split(",")[:3] for line in (out / "table.csv").read_text().splitlines()[1:]]
+        assert rows == [["linear", "1.0", "100"], ["linear", "1.0", "150"],
+                        ["poly2", "1.0", "100"], ["poly2", "1.0", "150"]]
+
+    def test_kernels_all_means_every_kind(self):
+        assert parse_config("kernels=all\n").kernels == KERNEL_KINDS
+        args = build_parser().parse_args(["mc", "--preset", "desk", "--kernels", "all"])
+        assert args.kernels == KERNEL_KINDS
+        assert "kernels=linear,poly2,gaussian\n" in harness.serialize_config(
+            parse_config("kernels=all\n")
+        )
 
     def test_config_parse_error_reports_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

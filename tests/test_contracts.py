@@ -11,12 +11,15 @@ must report every declared layer, the genotype read among them. The CLI
 must also start without scipy, which the package no longer depends on at
 run time, and without ``spectra``, which only ``diagnose`` uses.
 Every walkthrough in ``demos/`` must still run against the package, and
-every name the package exports must resolve.
+every name the package exports must resolve. The README's table of
+settings flags must list exactly the flags the CLI parses as config keys.
 """
 
+import argparse
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -166,6 +169,40 @@ def test_export_list_resolves():
     namespace = {}
     exec("from kernherit import *", namespace)
     assert set(kernherit.__all__) <= namespace.keys()
+
+
+def test_readme_flag_table_is_the_cli_flag_tables():
+    """Each (command, flag, config key) row of the README's settings-flag table
+    is in a CLI flag table and declared by the parser, and vice versa."""
+    from kernherit import cli, harness
+
+    readme = (REPO / "README.md").read_text()
+    documented = re.findall(r"^\| `(\w+)` \| `(--[\w-]+)` \| `(\w+)` \|$", readme, re.M)
+    assert len(documented) == len(set(documented))
+    tables = {
+        "simulate": cli._SIMULATE_FIELD_FLAGS,
+        "estimate": cli._FILE_FIELD_FLAGS,
+        "diagnose": cli._FILE_FIELD_FLAGS,
+        "mc": cli._MC_FIELD_FLAGS,
+    }
+    declared = {
+        (command, flag, field)
+        for command, flags in tables.items()
+        for flag, (field, _) in flags.items()
+    }
+    assert set(documented) == declared
+    commands = next(
+        action.choices for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    parsed = {
+        (command, flag, action.dest)
+        for command, parser in commands.items()
+        for action in parser._actions
+        if action.dest in harness.FIELD_CODECS and action.dest != "standardize"
+        for flag in action.option_strings
+    }
+    assert parsed == declared
 
 
 def test_cli_import_does_not_load_scipy():

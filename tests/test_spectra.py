@@ -105,6 +105,24 @@ class TestCheckConditions:
         assert not rep.c3_met
         assert not rep.conditions_met
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(5, 150),
+        p=st.integers(2, 100),
+        family=st.sampled_from(FAMILIES),
+    )
+    def test_standardized_linear_kernel_fails_alignment(self, seed, n, p, family):
+        """Standardized columns sum to zero, so the linear kernel maps the ones
+        vector to zero and c = 0 in exact arithmetic: C3 fails on its rounding,
+        and a refusal names C3."""
+        kernel, g, _ = genotype_instance(seed, n=n, p=p, kind="linear", family=family)
+        assume(g.any() and kernel.matrix.any())  # e.g. every SNP monomorphic
+        rep = check_conditions(kernel, g)
+        assert not rep.c3_met
+        with pytest.raises(ConditionNotMet, match=r"alignment condition \(C3\)"):
+            prop3_check(kernel, g, 1.0, rep)
+
     def test_matches_direct_ratio_loop(self):
         kernel, g, _ = spiked_instance(3, n=8)
         rep = check_conditions(kernel, g)
