@@ -251,10 +251,7 @@ def cmd_estimate(args) -> int:
 def cmd_diagnose(args) -> int:
     from . import spectra  # imported here: no other command needs it
 
-    if len(args.kernels or ()) != 1 or len(args.lambda_grid or ()) != 1:
-        raise UsageError("diagnose takes exactly one --kernel value and one --nlambda value")
     cfg, y, design = _load_inputs(args)
-    (kind,), (nlambda,) = cfg.kernels, cfg.lambda_grid
     proxy = args.true_g is None
     if not proxy:  # checked before any kernel is built
         g = _read_numeric(args.true_g, column=True, rows=(args.genotypes, y.size))
@@ -266,28 +263,29 @@ def cmd_diagnose(args) -> int:
         if not g.any():
             raise DataError(f"{args.true_g}: the signal to diagnose is all zero")
         sigma_eps2 = float(noise @ noise) / y.size
-    kernel = kernels.make_kernel(kind, design)
-    fit_res = krr.fit(kernel, y, nlambda)
-    if proxy:
-        g, sigma_eps2 = fit_res.g_hat, fit_res.sigma_eps2_hat
-        if not g.any():
-            raise DataError(f"{args.phenotypes}: the signal to diagnose is all zero")
-
-    cond = spectra.check_conditions(kernel, g)
-    bound = spectra.bound_report(kernel, y, g, nlambda, sigma_eps2, cond)
-    items = spectra.report_items(cond, bound, proxy)
-    try:
-        p3 = spectra.prop3_check(kernel, g, nlambda, cond)
-        items += [
-            spectra.report_item(f"alignment_bound_{key}", value, proxy)
-            for key, value in dataclasses.asdict(p3).items()
-        ]
-    except ConditionNotMet as exc:
-        items.append(spectra.report_item("alignment_bound", f"refused: {exc}", proxy))
-    # The estimates come from the fit alone, so they are never proxy-labeled.
-    for key in ("sigma_g2_hat", "sigma_eps2_hat", "h2_hat"):
-        items.append(spectra.report_item(key, getattr(fit_res, key)))
-    return _write_lines([f"{key}={value}" for key, value in items], args.out)
+    blocks = []
+    for kind in cfg.kernels:
+        kernel = kernels.make_kernel(kind, design)  # its eigenbasis serves every nlambda
+        for nlambda in cfg.lambda_grid:
+            fit_res = krr.fit(kernel, y, nlambda)
+            if proxy:
+                g, sigma_eps2 = fit_res.g_hat, fit_res.sigma_eps2_hat
+                if not g.any():
+                    raise DataError(f"{args.phenotypes}: the signal to diagnose is all zero")
+            cond = spectra.check_conditions(kernel, g)
+            bound = spectra.bound_report(kernel, y, g, nlambda, sigma_eps2, cond)
+            items = spectra.report_items(cond, bound, proxy)
+            try:
+                p3 = spectra.prop3_check(kernel, g, nlambda, cond)
+                items += [spectra.report_item(f"alignment_bound_{key}", value, proxy)
+                          for key, value in dataclasses.asdict(p3).items()]
+            except ConditionNotMet as exc:
+                items.append(spectra.report_item("alignment_bound", f"refused: {exc}", proxy))
+            # The estimates come from the fit alone, so they are never proxy-labeled.
+            for key in ("sigma_g2_hat", "sigma_eps2_hat", "h2_hat"):
+                items.append(spectra.report_item(key, getattr(fit_res, key)))
+            blocks.append("\n".join(f"{key}={value}" for key, value in items))
+    return _write_lines(["\n\n".join(blocks)], args.out)
 
 
 def cmd_mc(args) -> int:
@@ -333,16 +331,17 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--out", required=True, help="output path prefix")
     p_sim.set_defaults(func=cmd_simulate)
 
-    keys = "Settings flags parse as the config key in their help; a bad value is a usage error. "
-    p_est = sub.add_parser("estimate", help="estimate heritability from files", description=keys
-                           + "A repeated --kernel or --nlambda adds to its earlier uses. "
-                           "Defaults: --kernel all and the stock --nlambda grid.")
+    keys = ("Settings flags parse as the config key in their help; a bad value is a usage error. "
+            "A repeated --kernel or --nlambda adds to its earlier uses. "
+            "Defaults: --kernel all and the stock --nlambda grid.")
+    p_est = sub.add_parser("estimate", help="estimate heritability from files", description=keys)
     _add_file_flags(p_est)
     p_est.add_argument("--covariates", default=None)
     p_est.set_defaults(func=cmd_estimate)
 
     p_diag = sub.add_parser("diagnose", help="spectral condition and bound report", description=keys
-                            + "Takes exactly one --kernel value and one --nlambda value.")
+                            + " One report block per (kernel, nlambda), in estimate's row"
+                            " order, with a blank line between blocks.")
     _add_file_flags(p_diag)
     p_diag.add_argument("--true-g", default=None, help="signal values from simulation")
     p_diag.set_defaults(func=cmd_diagnose)

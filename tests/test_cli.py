@@ -11,7 +11,7 @@ from kernherit.genotypes import read_genotype_csv, simulate_hwe, write_genotype_
 from kernherit.exceptions import DataError
 from kernherit.harness import build_mc_population, parse_config, preset_config
 from kernherit.kernels import KERNEL_KINDS, design_matrix, make_kernel
-from kernherit.krr import fit
+from kernherit.krr import DEFAULT_NLAMBDA_GRID, fit
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 FIXTURE_GENO = os.path.join(DATA, "fixture.genotypes.csv")
@@ -663,25 +663,46 @@ class TestDiagnose:
             f"data error: {pheno}: the signal to diagnose is all zero\n"
         )
 
-    @pytest.mark.parametrize(
-        "settings",
-        [["--kernel", "linear", "--kernel", "poly2", "--nlambda", "1"],
-         ["--kernel", "linear,poly2", "--nlambda", "1"],
-         ["--kernel", "all", "--nlambda", "1"],
-         ["--kernel", "linear", "--nlambda", "1", "--nlambda", "2"],
-         ["--kernel", "linear", "--nlambda", "1,2"],
-         ["--nlambda", "1"],
-         ["--kernel", "linear"]],
-        ids=["two-kernels", "kernel-list", "all", "two-nlambda", "nlambda-list",
-             "no-kernel", "no-nlambda"],
-    )
-    def test_one_kernel_and_one_nlambda_or_usage_error(self, tmp_path, capsys, settings):
-        missing = str(tmp_path / "missing.csv")  # rejected before any file is read
-        code = run("diagnose", "--genotypes", missing, "--phenotypes", missing, *settings)
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "usage error: diagnose takes exactly one --kernel value and one --nlambda value\n"
-        )
+    @staticmethod
+    def _diagnose(capsys, *argv):
+        code = run("diagnose", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO, *argv)
+        assert code == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("true_g", [[], ["--true-g", FIXTURE_G]], ids=["proxy", "true_g"])
+    def test_grid_is_the_one_pair_reports_joined_by_blank_lines(self, capsys, true_g):
+        whole = self._diagnose(capsys, "--kernel", "all", "--nlambda", "0.8", "--nlambda", "2.3",
+                               *true_g)
+        pairs = [self._diagnose(capsys, "--kernel", kind, "--nlambda", nlambda, *true_g)
+                 for kind in KERNEL_KINDS for nlambda in ("0.8", "2.3")]
+        assert whole == "\n".join(pairs)
+
+    @pytest.mark.parametrize("true_g", [[], ["--true-g", FIXTURE_G]], ids=["proxy", "true_g"])
+    def test_defaults_report_every_estimate_row_in_order(self, capsys, true_g):
+        assert run("estimate", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        blocks = self._diagnose(capsys, *true_g).split("\n\n")
+        assert len(rows) == len(blocks) == len(KERNEL_KINDS) * len(DEFAULT_NLAMBDA_GRID)
+        for (_, nlambda, _, sigma_g2, sigma_eps2, h2), block in zip(rows, blocks):
+            report = dict(line.split("=", 1) for line in block.splitlines())
+            assert (report["nlambda"], report["sigma_g2_hat"], report["sigma_eps2_hat"],
+                    report["h2_hat"]) == (nlambda, sigma_g2, sigma_eps2, h2)
+
+    def test_grid_factors_each_kernel_once(self, capsys, monkeypatch):
+        # One checked n x n eigendecomposition per kernel, shared by its grid.
+        from kernherit import matrixcore
+
+        orders = []
+        eigh = matrixcore.eigh
+
+        def counted(a):
+            orders.append(len(a))
+            return eigh(a)
+
+        monkeypatch.setattr(matrixcore, "eigh", counted)
+        out = self._diagnose(capsys, "--true-g", FIXTURE_G)
+        assert out.count("signal_source=") == len(KERNEL_KINDS) * len(DEFAULT_NLAMBDA_GRID)
+        assert orders == [len(np.loadtxt(FIXTURE_PHENO))] * len(KERNEL_KINDS)
 
     def test_standardized_linear_kernel_refuses_on_alignment(self, capsys):
         # The standardized linear kernel maps the ones vector to zero, so

@@ -22,6 +22,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -47,34 +48,46 @@ def test_bench_layer_targets_exist():
         assert attr in owner.__dict__, f"{name}: {owner.__name__} has no {attr!r}"
 
 
-@pytest.mark.parametrize("nlambda", ["0.001", "50"])
-def test_diagnose_calls_each_spectra_layer_once_through_the_module(monkeypatch, nlambda):
-    """The ``spectra.*`` per-layer metrics time these three module attributes."""
-    from kernherit import cli, spectra
+@pytest.mark.parametrize(
+    "kinds, grid",
+    [(["gaussian"], ["0.001"]), (["gaussian"], ["50"]), (["linear", "gaussian"], ["0.001", "50"])],
+    ids=["0.001", "50", "two-kernels-two-nlambda"],
+)
+def test_diagnose_calls_each_spectra_layer_once_through_the_module(monkeypatch, kinds, grid):
+    """The ``spectra.*`` per-layer metrics time these three module attributes,
+    once per (kernel, nlambda); ``kernels.make_kernel`` runs once per kernel
+    and ``krr.fit`` once per pair, each through its module too."""
+    from kernherit import cli, krr, spectra
 
     calls = []
 
-    def counted(name):
-        original = getattr(spectra, name)
+    def counted(owner, name):
+        original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls.append(name)
             return original(*args, **kwargs)
 
-        return wrapper
+        monkeypatch.setattr(owner, name, wrapper)
 
     names = ("check_conditions", "bound_report", "prop3_check")
     for name in names:
-        monkeypatch.setattr(spectra, name, counted(name))
+        counted(spectra, name)
+    counted(kernels, "make_kernel")
+    counted(krr, "fit")
     data = REPO / "tests" / "data"
+    settings = [item for kind in kinds for item in ("--kernel", kind)]
+    settings += [item for nlambda in grid for item in ("--nlambda", nlambda)]
     code = cli.main([
         "diagnose", "--genotypes", str(data / "fixture.genotypes.csv"),
-        "--phenotypes", str(data / "fixture.phenotypes.csv"), "--kernel", "gaussian",
-        "--nlambda", nlambda, "--true-g", str(data / "fixture.gvalues.csv"),
-        "--out", os.devnull,
+        "--phenotypes", str(data / "fixture.phenotypes.csv"), *settings,
+        "--true-g", str(data / "fixture.gvalues.csv"), "--out", os.devnull,
     ])
     assert code == 0
-    assert sorted(calls) == sorted(names)
+    pairs = len(kinds) * len(grid)
+    assert Counter(calls) == {
+        **dict.fromkeys(names, pairs), "make_kernel": len(kinds), "fit": pairs,
+    }
 
 
 @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "stand_in_pool"])
