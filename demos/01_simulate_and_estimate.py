@@ -9,7 +9,7 @@ heritability.
 import numpy as np
 
 from kernherit.genotypes import simulate_hwe
-from kernherit.kernels import KERNEL_KINDS, Design, make_kernel
+from kernherit.kernels import KERNEL_KINDS, design_matrix, make_kernel
 from kernherit.krr import DEFAULT_NLAMBDA_GRID, lambda_grid_fit
 from kernherit.phenosim import SimulationSpec, build_population
 
@@ -22,7 +22,7 @@ print(f"population: N={N}, p={P}, family={spec.family}")
 print(f"realized heritability: {pop.true_h2:.4f}")
 print(f"max |signal| over the population: {pop.bound_m:.3f}\n")
 
-design = Design(genotypes.standardized(), gaussian_bandwidth=P / 2)
+design = design_matrix(genotypes, standardize=True)
 print(f"{'nlambda':>8}  " + "  ".join(f"{kind:>9}" for kind in KERNEL_KINDS))
 columns = {}
 for kind in KERNEL_KINDS:

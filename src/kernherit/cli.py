@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from . import harness, kernels, krr
+from . import harness, krr
 from .exceptions import ConditionNotMet, DataError, KernheritError, NumericalError
 from .genotypes import read_genotype_csv, write_genotype_csv
 from .phenosim import export_population
@@ -190,7 +190,7 @@ def cmd_simulate(args) -> int:
 
 
 def _load_inputs(args, covariates=None):
-    """Settings, design matrix and the phenotype to fit, for estimate and diagnose.
+    """Settings, genotypes and the phenotype to fit, for estimate and diagnose.
 
     The settings are checked before any file is read; fields other than
     ``kernels``, ``lambda_grid``, ``standardize`` and ``gaussian_bandwidth``
@@ -221,8 +221,7 @@ def _load_inputs(args, covariates=None):
         raise DataError(f"{files}: {exc}") from None
     if norm_y > 0.0 and np.linalg.norm(r) <= y.size * np.finfo(np.float64).eps * norm_y:
         raise DataError(f"{files}: the phenotypes have no variance to split")
-    design = kernels.design_matrix(genotypes, cfg.standardize, cfg.gaussian_bandwidth)
-    return cfg, (y if x is None else r), design
+    return cfg, (y if x is None else r), genotypes
 
 
 def _write_lines(lines, out) -> int:
@@ -238,20 +237,16 @@ def _write_lines(lines, out) -> int:
 
 
 def cmd_estimate(args) -> int:
-    cfg, y, design = _load_inputs(args, args.covariates)
-
-    lines = [krr.estimate_csv_header()]
-    for kind in cfg.kernels:
-        kernel = kernels.make_kernel(kind, design)
-        for fit_res in krr.lambda_grid_fit(kernel, y, cfg.lambda_grid):
-            lines.append(krr.estimate_csv_row(kind, fit_res))
-    return _write_lines(lines, args.out)
+    cfg, y, genotypes = _load_inputs(args, args.covariates)
+    fits = harness.kernel_fits(cfg, genotypes, y)
+    rows = [krr.estimate_csv_row(kind, fit_res) for kind, _, fit_res in fits]
+    return _write_lines([krr.estimate_csv_header(), *rows], args.out)
 
 
 def cmd_diagnose(args) -> int:
     from . import spectra  # imported here: no other command needs it
 
-    cfg, y, design = _load_inputs(args)
+    cfg, y, genotypes = _load_inputs(args)
     proxy = args.true_g is None
     if not proxy:  # checked before any kernel is built
         g = _read_numeric(args.true_g, column=True, rows=(args.genotypes, y.size))
@@ -264,27 +259,24 @@ def cmd_diagnose(args) -> int:
             raise DataError(f"{args.true_g}: the signal to diagnose is all zero")
         sigma_eps2 = float(noise @ noise) / y.size
     blocks = []
-    for kind in cfg.kernels:
-        kernel = kernels.make_kernel(kind, design)  # its eigenbasis serves every nlambda
-        for nlambda in cfg.lambda_grid:
-            fit_res = krr.fit(kernel, y, nlambda)
-            if proxy:
-                g, sigma_eps2 = fit_res.g_hat, fit_res.sigma_eps2_hat
-                if not g.any():
-                    raise DataError(f"{args.phenotypes}: the signal to diagnose is all zero")
-            cond = spectra.check_conditions(kernel, g)
-            bound = spectra.bound_report(kernel, y, g, nlambda, sigma_eps2, cond)
-            items = spectra.report_items(cond, bound, proxy)
-            try:
-                p3 = spectra.prop3_check(kernel, g, nlambda, cond)
-                items += [spectra.report_item(f"alignment_bound_{key}", value, proxy)
-                          for key, value in dataclasses.asdict(p3).items()]
-            except ConditionNotMet as exc:
-                items.append(spectra.report_item("alignment_bound", f"refused: {exc}", proxy))
-            # The estimates come from the fit alone, so they are never proxy-labeled.
-            for key in ("sigma_g2_hat", "sigma_eps2_hat", "h2_hat"):
-                items.append(spectra.report_item(key, getattr(fit_res, key)))
-            blocks.append("\n".join(f"{key}={value}" for key, value in items))
+    # estimate's fits; each kernel's one eigenbasis serves its whole grid.
+    for _, kernel, fit_res in harness.kernel_fits(cfg, genotypes, y):
+        if proxy:
+            g, sigma_eps2 = fit_res.g_hat, fit_res.sigma_eps2_hat
+            if not g.any():
+                raise DataError(f"{args.phenotypes}: the signal to diagnose is all zero")
+        cond = spectra.check_conditions(kernel, g)
+        bound = spectra.bound_report(kernel, y, g, fit_res.nlambda, sigma_eps2, cond)
+        items = spectra.report_items(cond, bound, proxy)
+        try:
+            p3 = spectra.prop3_check(kernel, g, fit_res.nlambda, cond)
+            items += [spectra.report_item(f"alignment_bound_{key}", value, proxy)
+                      for key, value in dataclasses.asdict(p3).items()]
+        except ConditionNotMet as exc:
+            items.append(spectra.report_item("alignment_bound", f"refused: {exc}", proxy))
+        # From the fit alone, so never proxy-labeled, and in estimate's text.
+        items += zip(("sigma_g2_hat", "sigma_eps2_hat", "h2_hat"), krr.estimate_fields(fit_res))
+        blocks.append("\n".join(f"{key}={value}" for key, value in items))
     return _write_lines(["\n\n".join(blocks)], args.out)
 
 

@@ -178,6 +178,19 @@ def build_mc_population(cfg: McConfig, genotype_source: GenotypeMatrix | None = 
     return build_population(simulation_spec(cfg), genotypes)
 
 
+def kernel_fits(cfg: McConfig, genotypes: GenotypeMatrix, y, scratch: _Scratch | None = None):
+    """(kind, kernel, fit) for each kernel of ``cfg`` in order and each nlambda of its grid.
+
+    One design of ``genotypes`` serves every kernel, and one sweep each kernel's grid.
+    A kernel built in ``scratch`` is valid until the next one is built there.
+    """
+    design = design_matrix(genotypes, cfg.standardize, cfg.gaussian_bandwidth, scratch)
+    for kind in cfg.kernels:
+        kernel = make_kernel(kind, design)
+        for fit_res in lambda_grid_fit(kernel, y, cfg.lambda_grid):
+            yield kind, kernel, fit_res
+
+
 def _rep_estimates(
     cfg: McConfig, pop: Population, scratch: _Scratch, row_idx: np.ndarray
 ) -> np.ndarray:
@@ -186,13 +199,8 @@ def _rep_estimates(
     Builds the Gram and kernels in ``scratch``, over those of the last call.
     """
     z_rows = GenotypeMatrix(pop.genotypes.data[row_idx])
-    design = design_matrix(z_rows, cfg.standardize, cfg.gaussian_bandwidth, scratch)
-    y = pop.phenotypes[row_idx]
-    out = np.empty((len(cfg.kernels), len(cfg.lambda_grid)))
-    for i, kind in enumerate(cfg.kernels):
-        kernel = make_kernel(kind, design)
-        out[i] = [fit_res.h2_hat for fit_res in lambda_grid_fit(kernel, y, cfg.lambda_grid)]
-    return out
+    fits = kernel_fits(cfg, z_rows, pop.phenotypes[row_idx], scratch)
+    return np.array([fit_res.h2_hat for _, _, fit_res in fits]).reshape(len(cfg.kernels), -1)
 
 
 def run_mc(

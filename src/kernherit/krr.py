@@ -326,15 +326,14 @@ def estimate_csv_header() -> str:
     return "kernel,nlambda,n,sigma_g2,sigma_eps2,h2"
 
 
+def estimate_fields(fit_result: KrrFit) -> tuple[str, str, str]:
+    """Text of sigma_g2, sigma_eps2 and h2: each its repr, and an undefined h2 ``undefined``."""
+    h2 = fit_result.h2_hat
+    return (repr(fit_result.sigma_g2_hat), repr(fit_result.sigma_eps2_hat),
+            "undefined" if math.isnan(h2) else repr(h2))
+
+
 def estimate_csv_row(kind: str, fit_result: KrrFit) -> str:
     """One estimate as a CSV row: kind, nlambda, n, sigma_g2, sigma_eps2, h2."""
-    return ",".join(
-        (
-            kind,
-            repr(fit_result.nlambda),
-            str(fit_result.n),
-            repr(fit_result.sigma_g2_hat),
-            repr(fit_result.sigma_eps2_hat),
-            "undefined" if math.isnan(fit_result.h2_hat) else repr(fit_result.h2_hat),
-        )
-    )
+    fields = (kind, repr(fit_result.nlambda), str(fit_result.n), *estimate_fields(fit_result))
+    return ",".join(fields)

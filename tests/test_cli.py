@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from kernherit import harness, kernels, spectra
+from kernherit import harness, spectra
 from kernherit.cli import build_parser, main
 from kernherit.genotypes import read_genotype_csv, simulate_hwe, write_genotype_csv
 from kernherit.exceptions import DataError
@@ -19,6 +19,7 @@ FIXTURE_PHENO = os.path.join(DATA, "fixture.phenotypes.csv")
 FIXTURE_G = os.path.join(DATA, "fixture.gvalues.csv")
 FIXTURE_GOLDEN = os.path.join(DATA, "fixture.golden_estimates.csv")
 GOLDEN_DIAGNOSE = os.path.join(DATA, "fixture.golden_diagnose_{}.txt")
+FIXTURE = (FIXTURE_GENO, FIXTURE_PHENO, FIXTURE_G)
 
 
 def run(*argv) -> int:
@@ -203,13 +204,21 @@ class TestEstimate:
         geno, pheno = tmp_path / "g.csv", tmp_path / "y.csv"
         geno.write_text("0,1\n1,2\n2,0\n")
         pheno.write_text("0\n0\n0\n")
-        code = run("estimate", "--genotypes", str(geno), "--phenotypes", str(pheno),
-                   "--kernel", "all", "--nlambda", "1")
-        assert code == 0
+        files = ["--genotypes", str(geno), "--phenotypes", str(pheno), "--kernel", "all",
+                 "--nlambda", "1"]
+        assert run("estimate", *files) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 3
         for row in rows:
             assert row.endswith(",0.0,0.0,undefined")
+        # diagnose prints the same three estimates, as key=value lines ending each block.
+        g = write_column(tmp_path / "g_true.csv", [1.0, -1.0, 0.5])
+        assert run("diagnose", *files, "--true-g", g) == 0
+        blocks = capsys.readouterr().out.rstrip("\n").split("\n\n")
+        assert len(blocks) == 3
+        for block in blocks:
+            assert block.splitlines()[-3:] == ["sigma_g2_hat=0.0", "sigma_eps2_hat=0.0",
+                                               "h2_hat=undefined"]
 
     def test_intercept_only_covariates_equal_centered_estimation(self, tmp_path, capsys):
         cov = tmp_path / "cov.csv"
@@ -291,13 +300,12 @@ class TestEstimate:
         assert "row 2, column 2" in capsys.readouterr().err
 
     def test_numerical_failure_maps_to_exit_3(self, monkeypatch, capsys):
-        from kernherit import cli as cli_mod
         from kernherit.exceptions import NumericalError
 
         def boom(*args, **kwargs):
             raise NumericalError("solver diverged")
 
-        monkeypatch.setattr(cli_mod.krr, "lambda_grid_fit", boom)
+        monkeypatch.setattr(harness, "lambda_grid_fit", boom)  # the sweep estimate calls
         code = run(
             "estimate", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO,
             "--kernel", "linear", "--nlambda", "1.0",
@@ -396,7 +404,7 @@ class TestConstantPhenotypes:
     def run_unbuilt(monkeypatch, *argv) -> int:
         """Exit code of a command that must build no kernel."""
         built = []
-        monkeypatch.setattr(kernels, "make_kernel", lambda *args: built.append(args))
+        monkeypatch.setattr(harness, "make_kernel", lambda *args: built.append(args))
         code = run(*argv)
         assert built == []
         return code
@@ -646,7 +654,7 @@ class TestDiagnose:
         def unbuilt(*args):
             raise AssertionError("a kernel was built")
 
-        monkeypatch.setattr(kernels, "make_kernel", unbuilt)
+        monkeypatch.setattr(harness, "make_kernel", unbuilt)
         noise = np.random.default_rng(1).normal(size=30)
         g = write_column(tmp_path / "g.csv", scale * (1.0 + noise))
         code = run("diagnose", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO,
@@ -663,30 +671,45 @@ class TestDiagnose:
             f"data error: {pheno}: the signal to diagnose is all zero\n"
         )
 
+    @pytest.fixture(scope="class")
+    def simulated(self, tmp_path_factory):
+        """Genotype, phenotype and signal files of a simulated 200 x 300 set, on which
+        the shifts of the stock grid stop at different Lanczos steps (11 to 69)."""
+        cfg = harness.McConfig(population_size=200, snp_count=300, sample_sizes=(200,))
+        pop = build_mc_population(cfg)
+        path = tmp_path_factory.mktemp("simulated")
+        write_genotype_csv(pop.genotypes, path / "g.csv")
+        return (str(path / "g.csv"), write_column(path / "y.csv", pop.phenotypes),
+                write_column(path / "g_true.csv", pop.g_values))
+
     @staticmethod
-    def _diagnose(capsys, *argv):
-        code = run("diagnose", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO, *argv)
+    def _diagnose(capsys, inputs, true_g, *argv):
+        geno, pheno, g = inputs
+        signal = ["--true-g", g] if true_g else []
+        code = run("diagnose", "--genotypes", geno, "--phenotypes", pheno, *signal, *argv)
         assert code == 0
         return capsys.readouterr().out
 
-    @pytest.mark.parametrize("true_g", [[], ["--true-g", FIXTURE_G]], ids=["proxy", "true_g"])
-    def test_grid_is_the_one_pair_reports_joined_by_blank_lines(self, capsys, true_g):
-        whole = self._diagnose(capsys, "--kernel", "all", "--nlambda", "0.8", "--nlambda", "2.3",
-                               *true_g)
-        pairs = [self._diagnose(capsys, "--kernel", kind, "--nlambda", nlambda, *true_g)
-                 for kind in KERNEL_KINDS for nlambda in ("0.8", "2.3")]
-        assert whole == "\n".join(pairs)
+    @pytest.mark.parametrize("true_g", [False, True], ids=["proxy", "true_g"])
+    def test_grid_is_the_one_pair_reports_joined_by_blank_lines(self, capsys, simulated, true_g):
+        for inputs in (FIXTURE, simulated):
+            whole = self._diagnose(capsys, inputs, true_g, "--kernel", "all",
+                                   "--nlambda", "0.8", "--nlambda", "2.3")
+            pairs = [self._diagnose(capsys, inputs, true_g, "--kernel", kind, "--nlambda", nlambda)
+                     for kind in KERNEL_KINDS for nlambda in ("0.8", "2.3")]
+            assert whole == "\n".join(pairs)
 
-    @pytest.mark.parametrize("true_g", [[], ["--true-g", FIXTURE_G]], ids=["proxy", "true_g"])
-    def test_defaults_report_every_estimate_row_in_order(self, capsys, true_g):
-        assert run("estimate", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO) == 0
-        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
-        blocks = self._diagnose(capsys, *true_g).split("\n\n")
-        assert len(rows) == len(blocks) == len(KERNEL_KINDS) * len(DEFAULT_NLAMBDA_GRID)
-        for (_, nlambda, _, sigma_g2, sigma_eps2, h2), block in zip(rows, blocks):
-            report = dict(line.split("=", 1) for line in block.splitlines())
-            assert (report["nlambda"], report["sigma_g2_hat"], report["sigma_eps2_hat"],
-                    report["h2_hat"]) == (nlambda, sigma_g2, sigma_eps2, h2)
+    @pytest.mark.parametrize("true_g", [False, True], ids=["proxy", "true_g"])
+    def test_defaults_report_every_estimate_row_in_order(self, capsys, simulated, true_g):
+        for inputs in (FIXTURE, simulated):
+            assert run("estimate", "--genotypes", inputs[0], "--phenotypes", inputs[1]) == 0
+            rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+            blocks = self._diagnose(capsys, inputs, true_g).split("\n\n")
+            assert len(rows) == len(blocks) == len(KERNEL_KINDS) * len(DEFAULT_NLAMBDA_GRID)
+            for (_, nlambda, _, sigma_g2, sigma_eps2, h2), block in zip(rows, blocks):
+                report = dict(line.split("=", 1) for line in block.splitlines())
+                assert (report["nlambda"], report["sigma_g2_hat"], report["sigma_eps2_hat"],
+                        report["h2_hat"]) == (nlambda, sigma_g2, sigma_eps2, h2)
 
     def test_grid_factors_each_kernel_once(self, capsys, monkeypatch):
         # One checked n x n eigendecomposition per kernel, shared by its grid.
@@ -700,7 +723,7 @@ class TestDiagnose:
             return eigh(a)
 
         monkeypatch.setattr(matrixcore, "eigh", counted)
-        out = self._diagnose(capsys, "--true-g", FIXTURE_G)
+        out = self._diagnose(capsys, FIXTURE, True)
         assert out.count("signal_source=") == len(KERNEL_KINDS) * len(DEFAULT_NLAMBDA_GRID)
         assert orders == [len(np.loadtxt(FIXTURE_PHENO))] * len(KERNEL_KINDS)
 

@@ -55,9 +55,9 @@ def test_bench_layer_targets_exist():
 )
 def test_diagnose_calls_each_spectra_layer_once_through_the_module(monkeypatch, kinds, grid):
     """The ``spectra.*`` per-layer metrics time these three module attributes,
-    once per (kernel, nlambda); ``kernels.make_kernel`` runs once per kernel
-    and ``krr.fit`` once per pair, each through its module too."""
-    from kernherit import cli, krr, spectra
+    once per (kernel, nlambda); ``harness.make_kernel`` and
+    ``harness.lambda_grid_fit`` run once per kernel, and ``krr.fit`` never."""
+    from kernherit import cli, harness, krr, spectra
 
     calls = []
 
@@ -73,7 +73,8 @@ def test_diagnose_calls_each_spectra_layer_once_through_the_module(monkeypatch, 
     names = ("check_conditions", "bound_report", "prop3_check")
     for name in names:
         counted(spectra, name)
-    counted(kernels, "make_kernel")
+    counted(harness, "make_kernel")
+    counted(harness, "lambda_grid_fit")
     counted(krr, "fit")
     data = REPO / "tests" / "data"
     settings = [item for kind in kinds for item in ("--kernel", kind)]
@@ -86,7 +87,7 @@ def test_diagnose_calls_each_spectra_layer_once_through_the_module(monkeypatch, 
     assert code == 0
     pairs = len(kinds) * len(grid)
     assert Counter(calls) == {
-        **dict.fromkeys(names, pairs), "make_kernel": len(kinds), "fit": pairs,
+        **dict.fromkeys(names, pairs), "make_kernel": len(kinds), "lambda_grid_fit": len(kinds),
     }
 
 
