@@ -22,14 +22,14 @@ scratch's two reused buffers instead of fresh arrays, which spares a
 Monte Carlo job the page faults of fresh n-by-n arrays per repetition.
 
 :class:`KernelMatrix`, the one kernel type, checks its matrix where it
-enters and keeps it read-only. A kernel from :func:`make_kernel` adopts
-the array that was filled for it; the public constructor copies its
-argument, which the caller can then change freely. Its
-eigendecomposition, ``eig``, is computed on first access, cached, and
-checked: ``matrixcore.eigh`` verifies its orthonormal basis, then
-``matrixcore.require_psd`` its spectrum. Only the spectral diagnostics
-read it; ridge fits need none (``krr`` solves them by a Krylov sweep
-over ``matrix``).
+enters and keeps it read-only, with the norm that admitted it. A kernel
+from :func:`make_kernel` adopts the array that was filled for it; the
+public constructor copies its argument, which the caller can then
+change freely. Its eigendecomposition, ``eig``, is computed on first
+access, cached, and checked: ``matrixcore.eigh`` verifies its
+orthonormal basis, then ``matrixcore.require_psd`` its spectrum. Only
+the spectral diagnostics read it; ridge fits need none (``krr`` solves
+them by a Krylov sweep over ``matrix``).
 """
 
 from __future__ import annotations
@@ -56,29 +56,23 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
-def _require_finite(a: np.ndarray) -> None:
-    """Raise unless every entry of ``a`` is finite, reading one row block at a time."""
-    if not all(np.isfinite(a[rows]).all() for rows in _row_blocks(a.shape[1])):
-        raise ValueError("matrix entries must be finite")
+def _checked(a: np.ndarray) -> float:
+    """Make ``a`` read-only once it is non-empty, square, of finite norm and exactly symmetric.
 
-
-def _checked(a: np.ndarray) -> np.ndarray:
-    """``a`` made read-only, once it is non-empty, square, finite and exactly symmetric.
-
-    Reads ``a`` a block of rows at a time, so the checks allocate nothing
-    of order n^2. Every block is checked for finiteness before any for
-    symmetry, so a matrix that fails both is reported as non-finite. Each
-    block's entries on and right of the diagonal are compared with their
-    mirror images, which covers every pair once.
+    Returns ||a||_F (``matrixcore.frobenius_norm``), checked before
+    symmetry, so a matrix failing both is reported as non-finite. An
+    admitted matrix is read twice, with nothing of order n^2 allocated:
+    symmetry compares each row block's entries on and right of the
+    diagonal with their mirror images, which covers every pair once.
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
-    _require_finite(a)
+    norm = matrixcore.frobenius_norm(a)
     blocks = _row_blocks(a.shape[0])
     if not all(np.array_equal(a[rows, rows.start :], a[rows.start :, rows].T) for rows in blocks):
         raise ValueError("matrix is not exactly symmetric")
     a.setflags(write=False)
-    return a
+    return norm
 
 
 class _Scratch:
@@ -153,10 +147,10 @@ class Design:
 
     @functools.cached_property
     def gram(self) -> np.ndarray:
-        """Z Z^T, exactly symmetric, finite and read-only."""
+        """Z Z^T, exactly symmetric, of finite norm and read-only."""
         z = self.data
         g = np.matmul(z, z.T, out=self._buffer("gram"))  # the SYRK path of z @ z.T
-        _require_finite(g)  # the Gaussian map can hide an overflow
+        matrixcore.frobenius_norm(g)  # the Gaussian map can hide an overflow
         g.setflags(write=False)
         return g
 
@@ -183,16 +177,18 @@ def design_matrix(
 class KernelMatrix:
     """A symmetric PSD kernel with a cached eigendecomposition.
 
-    Rejects an empty, non-square, non-finite or not exactly (bitwise)
-    symmetric matrix and keeps a read-only float64 copy as ``matrix``,
-    which the caller's array cannot change. :func:`make_kernel` instead
-    hands over the array it filled, to which nothing else writes while
-    the kernel is in use, and the kernel adopts it without a copy
+    Rejects an empty, non-square or not exactly (bitwise) symmetric
+    matrix, or one whose norm is not finite, and keeps ||K||_F as
+    ``frobenius_norm`` and a read-only float64 copy as ``matrix``, which
+    the caller's array cannot change. :func:`make_kernel` instead hands
+    over the array it filled, to which nothing else writes while the
+    kernel is in use, and the kernel adopts it without a copy
     (:meth:`_adopt`); both paths run the same checks (:func:`_checked`).
     """
 
     def __init__(self, matrix: np.ndarray):
-        self.matrix = _checked(np.array(matrix, dtype=np.float64))
+        self.matrix = np.array(matrix, dtype=np.float64)
+        self.frobenius_norm = _checked(self.matrix)
 
     @classmethod
     def _adopt(cls, a: np.ndarray) -> KernelMatrix:
@@ -202,7 +198,7 @@ class KernelMatrix:
         until the next kernel is built in that scratch.
         """
         k = cls.__new__(cls)
-        k.matrix = _checked(a)
+        k.matrix, k.frobenius_norm = a, _checked(a)
         return k
 
     @property
@@ -220,12 +216,6 @@ class KernelMatrix:
         dec = matrixcore.eigh(self.matrix)
         matrixcore.require_psd(dec)
         return dec
-
-    @functools.cached_property
-    def frobenius_norm(self) -> float:
-        """||K||_F, computed once (einsum: no BLAS thread start-up)."""
-        a = self.matrix
-        return math.sqrt(float(np.einsum("ij,ij->", a, a)))
 
 
 def make_kernel(kind: str, design: Design) -> KernelMatrix:

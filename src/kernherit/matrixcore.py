@@ -2,10 +2,10 @@
 
 Spectral diagnostics are built on a symmetric eigendecomposition and a
 definiteness check of its spectrum. All functions are pure and take
-plain arrays; the checks that make an array a kernel (square, finite,
-exactly symmetric) live with the one kernel type,
-``kernels.KernelMatrix``. Factorizations are returned read-only, so a
-cached one cannot be changed by its readers.
+plain arrays. :func:`frobenius_norm` admits every matrix the package
+checks (the Gram, each kernel, :func:`eigh`'s input) by a finite norm,
+which every ||A||_F tolerance reads. Factorizations are returned
+read-only, so a cached one cannot be changed by its readers.
 
 Checks: :func:`eigh` returns only a factorization it has checked:
 converged, finite, and passing an O(n^3) reconstruction and
@@ -22,6 +22,7 @@ computes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,15 @@ PSD_RTOL = 1e-8
 
 _RECON_RTOL = 1e-8
 _ORTHO_TOL = 1e-10
+
+
+def frobenius_norm(a: np.ndarray) -> float:
+    """||a||_F of a 2-D array (einsum: no BLAS thread start-up); ValueError unless finite."""
+    norm = math.sqrt(float(np.einsum("ij,ij->", a, a)))
+    if not math.isfinite(norm):
+        why = "Frobenius norm overflows" if np.isfinite(a).all() else "entries must be finite"
+        raise ValueError(f"matrix {why}")
+    return norm
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -69,8 +79,8 @@ def eigh(a: np.ndarray) -> EigenDecomposition:
 
     Raises NumericalError if the underlying solver does not converge,
     returns non-finite values, or returns a factorization that fails
-    ||V diag(l) V^T - A||_F <= 1e-8 max(1, ||A||_F) or
-    ||V^T V - I||_F <= 1e-10 (checked at O(n^3)).
+    ||V diag(l) V^T - A||_F <= 1e-8 max(1, ||A||_F) (a ValueError if
+    ||A||_F overflows) or ||V^T V - I||_F <= 1e-10 (checked at O(n^3)).
     """
     A = np.asarray(a, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -91,7 +101,7 @@ def eigh(a: np.ndarray) -> EigenDecomposition:
 
     dec = EigenDecomposition(w[::-1].copy(), v[:, ::-1].copy())
     recon, ortho = _residuals(A, dec)
-    if recon > _RECON_RTOL * max(1.0, float(np.linalg.norm(A))) or ortho > _ORTHO_TOL:
+    if not (recon <= _RECON_RTOL * max(1.0, frobenius_norm(A)) and ortho <= _ORTHO_TOL):
         raise NumericalError(
             f"eigendecomposition of order {n} matrix failed verification "
             f"(reconstruction residual {recon:.3e}, orthogonality residual {ortho:.3e})"

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ class TestSimulate:
         assert rows == 1000
         meta = dict(
             line.split("=", 1)
-            for line in open(str(prefix) + ".meta.txt").read().splitlines()
+            for line in Path(str(prefix) + ".meta.txt").read_text().splitlines()
         )
         assert meta["sigma_g"] == "0.02"
 
@@ -165,7 +166,7 @@ class TestEstimate:
             "--kernel", "all", "--nlambda", "0.8", "--nlambda", "1.5", "--out", str(out),
         )
         assert code == 0
-        golden = open(FIXTURE_GOLDEN).read().splitlines()
+        golden = Path(FIXTURE_GOLDEN).read_text().splitlines()
         fresh = out.read_text().splitlines()
         assert fresh[0] == golden[0]
         for got, want in zip(fresh[1:], golden[1:]):
@@ -359,7 +360,7 @@ class TestNonFiniteInput:
 
     @staticmethod
     def poison(source, path, row, value):
-        lines = open(source).read().splitlines()
+        lines = Path(source).read_text().splitlines()
         lines[row - 1] = value
         path.write_text("\n".join(lines) + "\n")
         return str(path)
@@ -536,7 +537,7 @@ class TestDiagnose:
     def _assert_matches_golden(text, golden_path):
         """Same keys in the same order; numbers to 1e-10, other values exactly."""
         fresh = [line.split("=", 1) for line in text.splitlines()]
-        golden = [line.split("=", 1) for line in open(golden_path).read().splitlines()]
+        golden = [line.split("=", 1) for line in Path(golden_path).read_text().splitlines()]
         assert [key for key, _ in fresh] == [key for key, _ in golden]
         for (key, got), (_, want) in zip(fresh, golden):
             try:

@@ -80,6 +80,25 @@ class TestKernelMatrix:
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             make_kernel(kind, design)
 
+    def test_overflowing_norm_rejected(self):
+        """Finite entries whose ||K||_F overflows would make every residual bound infinite."""
+        x = np.random.default_rng(0).standard_normal((6, 3))
+        with pytest.raises(ValueError, match="^matrix Frobenius norm overflows$"):
+            KernelMatrix((x @ x.T) * 1e160)
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_overflowing_gram_norm_rejected(self, kind):
+        """The Gram of finite rows can have finite entries and an infinite norm."""
+        x = np.random.default_rng(0).standard_normal((6, 3))
+        with pytest.raises(ValueError, match="^matrix Frobenius norm overflows$"):
+            make_kernel(kind, Design(x * 1e80))
+
+    def test_admitted_norm_is_kept(self):
+        k = make_kernel("poly2", Design(np.random.default_rng(1).standard_normal((7, 4))))
+        a = k.matrix
+        assert k.frobenius_norm == math.sqrt(float(np.einsum("ij,ij->", a, a)))
+        assert KernelMatrix(a).frobenius_norm == k.frobenius_norm
+
 
 class TestLinearKernel:
     def test_identity_like(self):
@@ -411,7 +430,7 @@ class TestScratch:
         assert sorted(scratch._buffers) == ["gram", "kernel"]  # the original keeps its own
 
     def test_gram_check_allocates_no_order_n2_array(self):
-        """The Gram's finiteness check reads a block of rows at a time."""
+        """The Gram's norm check allocates nothing of order n^2."""
         n = 400
         scratch = kernels._Scratch(n)
         data = np.random.default_rng(0).normal(size=(n, 50))

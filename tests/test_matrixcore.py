@@ -1,3 +1,6 @@
+import math
+import sys
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -65,6 +68,48 @@ class TestEigh:
         with mock.patch.object(np.linalg, "eigh", failing):
             with pytest.raises(NumericalError, match=message):
                 eigh(a)
+
+    def test_overflowing_norm_refused(self):
+        """Finite entries whose ||A||_F overflows would make the tolerance infinite."""
+        x = np.random.default_rng(0).standard_normal((6, 3))
+        with pytest.raises(ValueError, match="^matrix Frobenius norm overflows$"):
+            eigh((x @ x.T) * 1e160)
+
+    def test_nan_residual_fails_verification(self, monkeypatch):
+        monkeypatch.setattr(matrixcore, "_residuals", lambda a, dec: (math.nan, 0.0))
+        with pytest.raises(NumericalError, match="reconstruction residual nan"):
+            eigh(np.eye(3))
+
+
+@st.composite
+def scaled_matrices(draw):
+    """Finite square matrices at one drawn scale, some past where ||a||_F overflows."""
+    n = draw(st.integers(1, 6))
+    base = draw(arrays(np.float64, (n, n), elements=st.floats(-4.0, 4.0, allow_subnormal=False)))
+    return base * 10.0 ** draw(st.integers(120, 160))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(scaled_matrices())
+def test_frobenius_norm_is_admitted_exactly_when_finite(a):
+    """The norm matches np.linalg.norm to a few ulps, and is refused exactly when
+    the sum of squares passes the largest double (up to its rounding)."""
+    squares = sum(Fraction(float(v)) ** 2 for v in a.flat)
+    largest = Fraction(sys.float_info.max)
+    if squares < largest * (1 - Fraction(1, 10**12)):
+        ref = float(np.linalg.norm(a))
+        assert abs(matrixcore.frobenius_norm(a) - ref) <= 8 * math.ulp(ref)
+    elif squares > largest * (1 + Fraction(1, 10**12)):
+        with pytest.raises(ValueError, match="^matrix Frobenius norm overflows$"):
+            matrixcore.frobenius_norm(a)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_frobenius_norm_names_nonfinite_entries(bad):
+    a = np.eye(3)
+    a[2, 1] = bad
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        matrixcore.frobenius_norm(a)
 
 
 def _eigh_cases() -> dict[str, np.ndarray]:

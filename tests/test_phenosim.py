@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,7 +143,7 @@ class TestExport:
         beta = np.loadtxt(paths["beta"])
         assert np.allclose(beta, pop.beta, rtol=0, atol=0)
         meta = dict(
-            line.split("=", 1) for line in open(paths["metadata"]).read().splitlines()
+            line.split("=", 1) for line in Path(paths["metadata"]).read_text().splitlines()
         )
         assert meta["family"] == "quadratic"
         assert float(meta["true_h2"]) == pop.true_h2
