@@ -44,15 +44,13 @@ print(f"shrunk signal {rpt.i1e_lower:.5f} <= {rpt.terms.i1e:.5f} <= {rpt.i1e_upp
 print(f"noise trace expectation gap: {rpt.i2e_gap:.2e} "
       f"(measured {rpt.terms.i2e:.5f} vs expected {rpt.i2e_trace:.5f})\n")
 
-# Real-data style: no true signal, diagnostics run on the fitted values
-# and every signal-derived key is labeled as proxy.
+# Real-data style: with no true signal, report_items makes diagnose's block
+# from the fitted values, and every signal-derived key is labeled as proxy.
 res = fit(kernel, pop.phenotypes, nlam)
-proxy_cond = check_conditions(kernel, res.g_hat)
-proxy_rpt = bound_report(kernel, pop.phenotypes, res.g_hat, nlam, res.sigma_eps2_hat, proxy_cond)
-proxy_items = report_items(proxy_cond, proxy_rpt, proxy=True)
+proxy_items = report_items("poly2", kernel, pop.phenotypes, res)
 proxy_lines = [f"{key}={value}" for key, value in proxy_items]
 print("proxy-labeled report (first lines):")
-for line in proxy_lines[:6]:
+for line in proxy_lines[:7]:
     print("  " + line)
 print("the fitted signal also decides which bounds apply, so these are labeled too:")
 for line in proxy_lines:

@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from . import harness, krr
-from .exceptions import ConditionNotMet, DataError, KernheritError, NumericalError
+from .exceptions import DataError, KernheritError, NumericalError
 from .genotypes import read_genotype_csv, write_genotype_csv
 from .phenosim import export_population
 
@@ -247,35 +247,21 @@ def cmd_diagnose(args) -> int:
     from . import spectra  # imported here: no other command needs it
 
     cfg, y, genotypes = _load_inputs(args)
-    proxy = args.true_g is None
-    if not proxy:  # checked before any kernel is built
+    g = None
+    if args.true_g is not None:  # checked before any kernel is built
         g = _read_numeric(args.true_g, column=True, rows=(args.genotypes, y.size))
         with np.errstate(over="ignore"):
-            noise = y - g
-            norms = (np.linalg.norm(g), np.linalg.norm(noise))
+            norms = (np.linalg.norm(g), np.linalg.norm(y - g))
         if not all(map(math.isfinite, norms)):
             raise DataError(f"{args.true_g}: the norm of the signal or of the noise overflows")
-        if not g.any():
-            raise DataError(f"{args.true_g}: the signal to diagnose is all zero")
-        sigma_eps2 = float(noise @ noise) / y.size
+        if not norms[0] > 0.0:  # spectra's own test of a signal
+            raise DataError(f"{args.true_g}: the norm of the signal is zero or underflows")
     blocks = []
     # estimate's fits; each kernel's one eigenbasis serves its whole grid.
-    for _, kernel, fit_res in harness.kernel_fits(cfg, genotypes, y):
-        if proxy:
-            g, sigma_eps2 = fit_res.g_hat, fit_res.sigma_eps2_hat
-            if not g.any():
-                raise DataError(f"{args.phenotypes}: the signal to diagnose is all zero")
-        cond = spectra.check_conditions(kernel, g)
-        bound = spectra.bound_report(kernel, y, g, fit_res.nlambda, sigma_eps2, cond)
-        items = spectra.report_items(cond, bound, proxy)
-        try:
-            p3 = spectra.prop3_check(kernel, g, fit_res.nlambda, cond)
-            items += [spectra.report_item(f"alignment_bound_{key}", value, proxy)
-                      for key, value in dataclasses.asdict(p3).items()]
-        except ConditionNotMet as exc:
-            items.append(spectra.report_item("alignment_bound", f"refused: {exc}", proxy))
-        # From the fit alone, so never proxy-labeled, and in estimate's text.
-        items += zip(("sigma_g2_hat", "sigma_eps2_hat", "h2_hat"), krr.estimate_fields(fit_res))
+    for kind, kernel, fit_res in harness.kernel_fits(cfg, genotypes, y):
+        if g is None and not np.linalg.norm(fit_res.g_hat) > 0.0:
+            raise DataError(f"{args.phenotypes}: the norm of the fitted signal is zero or underflows")
+        items = spectra.report_items(kind, kernel, y, fit_res, g)
         blocks.append("\n".join(f"{key}={value}" for key, value in items))
     return _write_lines(["\n\n".join(blocks)], args.out)
 

@@ -37,6 +37,7 @@ import numpy as np
 
 from .exceptions import ConditionNotMet
 from .kernels import KernelMatrix
+from .krr import KrrFit, estimate_fields
 
 # Multiplicative safety margin by which the chosen alpha keeps the
 # spectral-gap inequality strict.
@@ -86,7 +87,7 @@ class ConditionReport:
     """Alignment and spectral-gap constants for one (kernel, signal) pair.
 
     The fields are the report's keys, in print order. Whether the signal
-    is a fitted proxy is an argument of :func:`report_items`, not a field.
+    is a fitted proxy is decided by :func:`report_items`, not a field.
     """
 
     c_star: float
@@ -284,7 +285,7 @@ def prop3_check(k: KernelMatrix, g, nlambda: float, report: ConditionReport) -> 
     report.require(nlambda)
     lhs = abs(_smoothed_ones_projection(k, g, w))
     l2 = float(lam[1]) if k.n > 1 else 0.0
-    rhs = report.alpha * (l2 / (l2 + nlambda)) * math.sqrt(k.n) * float(np.linalg.norm(g))
+    rhs = report.alpha * (l2 / (l2 + float(nlambda))) * math.sqrt(k.n) * float(np.linalg.norm(g))
     return Prop3Result(lhs=lhs, rhs=rhs, holds=lhs >= rhs - _SLACK)
 
 
@@ -489,19 +490,20 @@ def bound_report(
     )
 
 
-# Report keys fixed by the kernel and nlambda alone. Every other key
-# derives from the signal and is labeled ``.proxy`` when that is fitted.
-KERNEL_ONLY_KEYS = frozenset({"gap_ratio", "nlambda", "tau1", "tau2", "esd_full", "esd_minus1"})
+# Report keys never tagged ``.proxy``: fixed by the kernel and nlambda, or not from the signal.
+UNTAGGED_KEYS = frozenset({
+    "kernel", "gap_ratio", "nlambda", "tau1", "tau2", "esd_full", "esd_minus1", "signal_source",
+    "sigma_g2_hat", "sigma_eps2_hat", "h2_hat"})
 
 
 def report_item(key: str, value, proxy: bool = False) -> tuple[str, str]:
     """One report entry as text: the report's one tagging rule and formatter.
 
     ``key`` gains ``.proxy`` when ``proxy`` is set, unless it is in
-    KERNEL_ONLY_KEYS. None reads ``unavailable``, a bool ``true``/``false``
+    UNTAGGED_KEYS. None reads ``unavailable``, a bool ``true``/``false``
     and a float its ``repr``.
     """
-    if proxy and key not in KERNEL_ONLY_KEYS:
+    if proxy and key not in UNTAGGED_KEYS:
         key += ".proxy"
     if value is None:
         return key, "unavailable"
@@ -520,15 +522,27 @@ def _scalars(report):
             yield f.name, value
 
 
-def report_items(
-    cond: ConditionReport, bound: BoundReport, proxy: bool = False
-) -> list[tuple[str, str]]:
-    """Flatten the two reports into ordered key/value pairs, by field.
+def report_items(kind: str, kernel: KernelMatrix, y, fit: KrrFit, g=None) -> list[tuple[str, str]]:
+    """The ``diagnose`` report block of one fit: ``kernel`` (``kind``), ``signal_source``, the
+    condition and bound reports by field, the alignment bound or its refusal, and the estimates.
 
-    ``proxy`` marks the signal as the fitted g_hat: ``signal_source`` then
-    reads ``proxy_g_hat`` and :func:`report_item` tags the keys.
+    A true signal ``g`` comes with the noise variance ||y - g||^2 / n. With ``g`` None,
+    ``fit.g_hat`` and ``fit.sigma_eps2_hat`` stand in and :func:`report_item` tags the keys.
     """
-    items = [("signal_source", "proxy_g_hat" if proxy else "true_g")]
-    for report in (cond, bound):
-        items += [report_item(key, value, proxy) for key, value in _scalars(report)]
-    return items
+    proxy = g is None
+    if proxy:
+        g, sigma_eps2 = fit.g_hat, fit.sigma_eps2_hat
+    else:
+        noise = _signal(kernel, y, "phenotypes") - _signal(kernel, g)
+        sigma_eps2 = float(noise @ noise) / kernel.n
+    cond = check_conditions(kernel, g)
+    bound = bound_report(kernel, y, g, fit.nlambda, sigma_eps2, cond)
+    try:
+        p3 = prop3_check(kernel, g, fit.nlambda, cond)
+        alignment = [(f"alignment_bound_{key}", value) for key, value in _scalars(p3)]
+    except ConditionNotMet as exc:
+        alignment = [("alignment_bound", f"refused: {exc}")]
+    pairs = [("kernel", kind), ("signal_source", "proxy_g_hat" if proxy else "true_g"),
+             *_scalars(cond), *_scalars(bound), *alignment,
+             *zip(("sigma_g2_hat", "sigma_eps2_hat", "h2_hat"), estimate_fields(fit))]
+    return [report_item(key, value, proxy) for key, value in pairs]

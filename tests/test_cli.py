@@ -11,8 +11,8 @@ from kernherit.cli import build_parser, main
 from kernherit.genotypes import read_genotype_csv, simulate_hwe, write_genotype_csv
 from kernherit.exceptions import DataError
 from kernherit.harness import build_mc_population, parse_config, preset_config
-from kernherit.kernels import KERNEL_KINDS, design_matrix, make_kernel
-from kernherit.krr import DEFAULT_NLAMBDA_GRID, fit
+from kernherit.kernels import KERNEL_KINDS
+from kernherit.krr import DEFAULT_NLAMBDA_GRID
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 FIXTURE_GENO = os.path.join(DATA, "fixture.genotypes.csv")
@@ -602,38 +602,13 @@ class TestDiagnose:
         assert "sigma_g2_lower=unavailable" in out
 
 
-    @pytest.mark.parametrize("kind", KERNEL_KINDS)
-    @pytest.mark.parametrize("true_g", [False, True])
-    def test_report_text_is_a_prefix_of_the_cli_report(self, capsys, kind, true_g):
-        nlam = 2.3
-        y = np.loadtxt(FIXTURE_PHENO)
-        design = design_matrix(read_genotype_csv(FIXTURE_GENO), True, None)
-        kernel = make_kernel(kind, design)
-        fit_res = fit(kernel, y, nlam)
-        if true_g:
-            g = np.loadtxt(FIXTURE_G)
-            sigma_eps2 = float((y - g) @ (y - g)) / y.shape[0]
-        else:
-            g, sigma_eps2 = fit_res.g_hat, fit_res.sigma_eps2_hat
-        cond = spectra.check_conditions(kernel, g)
-        bound = spectra.bound_report(kernel, y, g, nlam, sigma_eps2, cond)
-        items = spectra.report_items(cond, bound, proxy=not true_g)
-        lines = [f"{key}={value}" for key, value in items]
-
-        argv = ["--kernel", kind, "--nlambda", str(nlam)]
-        if true_g:
-            argv += ["--true-g", FIXTURE_G]
-        code = run("diagnose", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO, *argv)
-        assert code == 0
-        assert capsys.readouterr().out.splitlines()[: len(lines)] == lines
-
     def test_all_zero_true_signal_is_data_error(self, tmp_path, capsys):
         g = write_column(tmp_path / "g.csv", np.zeros(30))
         code = run("diagnose", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO,
                    "--true-g", g, "--kernel", "poly2", "--nlambda", "1.0")
         assert code == 2
         assert capsys.readouterr().err == (
-            f"data error: {g}: the signal to diagnose is all zero\n"
+            f"data error: {g}: the norm of the signal is zero or underflows\n"
         )
 
     def test_overflowing_true_signal_is_data_error(self, tmp_path, capsys):
@@ -648,7 +623,9 @@ class TestDiagnose:
             f"data error: {g}: the norm of the signal or of the noise overflows\n"
         )
 
-    @pytest.mark.parametrize("scale", [0.0, 1e160])
+    # At 1e-170 g is not zero but ||g|| underflows to 0, and spectra tests a
+    # signal by its norm: refused as a zero signal is.
+    @pytest.mark.parametrize("scale", [0.0, 1e160, 1e-170])
     def test_bad_true_signal_is_rejected_before_any_kernel(
         self, tmp_path, capsys, monkeypatch, scale
     ):
@@ -661,7 +638,8 @@ class TestDiagnose:
         code = run("diagnose", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO,
                    "--true-g", g, "--kernel", "poly2", "--nlambda", "1")
         assert code == 2
-        assert f"data error: {g}: " in capsys.readouterr().err
+        reason = "or of the noise overflows" if scale > 1.0 else "is zero or underflows"
+        assert capsys.readouterr().err == f"data error: {g}: the norm of the signal {reason}\n"
 
     def test_all_zero_phenotypes_without_true_signal_is_data_error(self, tmp_path, capsys):
         pheno = write_column(tmp_path / "y.csv", np.zeros(30))
@@ -669,7 +647,17 @@ class TestDiagnose:
                    "--kernel", "poly2", "--nlambda", "1.0")
         assert code == 2
         assert capsys.readouterr().err == (
-            f"data error: {pheno}: the signal to diagnose is all zero\n"
+            f"data error: {pheno}: the norm of the fitted signal is zero or underflows\n"
+        )
+
+    def test_underflowing_fitted_signal_is_data_error(self, capsys):
+        # At nlambda 1e300 the fitted signal is about 1e-300 * K y: not zero,
+        # but its norm underflows.
+        code = run("diagnose", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO,
+                   "--kernel", "poly2", "--nlambda", "1e300")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: {FIXTURE_PHENO}: the norm of the fitted signal is zero or underflows\n"
         )
 
     @pytest.fixture(scope="class")
@@ -707,10 +695,26 @@ class TestDiagnose:
             rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
             blocks = self._diagnose(capsys, inputs, true_g).split("\n\n")
             assert len(rows) == len(blocks) == len(KERNEL_KINDS) * len(DEFAULT_NLAMBDA_GRID)
-            for (_, nlambda, _, sigma_g2, sigma_eps2, h2), block in zip(rows, blocks):
+            for (kind, nlambda, _, sigma_g2, sigma_eps2, h2), block in zip(rows, blocks):
                 report = dict(line.split("=", 1) for line in block.splitlines())
-                assert (report["nlambda"], report["sigma_g2_hat"], report["sigma_eps2_hat"],
-                        report["h2_hat"]) == (nlambda, sigma_g2, sigma_eps2, h2)
+                assert (report["kernel"], report["nlambda"], report["sigma_g2_hat"],
+                        report["sigma_eps2_hat"], report["h2_hat"]) == (
+                            kind, nlambda, sigma_g2, sigma_eps2, h2)
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    @pytest.mark.parametrize("true_g", [False, True])
+    def test_cli_block_is_the_spectra_report(self, capsys, simulated, kind, true_g):
+        # diagnose adds nothing to spectra.report_items of estimate's fit.
+        for inputs in (FIXTURE, simulated):
+            geno, pheno, g_path = inputs
+            cfg = harness.McConfig(kernels=(kind,), lambda_grid=(2.3,))
+            y = np.loadtxt(pheno)
+            g = np.loadtxt(g_path) if true_g else None
+            [(_, kernel, fit_res)] = harness.kernel_fits(cfg, read_genotype_csv(geno), y)
+            lines = [f"{key}={value}"
+                     for key, value in spectra.report_items(kind, kernel, y, fit_res, g)]
+            out = self._diagnose(capsys, inputs, true_g, "--kernel", kind, "--nlambda", "2.3")
+            assert out.splitlines() == lines
 
     def test_grid_factors_each_kernel_once(self, capsys, monkeypatch):
         # One checked n x n eigendecomposition per kernel, shared by its grid.

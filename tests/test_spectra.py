@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +12,7 @@ from kernherit.krr import fit
 from kernherit.matrixcore import EigenDecomposition
 from kernherit.phenosim import FAMILIES, SimulationSpec, build_population
 from kernherit.spectra import (
-    KERNEL_ONLY_KEYS,
+    UNTAGGED_KEYS,
     bound_report,
     check_conditions,
     decompose_terms,
@@ -410,42 +412,38 @@ class TestBoundReport:
 class TestReportSerialization:
     def test_true_signal_keys(self):
         kernel, g, y = genotype_instance(34)
-        rep = check_conditions(kernel, g)
-        rpt = bound_report(kernel, y, g, 1.0, 0.25, rep)
-        items = dict(report_items(rep, rpt))
+        items = dict(report_items("poly2", kernel, y, fit(kernel, y, 1.0), g))
+        assert items["kernel"] == "poly2"
         assert items["signal_source"] == "true_g"
         assert "c_star" in items
         assert not [key for key in items if ".proxy" in key]
 
     def test_proxy_labeling(self):
         kernel, g, y = genotype_instance(35)
-        res = fit(kernel, y, 1.0)
-        rep = check_conditions(kernel, res.g_hat)
-        rpt = bound_report(kernel, y, res.g_hat, 1.0, res.sigma_eps2_hat, rep)
-        items = dict(report_items(rep, rpt, proxy=True))
+        items = dict(report_items("poly2", kernel, y, fit(kernel, y, 1.0)))
+        assert items["kernel"] == "poly2"
         assert items["signal_source"] == "proxy_g_hat"
         assert "c_star.proxy" in items
         assert "i1g.proxy" in items
-
 
     def test_values_print_as_python_scalars(self):
         # numpy 2 prints a numpy scalar as np.float64(...); a numpy nlambda
         # must still give plain floats and bools.
         kernel, g, y = genotype_instance(0)
-        rep = check_conditions(kernel, g)
-        rpt = bound_report(kernel, y, g, np.float64(1.01 * rep.lambda_threshold), 0.25, rep)
-        items = report_items(rep, rpt)
-        assert len(items) == 42
-        assert items[0] == ("signal_source", "true_g")
+        nlam = np.float64(1.01 * check_conditions(kernel, g).lambda_threshold)
+        res = dataclasses.replace(fit(kernel, y, nlam), nlambda=nlam)
+        items = report_items("poly2", kernel, y, res, g)
+        assert len(items) == 49
+        assert items[:2] == [("kernel", "poly2"), ("signal_source", "true_g")]
         assert dict(items)["lambda_admissible_1"] == "true"
-        for _, value in items[1:]:
+        for _, value in items[2:]:
             assert value in ("true", "false", "unavailable") or value == repr(float(value))
 
     def test_tags_every_key_that_depends_on_the_signal(self):
-        # Demo 02's instance at nlambda 29.3: the same kernel, phenotypes
-        # and nlambda reported once on the true signal and once on the
-        # fitted one. A key whose value moves with the signal must be
-        # labeled in the proxy report; a kernel-only key must not move.
+        # Demo 02's instance at nlambda 29.3: the same fit reported once on
+        # the true signal and once on the fitted one. A key whose value moves
+        # with the signal must be labeled in the proxy report; an untagged
+        # key after the signal's source must not move.
         n, p, nlam = 200, 40, 29.3
         spec = SimulationSpec(n_individuals=n, n_snps=p, sigma_g=0.08, family="linear", seed=21)
         genotypes = simulate_hwe(n, p, seed=20)
@@ -454,23 +452,20 @@ class TestReportSerialization:
         y, g = pop.phenotypes, pop.g_values
         res = fit(kernel, y, nlam)
 
-        def items(signal, sigma_eps2, proxy):
-            cond = check_conditions(kernel, signal)
-            bound = bound_report(kernel, y, signal, nlam, sigma_eps2, cond)
-            return report_items(cond, bound, proxy)
-
-        true_items = items(g, float(np.mean((y - g) ** 2)), False)
-        proxy_items = items(res.g_hat, res.sigma_eps2_hat, True)
-        assert len(true_items) == len(proxy_items)
+        true_items = report_items("poly2", kernel, y, res, g)
+        proxy_items = report_items("poly2", kernel, y, res)
+        true_report = dict(true_items)
+        assert [key for key, _ in proxy_items[:2]] == ["kernel", "signal_source"]
         differing = 0
-        for (key, value), (proxy_key, proxy_value) in zip(true_items[1:], proxy_items[1:]):
-            if key in KERNEL_ONLY_KEYS:
-                assert (proxy_key, proxy_value) == (key, value)
+        for proxy_key, proxy_value in proxy_items[2:]:
+            key = proxy_key.removesuffix(".proxy")
+            if key in UNTAGGED_KEYS:
+                assert (proxy_key, proxy_value) == (key, true_report[key])
             else:
                 assert proxy_key == key + ".proxy"
-                differing += value != proxy_value
+                differing += key in true_report and true_report[key] != proxy_value
         assert differing > 20
-        assert dict(true_items)["conditions_available"] == "false"
+        assert true_report["conditions_available"] == "false"
         assert dict(proxy_items)["conditions_available.proxy"] == "true"
 
 
@@ -500,13 +495,14 @@ def test_outputs_do_not_depend_on_eigenvector_signs(instance, seed, n, nlambda, 
     dec = kernel.eig
     flipped.__dict__["eig"] = EigenDecomposition(dec.eigenvalues, dec.eigenvectors * signs)
     outcomes = []
+    res = fit(kernel, y, nlambda)
     for k in (kernel, flipped):
         rep = check_conditions(k, g)
         outcomes.append([
             repr(rep),
             _outcome(decompose_terms, k, y, g, nlambda),
             _outcome(esd_integrals, k, nlambda),
-            _outcome(lambda: report_items(rep, bound_report(k, y, g, nlambda, 0.16, rep), proxy)),
+            _outcome(report_items, "kernel", k, y, res, None if proxy else g),
             _outcome(prop3_check, k, g, nlambda, rep),
             _outcome(prop4_check, k, g, nlambda, rep),
         ])
