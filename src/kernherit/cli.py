@@ -12,13 +12,12 @@ import dataclasses
 import math
 import os
 import sys
-import warnings
 
 import numpy as np
 
 from . import harness, krr
 from .exceptions import DataError, KernheritError, NumericalError
-from .genotypes import read_genotype_csv, write_genotype_csv
+from .genotypes import read_genotype_csv, scan_csv, write_genotype_csv
 from .phenosim import export_population
 
 
@@ -31,35 +30,38 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _number(field: str) -> float:
+    """A finite float from one field: an ASCII float literal without ``_``,
+    with any whitespace around it, read by ``float()``. These are the fields
+    numpy's text loader reads, to the same bits, less its ``#`` comments;
+    ``nan`` and ``inf`` parse, then fail."""
+    text = field.strip()
+    try:
+        if not text.isascii() or "_" in text:
+            raise ValueError
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"non-numeric value {field!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {value}")
+    return value
+
+
 def _read_numeric(path, column: bool, rows: tuple[str, int]) -> np.ndarray:
     """One numeric column as a vector, or a matrix, from a comma-separated file.
 
+    The file is read by :func:`scan_csv`, the line scanner of every input
+    file, which names the file line and column of a field that is not a
+    finite number.
     ``rows`` is the genotype file and its row count, which the data rows
-    must match. A file without data rows, with another row count, or
-    with a NaN or infinite value is a DataError naming the file and, for
-    the latter, its 1-based data row and, for a matrix, its column.
+    must match.
     """
-    shape = "column" if column else "matrix"
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"{path}: could not parse numeric {shape}: {exc}") from None
-    if data.shape[0] == 0:
-        raise DataError(f"{path}: no data rows")
-    if column and data.shape[1] != 1:
-        raise DataError(f"{path}: expected a single column, got shape {data.shape}")
+    data = scan_csv(path, _number, np.float64, width=1 if column else None)
     genotypes, n = rows
     if data.shape[0] != n:
         raise DataError(
             f"{path}: row count {data.shape[0]} does not match the {n} rows of {genotypes}"
         )
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        row, col = (int(i) for i in bad[0])
-        where = f"row {row + 1}" if column else f"row {row + 1}, column {col + 1}"
-        raise DataError(f"{path}: non-finite value {float(data[row, col])} at {where}")
     return data[:, 0] if column else data
 
 
@@ -228,8 +230,7 @@ def _write_lines(lines, out) -> int:
     """Write report lines to ``out``, or to stdout when no path is given."""
     text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        harness.write_atomic(out, [text])
         print(f"wrote {out}")
     else:
         sys.stdout.write(text)

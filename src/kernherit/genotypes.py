@@ -148,20 +148,19 @@ def subsample_indices(n_available: int, n_take: int, seed: int = 0) -> np.ndarra
 _GZIP_LEVEL = 6
 
 
-def _open(path, mode: str):
+def _open(path, mode: str, **text):
     path = str(path)
     if not path.endswith(".gz"):
-        return open(path, mode)
-    return gzip.open(path, mode, compresslevel=_GZIP_LEVEL)
+        return open(path, mode, **text)
+    return gzip.open(path, mode, compresslevel=_GZIP_LEVEL, **text)
 
 
 def read_genotype_csv(path) -> GenotypeMatrix:
     """Read a comma-separated genotype matrix of {0,1,2} entries.
 
-    Every non-blank line is a row of data; there is no header line.
-    Rejects ragged rows and out-of-domain values, naming the 1-based
-    (row, column) of the first offender. Accepts gzip files by the
-    ``.gz`` suffix. Blank lines are skipped.
+    The file follows the rules of :func:`scan_csv`, and each field must
+    be an integer (``int()``) in {0, 1, 2}; the first other field is
+    named by its file line and column.
 
     A file in the layout :func:`write_genotype_csv` produces (one digit
     per field, LF or CRLF line ends, spaces or tabs around fields) is
@@ -177,7 +176,7 @@ def read_genotype_csv(path) -> GenotypeMatrix:
             return GenotypeMatrix(data)
         except ValueError:
             pass
-    return GenotypeMatrix(_scan_genotype_csv(path))
+    return GenotypeMatrix(scan_csv(path, _allele_count, np.int8))
 
 
 def _parse_canonical(raw: bytes) -> np.ndarray | None:
@@ -208,41 +207,54 @@ def _parse_canonical(raw: bytes) -> np.ndarray | None:
     return pairs - (separators * 256 + ord("0"))
 
 
-def _scan_genotype_csv(path) -> np.ndarray:
-    """Field-by-field parse that raises at the first offending field."""
-    rows: list[list[int]] = []
-    width = None
-    with _open(path, "rt") as fh:
+def _allele_count(field: str) -> int:
+    try:
+        value = int(field)
+    except ValueError:
+        raise ValueError(f"non-integer genotype {field!r}") from None
+    if value not in (0, 1, 2):
+        raise ValueError(f"genotype value {value} outside {{0,1,2}}")
+    return value
+
+
+def scan_csv(path, field, dtype, width: int | None = None) -> np.ndarray:
+    """The line scanner of every input file: its rows as a ``dtype`` array.
+
+    Lines end in LF, CRLF or a lone CR and are numbered from 1, blank
+    ones included; a line of only whitespace is skipped. There is no
+    header line and no comment syntax. Every other line is split on
+    commas into ``width`` fields, or as many as the first such line has,
+    and each field is passed to ``field``, whose ValueError becomes a
+    DataError naming the file, the line and the column. A ``.gz`` name
+    is read through gzip. Bytes that are not UTF-8 are kept as lone
+    surrogates, which no field rule accepts, so they are named too.
+    """
+    rows = []
+    first = None  # the line that set the width, when none was given
+    with _open(path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             fields = line.split(",")
             if width is None:
-                width = len(fields)
-            elif len(fields) != width:
+                width, first = len(fields), lineno
+            if len(fields) != width:
+                origin = "" if first is None else f" as on line {first}"
                 raise DataError(
                     f"{path}: ragged row at line {lineno} "
-                    f"({len(fields)} fields, expected {width})"
+                    f"({len(fields)} fields, expected {width}{origin})"
                 )
-            parsed = []
-            for col, field in enumerate(fields, start=1):
+            row = []
+            for col, text in enumerate(fields, start=1):
                 try:
-                    value = int(field)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: non-integer genotype {field!r} at row {lineno}, column {col}"
-                    ) from None
-                if value not in (0, 1, 2):
-                    raise DataError(
-                        f"{path}: genotype value {value} outside {{0,1,2}} "
-                        f"at row {lineno}, column {col}"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
+                    row.append(field(text))
+                except ValueError as exc:
+                    raise DataError(f"{path}: {exc} at line {lineno}, column {col}") from None
+            rows.append(row)
     if not rows:
-        raise DataError(f"{path}: no genotype rows found")
-    return np.array(rows, dtype=np.int8)
+        raise DataError(f"{path}: no data rows")
+    return np.array(rows, dtype=dtype)
 
 
 def write_genotype_csv(g: GenotypeMatrix, path) -> None:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,15 +279,32 @@ def run_mc(
 TABLE_HEADER = "kernel,nlambda,n,mean,sd,reps,true_h2,excluded"
 
 
+def write_atomic(path, chunks) -> None:
+    """Write the strings of ``chunks`` to ``path``, whole or not at all.
+
+    They go to a temporary file beside ``path``, which ``os.replace``
+    then moves onto it, so a run killed mid-write leaves any earlier
+    ``path`` as it was. On an error the temporary file is removed.
+    """
+    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(temporary, "w")
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(temporary, path)
+    except BaseException:
+        os.remove(temporary)
+        raise
+
+
 def write_table_csv(table: McResultTable, path) -> None:
     """Write the result table with a stable column order."""
-    with open(path, "w") as fh:
-        fh.write(TABLE_HEADER + "\n")
-        for c in table.rows:
-            fh.write(
-                f"{c.kernel},{c.nlambda!r},{c.n},{c.mean!r},{c.sd!r},"
-                f"{table.reps},{table.true_h2!r},{c.excluded}\n"
-            )
+    rows = [
+        f"{c.kernel},{c.nlambda!r},{c.n},{c.mean!r},{c.sd!r},"
+        f"{table.reps},{table.true_h2!r},{c.excluded}\n"
+        for c in table.rows
+    ]
+    write_atomic(path, [TABLE_HEADER + "\n", *rows])
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +410,15 @@ def read_config(path) -> McConfig:
 
 def write_manifest(cfg: McConfig, path, workers: int = 1) -> None:
     """Config echo plus seeds and library versions, as key=value."""
-    with open(path, "w") as fh:
-        fh.write(f"kernherit_version={__version__}\n")
-        fh.write(f"numpy_version={np.__version__}\n")
-        fh.write(f"workers={workers}\n")
-        geno_seed, pheno_seed = derive_population_seeds(cfg.population_seed)
-        fh.write(f"derived_genotype_seed={geno_seed}\n")
-        fh.write(f"derived_phenotype_seed={pheno_seed}\n")
-        fh.write(serialize_config(cfg))
+    geno_seed, pheno_seed = derive_population_seeds(cfg.population_seed)
+    write_atomic(path, [
+        f"kernherit_version={__version__}\n",
+        f"numpy_version={np.__version__}\n",
+        f"workers={workers}\n",
+        f"derived_genotype_seed={geno_seed}\n",
+        f"derived_phenotype_seed={pheno_seed}\n",
+        serialize_config(cfg),
+    ])
 
 
 # ---------------------------------------------------------------------------

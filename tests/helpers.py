@@ -114,7 +114,7 @@ def naive_read_genotype_csv(path) -> np.ndarray:
     value outside {0,1,2}; skips blank lines.
     """
     rows: list[list[int]] = []
-    width = None
+    width = first = None
     opener = gzip.open(path, "rt") if str(path).endswith(".gz") else open(path)
     with opener as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -123,11 +123,11 @@ def naive_read_genotype_csv(path) -> np.ndarray:
                 continue
             fields = line.split(",")
             if width is None:
-                width = len(fields)
+                width, first = len(fields), lineno
             elif len(fields) != width:
                 raise DataError(
                     f"{path}: ragged row at line {lineno} "
-                    f"({len(fields)} fields, expected {width})"
+                    f"({len(fields)} fields, expected {width} as on line {first})"
                 )
             parsed = []
             for col, field in enumerate(fields, start=1):
@@ -135,17 +135,17 @@ def naive_read_genotype_csv(path) -> np.ndarray:
                     value = int(field)
                 except ValueError:
                     raise DataError(
-                        f"{path}: non-integer genotype {field!r} at row {lineno}, column {col}"
+                        f"{path}: non-integer genotype {field!r} at line {lineno}, column {col}"
                     ) from None
                 if value not in (0, 1, 2):
                     raise DataError(
                         f"{path}: genotype value {value} outside {{0,1,2}} "
-                        f"at row {lineno}, column {col}"
+                        f"at line {lineno}, column {col}"
                     )
                 parsed.append(value)
             rows.append(parsed)
     if not rows:
-        raise DataError(f"{path}: no genotype rows found")
+        raise DataError(f"{path}: no data rows")
     return np.array(rows, dtype=np.int8)
 
 

@@ -1,18 +1,28 @@
+import contextlib
 import dataclasses
+import gzip
+import io
 import math
 import os
+import re
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernherit import harness, spectra
-from kernherit.cli import build_parser, main
+from kernherit.cli import _read_numeric, build_parser, main
 from kernherit.genotypes import read_genotype_csv, simulate_hwe, write_genotype_csv
 from kernherit.exceptions import DataError
 from kernherit.harness import build_mc_population, parse_config, preset_config
 from kernherit.kernels import KERNEL_KINDS
 from kernherit.krr import DEFAULT_NLAMBDA_GRID
+
+from test_genotypes import _ODD_TOKENS
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 FIXTURE_GENO = os.path.join(DATA, "fixture.genotypes.csv")
@@ -298,7 +308,7 @@ class TestEstimate:
             "--kernel", "linear", "--nlambda", "1.0",
         )
         assert code == 2
-        assert "row 2, column 2" in capsys.readouterr().err
+        assert "line 2, column 2" in capsys.readouterr().err
 
     def test_numerical_failure_maps_to_exit_3(self, monkeypatch, capsys):
         from kernherit.exceptions import NumericalError
@@ -378,7 +388,8 @@ class TestNonFiniteInput:
         code = run("diagnose", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO,
                    "--true-g", g, "--kernel", "poly2", "--nlambda", "1.0")
         assert code == 2
-        assert f"data error: {g}: non-finite value nan at row 7\n" in capsys.readouterr().err
+        assert (f"data error: {g}: non-finite value nan at line 7, column 1\n"
+                in capsys.readouterr().err)
 
     def test_covariates(self, tmp_path, capsys):
         cov = tmp_path / "cov.csv"
@@ -388,7 +399,126 @@ class TestNonFiniteInput:
         code = run("estimate", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO,
                    "--covariates", str(cov), "--kernel", "linear", "--nlambda", "1.0")
         assert code == 2
-        assert f"{cov}: non-finite value nan at row 7, column 2" in capsys.readouterr().err
+        assert f"{cov}: non-finite value nan at line 7, column 2" in capsys.readouterr().err
+
+
+def _loadtxt(path) -> np.ndarray:
+    """The numeric reader this package used before its own line scanner."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+
+
+class TestNumberSyntax:
+    """A numeric field is read as numpy's text loader read it: the same fields
+    are accepted, to the same float64 bits, and NaN and infinities are then refused."""
+
+    TOKENS = [*_ODD_TOKENS, "Infinity", "+nan", "1e999", ".5", "5.", "-0", "1_000", "\uff11",
+              "\ufeff1", "nan(1)", "0x1p3", '"1"']
+
+    @staticmethod
+    def same_bits(path, column, rows):
+        ours = _read_numeric(path, column=column, rows=("g.csv", rows))
+        theirs = _loadtxt(path)
+        assert ours.tobytes() == (theirs[:, 0] if column else theirs).tobytes()
+        return ours
+
+    @pytest.mark.parametrize("token", TOKENS)
+    def test_single_field_lines(self, tmp_path, token):
+        path = tmp_path / "y.csv"
+        path.write_text(f"{token}\n")
+        try:
+            theirs = _loadtxt(path)
+        except ValueError:
+            theirs = np.empty((0, 1))
+        if theirs.size and np.isfinite(theirs).all():
+            assert _read_numeric(path, column=True, rows=("g.csv", 1)).tobytes() == theirs.tobytes()
+        else:
+            with pytest.raises(DataError, match="non-finite" if theirs.size else None):
+                _read_numeric(path, column=True, rows=("g.csv", 1))
+
+    @pytest.mark.parametrize("fmt", [repr, "{:.25e}".format])
+    def test_random_doubles(self, tmp_path, fmt):
+        rng = np.random.default_rng(5)
+        values = rng.integers(0, 2**64, size=3000, dtype=np.uint64).view(np.float64)
+        subnormal = rng.integers(1, 2**52, size=500, dtype=np.uint64).view(np.float64)
+        big = np.finfo(np.float64).max
+        values = np.concatenate([values[np.isfinite(values)], subnormal, -subnormal,
+                                 [0.0, -0.0, big, -big, 5e-324, -5e-324]])
+        path = tmp_path / "y.csv"
+        path.write_text("".join(fmt(float(v)) + "\n" for v in values))
+        ours = self.same_bits(path, True, values.size)
+        assert ours.tobytes() == values.tobytes()
+
+    def test_fixture_files_and_covariates(self, tmp_path):
+        for path in (FIXTURE_PHENO, FIXTURE_G):
+            self.same_bits(path, True, 30)
+        x = np.random.default_rng(6).normal(size=(30, 3)) * [1.0, 1e-200, 1e200]
+        cov = tmp_path / "cov.csv"
+        cov.write_text("".join(f"{a!r}, {b:.17g},{c!r} \n" for a, b, c in x.tolist()))
+        assert self.same_bits(cov, False, 30).tobytes() == x.tobytes()
+
+
+def _corrupt(flag, kind, line, col):
+    """Bytes of a valid fixture-shaped file for ``flag`` with one bad cell, and
+    the file line and column the error must name (column None: only the line)."""
+    if flag == "--covariates":
+        rows = [[f"{i % 5}.5", "1.0" if i < 15 else "2.0"] for i in range(30)]
+    else:
+        source = {"--genotypes": FIXTURE_GENO, "--phenotypes": FIXTURE_PHENO, "--true-g": FIXTURE_G}
+        rows = [text.split(",") for text in Path(source[flag]).read_text().splitlines()]
+    line = (line - 1) % len(rows) + 1
+    cells = rows[line - 1]
+    col = (col - 1) % len(cells) + 1
+    if kind == "missing field" and len(cells) > 1:
+        del cells[col - 1]
+        col = None
+    elif kind in ("extra field", "missing field"):  # one field less would be a blank line
+        cells.append("0")
+        col = None
+    elif kind == "comment line":
+        rows.insert(line - 1, ["# note"])
+        col = 1 if len(cells) == 1 else None  # else a field count differs
+    elif kind == "byte order mark":
+        line, col = 1, 1
+        rows[0][0] = "\ufeff" + rows[0][0]
+    elif kind == "comment":
+        cells[col - 1] += " # x"
+    elif kind == "undecodable byte":
+        cells[col - 1] = "\udcff"  # encoded as the lone byte 0xFF
+    else:
+        cells[col - 1] = kind
+    text = "".join(",".join(r) + "\n" for r in rows)
+    return text.encode("utf-8", "surrogateescape"), line, col
+
+
+@pytest.mark.parametrize("kind", ["text", "extra field", "missing field", "nan", "inf", "1e999",
+                                  "byte order mark", "comment", "comment line", "undecodable byte"])
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(line=st.integers(1, 30), col=st.integers(1, 8), gz=st.booleans())
+def test_bad_input_is_named_by_file_line_and_column(kind, line, col, gz):
+    """One bad cell in any input file is a data error (exit 2) naming the file,
+    its line and, for a bad field, its column. A lone CR is left out: it is a
+    valid line end."""
+    for flag in ("--genotypes", "--phenotypes", "--covariates", "--true-g"):
+        text, at_line, at_col = _corrupt(flag, kind, line, col)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "bad.csv.gz" if gz else "bad.csv")
+            with (gzip.open if gz else open)(path, "wb") as fh:
+                fh.write(text)
+            files = {"--genotypes": FIXTURE_GENO, "--phenotypes": FIXTURE_PHENO, flag: path}
+            argv = ["diagnose", "--kernel", "poly2"] if flag == "--true-g" else ["estimate"]
+            for name, value in files.items():
+                argv += [name, value]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([*argv, "--nlambda", "1"])
+        err = err.getvalue()
+        assert code == 2, err
+        assert err.startswith(f"data error: {path}: "), err
+        assert re.search(rf"\bline {at_line}\b", err), err
+        if at_col is not None:
+            assert f"line {at_line}, column {at_col}\n" in err, err
 
 
 def write_column(path, values) -> str:
@@ -496,9 +626,10 @@ class TestConstantPhenotypes:
 
 
 class TestEmptyInput:
-    """An input file with no data rows is a data error naming the file, without a numpy warning."""
+    """An input file with no data rows is a data error naming the file, without
+    a numpy warning. There is no comment syntax: a ``#`` line is refused at its line."""
 
-    @pytest.mark.parametrize("content", ["", "# header comment only\n"])
+    @pytest.mark.parametrize("content", ["", " \n\t\n\n", "# header comment only\n"])
     @pytest.mark.parametrize("flag", ["--phenotypes", "--true-g", "--covariates"])
     def test_no_data_rows(self, tmp_path, capsys, recwarn, flag, content):
         empty = tmp_path / "empty.csv"
@@ -509,7 +640,9 @@ class TestEmptyInput:
         for name, path in files.items():
             argv += [name, path]
         assert run(*argv) == 2
-        assert f"data error: {empty}: no data rows\n" in capsys.readouterr().err
+        text = content.strip()
+        reason = f"non-numeric value {text!r} at line 1, column 1" if text else "no data rows"
+        assert f"data error: {empty}: {reason}\n" in capsys.readouterr().err
         assert not [w for w in recwarn if "loadtxt" in str(w.message)]
 
 

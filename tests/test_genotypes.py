@@ -134,13 +134,13 @@ class TestCsvRoundTrip:
     def test_bad_value_names_cell(self, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text("0,1\n0,3\n")
-        with pytest.raises(DataError, match=r"row 2, column 2"):
+        with pytest.raises(DataError, match=r"line 2, column 2"):
             read_genotype_csv(path)
 
     def test_non_integer_names_cell(self, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text("0,x\n")
-        with pytest.raises(DataError, match=r"row 1, column 2"):
+        with pytest.raises(DataError, match=r"line 1, column 2"):
             read_genotype_csv(path)
 
     def test_ragged_rejected(self, tmp_path):
@@ -186,17 +186,17 @@ def _read_bytes(path):
 def _counted_scans():
     """Record the path of each call of the field scan inside the block."""
     calls = []
-    scan = genotypes._scan_genotype_csv
+    scan = genotypes.scan_csv
 
-    def counted(path):
+    def counted(path, *args, **kwargs):
         calls.append(path)
-        return scan(path)
+        return scan(path, *args, **kwargs)
 
-    genotypes._scan_genotype_csv = counted
+    genotypes.scan_csv = counted
     try:
         yield calls
     finally:
-        genotypes._scan_genotype_csv = scan
+        genotypes.scan_csv = scan
 
 
 class TestCsvWriter:
@@ -278,7 +278,7 @@ def test_bad_cell_is_named_by_file_line_and_column(counts, data, token):
         with pytest.raises(DataError) as err:
             read_genotype_csv(path)
     assert scans == [path]
-    assert f"at row {row + 1}, column {col + 1}" in str(err.value)
+    assert f"at line {row + 1}, column {col + 1}" in str(err.value)
 
 
 # Fields that int() and a vectorised parser may treat differently.

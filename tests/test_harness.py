@@ -392,6 +392,47 @@ class TestTableCsv:
         )
 
 
+class TestWriteAtomic:
+    """Every output file is replaced whole or not at all: a failure while it is
+    written leaves the earlier file as it was, and no temporary file behind."""
+
+    def test_error_mid_write_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("earlier\n")
+
+        def chunks():
+            yield "the first half of a new file"
+            raise KeyboardInterrupt  # as a kill would, mid-write
+
+        with pytest.raises(KeyboardInterrupt):
+            harness.write_atomic(path, chunks())
+        assert path.read_text() == "earlier\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.parametrize("writer", ["table", "manifest", "estimate --out"])
+    def test_every_writer_goes_through_it(self, tmp_path, monkeypatch, writer):
+        from kernherit.cli import main
+
+        def fail(*args):
+            raise OSError("no space left on device")
+
+        path = tmp_path / "out.txt"
+        path.write_text("earlier\n")
+        monkeypatch.setattr(os, "replace", fail)
+        if writer == "table":
+            with pytest.raises(OSError, match="no space"):
+                write_table_csv(McResultTable(rows=(), reps=3, true_h2=0.5), path)
+        elif writer == "manifest":
+            with pytest.raises(OSError, match="no space"):
+                write_manifest(tiny_config(), path)
+        else:
+            data = os.path.join(os.path.dirname(__file__), "data", "fixture.")
+            assert main(["estimate", "--genotypes", data + "genotypes.csv", "--phenotypes",
+                         data + "phenotypes.csv", "--nlambda", "1", "--out", str(path)]) == 2
+        assert path.read_text() == "earlier\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+
 class TestConfigFile:
     def test_serialize_parse_idempotent(self):
         cfg = tiny_config()
