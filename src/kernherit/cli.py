@@ -31,10 +31,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _number(field: str) -> float:
-    """A finite float from one field: an ASCII float literal without ``_``,
-    with any whitespace around it, read by ``float()``. These are the fields
-    numpy's text loader reads, to the same bits, less its ``#`` comments;
-    ``nan`` and ``inf`` parse, then fail."""
+    """A finite float: an ASCII float literal without ``_``, as numpy's text
+    loader reads it less its ``#`` comments; ``nan`` and ``inf`` parse, then fail."""
     text = field.strip()
     try:
         if not text.isascii() or "_" in text:
@@ -48,14 +46,9 @@ def _number(field: str) -> float:
 
 
 def _read_numeric(path, column: bool, rows: tuple[str, int]) -> np.ndarray:
-    """One numeric column as a vector, or a matrix, from a comma-separated file.
-
-    The file is read by :func:`scan_csv`, the line scanner of every input
-    file, which names the file line and column of a field that is not a
-    finite number.
-    ``rows`` is the genotype file and its row count, which the data rows
-    must match.
-    """
+    """One numeric column as a vector, or a matrix, from a file read by
+    :func:`scan_csv`. ``rows`` is the genotype file and its row count,
+    which the data rows must match."""
     data = scan_csv(path, _number, np.float64, width=1 if column else None)
     genotypes, n = rows
     if data.shape[0] != n:

@@ -218,32 +218,25 @@ def _allele_count(field: str) -> int:
 
 
 def scan_csv(path, field, dtype, width: int | None = None) -> np.ndarray:
-    """The line scanner of every input file: its rows as a ``dtype`` array.
-
-    Lines end in LF, CRLF or a lone CR and are numbered from 1, blank
-    ones included; a line of only whitespace is skipped. There is no
-    header line and no comment syntax. Every other line is split on
-    commas into ``width`` fields, or as many as the first such line has,
-    and each field is passed to ``field``, whose ValueError becomes a
-    DataError naming the file, the line and the column. A ``.gz`` name
-    is read through gzip. Bytes that are not UTF-8 are kept as lone
-    surrogates, which no field rule accepts, so they are named too.
-    """
+    """The line scanner of every input file (``.gz`` read through gzip): its
+    rows as a ``dtype`` array. Lines end in LF, CRLF or a lone CR and count
+    from 1, blank ones included; whitespace-only lines are skipped; there is
+    no header or comment syntax. Other lines split on commas into ``width``
+    fields (default: the first such line's count), each passed to ``field``,
+    whose ValueError becomes a DataError naming file, line and column. Bytes
+    not UTF-8 stay lone surrogates, which no field rule accepts."""
     rows = []
-    first = None  # the line that set the width, when none was given
     with _open(path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             fields = line.split(",")
-            if width is None:
-                width, first = len(fields), lineno
+            width = width or len(fields)
             if len(fields) != width:
-                origin = "" if first is None else f" as on line {first}"
                 raise DataError(
                     f"{path}: ragged row at line {lineno} "
-                    f"({len(fields)} fields, expected {width}{origin})"
+                    f"({len(fields)} fields, expected {width})"
                 )
             row = []
             for col, text in enumerate(fields, start=1):

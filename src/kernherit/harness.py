@@ -34,6 +34,7 @@ import concurrent.futures
 import functools
 import math
 import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,16 +283,30 @@ TABLE_HEADER = "kernel,nlambda,n,mean,sd,reps,true_h2,excluded"
 def write_atomic(path, chunks) -> None:
     """Write the strings of ``chunks`` to ``path``, whole or not at all.
 
-    They go to a temporary file beside ``path``, which ``os.replace``
-    then moves onto it, so a run killed mid-write leaves any earlier
-    ``path`` as it was. On an error the temporary file is removed.
+    A new or regular file, through any symlink, is written to a temporary
+    file beside it, which ``os.replace`` then moves onto it, so a run killed
+    mid-write leaves any earlier file as it was; on an error the temporary
+    file is removed. Anything else (``os.devnull``, a FIFO, ``/dev/stdout``),
+    and a file whose directory cannot be written, is written in place.
     """
-    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    fh = open(temporary, "w")
+    try:
+        renamable = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        renamable = True
+    target = os.path.realpath(path)
+    temporary = f"{target}.{os.getpid()}.tmp"
+    try:
+        fh = open(temporary, "w") if renamable else None
+    except PermissionError:
+        fh = None
+    if fh is None:
+        with open(path, "w") as out:
+            out.writelines(chunks)
+        return
     try:
         with fh:
             fh.writelines(chunks)
-        os.replace(temporary, path)
+        os.replace(temporary, target)
     except BaseException:
         os.remove(temporary)
         raise

@@ -107,6 +107,11 @@ def rel_err(a: float, b: float) -> float:
     return abs(a - b) / denom
 
 
+# Fields that int() and a vectorised parser may treat differently.
+ODD_TOKENS = ["x", "", " ", "\t", "3", "-1", "255", "257", "1.0", "1e0", "+1", "-0", "01",
+              " 2", "2 ", "1_0", "0x1", "\x0b1", "1 1", "nan"]
+
+
 def naive_read_genotype_csv(path) -> np.ndarray:
     """Genotype CSV parsed one field at a time with int(), as int8.
 
@@ -114,7 +119,7 @@ def naive_read_genotype_csv(path) -> np.ndarray:
     value outside {0,1,2}; skips blank lines.
     """
     rows: list[list[int]] = []
-    width = first = None
+    width = None
     opener = gzip.open(path, "rt") if str(path).endswith(".gz") else open(path)
     with opener as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -123,11 +128,11 @@ def naive_read_genotype_csv(path) -> np.ndarray:
                 continue
             fields = line.split(",")
             if width is None:
-                width, first = len(fields), lineno
+                width = len(fields)
             elif len(fields) != width:
                 raise DataError(
                     f"{path}: ragged row at line {lineno} "
-                    f"({len(fields)} fields, expected {width} as on line {first})"
+                    f"({len(fields)} fields, expected {width})"
                 )
             parsed = []
             for col, field in enumerate(fields, start=1):

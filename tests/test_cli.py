@@ -22,7 +22,7 @@ from kernherit.harness import build_mc_population, parse_config, preset_config
 from kernherit.kernels import KERNEL_KINDS
 from kernherit.krr import DEFAULT_NLAMBDA_GRID
 
-from test_genotypes import _ODD_TOKENS
+from helpers import ODD_TOKENS
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 FIXTURE_GENO = os.path.join(DATA, "fixture.genotypes.csv")
@@ -413,7 +413,7 @@ class TestNumberSyntax:
     """A numeric field is read as numpy's text loader read it: the same fields
     are accepted, to the same float64 bits, and NaN and infinities are then refused."""
 
-    TOKENS = [*_ODD_TOKENS, "Infinity", "+nan", "1e999", ".5", "5.", "-0", "1_000", "\uff11",
+    TOKENS = [*ODD_TOKENS, "Infinity", "+nan", "1e999", ".5", "5.", "-0", "1_000", "\uff11",
               "\ufeff1", "nan(1)", "0x1p3", '"1"']
 
     @staticmethod
@@ -461,7 +461,8 @@ class TestNumberSyntax:
 
 def _corrupt(flag, kind, line, col):
     """Bytes of a valid fixture-shaped file for ``flag`` with one bad cell, and
-    the file line and column the error must name (column None: only the line)."""
+    the file line and column the error must name (column None: only the line,
+    the first whose field count differs from the first data line's)."""
     if flag == "--covariates":
         rows = [[f"{i % 5}.5", "1.0" if i < 15 else "2.0"] for i in range(30)]
     else:
@@ -478,7 +479,9 @@ def _corrupt(flag, kind, line, col):
         col = None
     elif kind == "comment line":
         rows.insert(line - 1, ["# note"])
-        col = 1 if len(cells) == 1 else None  # else a field count differs
+        # A first line sets the field count and fails its field; a later one
+        # has one field too few, unless its file has one field a line.
+        col = 1 if len(cells) == 1 or line == 1 else None
     elif kind == "byte order mark":
         line, col = 1, 1
         rows[0][0] = "\ufeff" + rows[0][0]
@@ -488,6 +491,8 @@ def _corrupt(flag, kind, line, col):
         cells[col - 1] = "\udcff"  # encoded as the lone byte 0xFF
     else:
         cells[col - 1] = kind
+    if col is None and line == 1 and flag in ("--genotypes", "--covariates"):
+        line = 2  # the first data line sets their field count
     text = "".join(",".join(r) + "\n" for r in rows)
     return text.encode("utf-8", "surrogateescape"), line, col
 

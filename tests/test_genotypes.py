@@ -22,7 +22,7 @@ from kernherit.genotypes import (
     write_genotype_csv,
 )
 
-from helpers import naive_read_genotype_csv, rowwise_write_genotype_csv
+from helpers import ODD_TOKENS, naive_read_genotype_csv, rowwise_write_genotype_csv
 
 
 class TestHweProbabilities:
@@ -281,11 +281,6 @@ def test_bad_cell_is_named_by_file_line_and_column(counts, data, token):
     assert f"at line {row + 1}, column {col + 1}" in str(err.value)
 
 
-# Fields that int() and a vectorised parser may treat differently.
-_ODD_TOKENS = ["x", "", " ", "\t", "3", "-1", "255", "257", "1.0", "1e0", "+1", "-0", "01",
-               " 2", "2 ", "1_0", "0x1", "\x0b1", "1 1", "nan"]
-
-
 @st.composite
 def genotype_files(draw):
     """(text, gzip flag) of a small genotype CSV, maybe corrupted."""
@@ -295,7 +290,7 @@ def genotype_files(draw):
         kind = draw(st.sampled_from(["token", "ragged", "blank", "empty"]))
         i = draw(st.integers(0, len(rows) - 1))
         if kind == "token":
-            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(_ODD_TOKENS))
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(ODD_TOKENS))
         elif kind == "ragged":
             if len(rows[i]) > 1 and draw(st.booleans()):
                 rows[i].pop()

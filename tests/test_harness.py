@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -430,6 +431,40 @@ class TestWriteAtomic:
             assert main(["estimate", "--genotypes", data + "genotypes.csv", "--phenotypes",
                          data + "phenotypes.csv", "--nlambda", "1", "--out", str(path)]) == 2
         assert path.read_text() == "earlier\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_devnull_is_written_in_place(self):
+        from kernherit.cli import main
+
+        data = os.path.join(os.path.dirname(__file__), "data", "fixture.")
+        assert main(["estimate", "--genotypes", data + "genotypes.csv", "--phenotypes",
+                     data + "phenotypes.csv", "--nlambda", "1", "--out", os.devnull]) == 0
+        harness.write_atomic(os.devnull, ["discarded\n"])
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert not [name for name in os.listdir(os.path.dirname(os.devnull))
+                    if name.startswith("null.")]
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        (tmp_path / "target.csv").write_text("earlier\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to("target.csv")
+        harness.write_atomic(link, ["new\n"])
+        assert link.is_symlink()
+        assert (tmp_path / "target.csv").read_text() == "new\n"
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
+
+    def test_a_read_only_directory_falls_back_to_writing_in_place(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        path.write_text("earlier\n")
+
+        def no_temporary_file(name, *args, **kwargs):
+            if str(name).endswith(".tmp"):
+                raise PermissionError(13, "Permission denied", name)
+            return open(name, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "open", no_temporary_file, raising=False)
+        harness.write_atomic(path, ["new\n"])
+        assert path.read_text() == "new\n"
         assert os.listdir(tmp_path) == ["out.txt"]
 
 
