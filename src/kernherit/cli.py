@@ -17,7 +17,7 @@ import numpy as np
 
 from . import harness, krr
 from .exceptions import DataError, KernheritError, NumericalError
-from .genotypes import read_genotype_csv, scan_csv, write_genotype_csv
+from .genotypes import read_genotype_csv, scan_csv, write_atomic, write_genotype_csv
 from .phenosim import export_population
 
 
@@ -223,7 +223,7 @@ def _write_lines(lines, out) -> int:
     """Write report lines to ``out``, or to stdout when no path is given."""
     text = "\n".join(lines) + "\n"
     if out:
-        harness.write_atomic(out, [text])
+        write_atomic(out, [text])
         print(f"wrote {out}")
     else:
         sys.stdout.write(text)

@@ -33,15 +33,15 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 import math
-import os
-import stat
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .exceptions import DataError
-from .genotypes import GenotypeMatrix, MafLaw, simulate_hwe, subsample, subsample_indices
+from .genotypes import (
+    GenotypeMatrix, MafLaw, simulate_hwe, subsample, subsample_indices, write_atomic,
+)
 from .kernels import KERNEL_KINDS, _Scratch, design_matrix, make_kernel
 from .krr import DEFAULT_NLAMBDA_GRID, lambda_grid_fit
 from .phenosim import FAMILIES, Population, SimulationSpec, build_population, check_scales
@@ -280,38 +280,6 @@ def run_mc(
 TABLE_HEADER = "kernel,nlambda,n,mean,sd,reps,true_h2,excluded"
 
 
-def write_atomic(path, chunks) -> None:
-    """Write the strings of ``chunks`` to ``path``, whole or not at all.
-
-    A new or regular file, through any symlink, is written to a temporary
-    file beside it, which ``os.replace`` then moves onto it, so a run killed
-    mid-write leaves any earlier file as it was; on an error the temporary
-    file is removed. Anything else (``os.devnull``, a FIFO, ``/dev/stdout``),
-    and a file whose directory cannot be written, is written in place.
-    """
-    try:
-        renamable = stat.S_ISREG(os.stat(path).st_mode)
-    except FileNotFoundError:
-        renamable = True
-    target = os.path.realpath(path)
-    temporary = f"{target}.{os.getpid()}.tmp"
-    try:
-        fh = open(temporary, "w") if renamable else None
-    except PermissionError:
-        fh = None
-    if fh is None:
-        with open(path, "w") as out:
-            out.writelines(chunks)
-        return
-    try:
-        with fh:
-            fh.writelines(chunks)
-        os.replace(temporary, target)
-    except BaseException:
-        os.remove(temporary)
-        raise
-
-
 def write_table_csv(table: McResultTable, path) -> None:
     """Write the result table with a stable column order."""
     rows = [
@@ -401,17 +369,17 @@ def parse_config(text: str, source: str = "<config>") -> McConfig:
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise DataError(f"{source}:{lineno}: expected key=value, got {stripped!r}")
+            raise DataError(f"{source}: expected key=value, got {stripped!r} at line {lineno}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
         if key not in FIELD_CODECS:
-            raise DataError(f"{source}:{lineno}: unknown configuration key {key!r}")
+            raise DataError(f"{source}: unknown configuration key {key!r} at line {lineno}")
         if key in values:
-            raise DataError(f"{source}:{lineno}: duplicate key {key!r}")
+            raise DataError(f"{source}: duplicate key {key!r} at line {lineno}")
         try:
             values[key] = parse_value(key, raw)
         except ValueError as exc:
-            raise DataError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from None
+            raise DataError(f"{source}: bad value for {key!r}: {exc} at line {lineno}") from None
     try:
         return McConfig(**values)
     except ValueError as exc:

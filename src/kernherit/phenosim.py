@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .genotypes import GenotypeMatrix
+from .genotypes import GenotypeMatrix, write_atomic
 
 FAMILIES = ("linear", "quadratic", "trigonometric")
 
@@ -129,7 +129,7 @@ def build_population(spec: SimulationSpec, genotypes: GenotypeMatrix) -> Populat
 
 
 def export_population(pop: Population, spec: SimulationSpec, prefix) -> dict[str, str]:
-    """Write phenotypes, effects, signal values and a metadata sidecar.
+    """Write phenotypes, effects, signal values and a metadata sidecar, by write_atomic.
 
     Returns the mapping from logical name to the file written. The
     metadata file is flat key=value text echoing the spec plus the
@@ -142,9 +142,9 @@ def export_population(pop: Population, spec: SimulationSpec, prefix) -> dict[str
         "gvalues": prefix + ".gvalues.csv",
         "metadata": prefix + ".meta.txt",
     }
-    np.savetxt(paths["phenotypes"], pop.phenotypes, fmt="%.17g")
-    np.savetxt(paths["beta"], pop.beta, fmt="%.17g")
-    np.savetxt(paths["gvalues"], pop.g_values, fmt="%.17g")
+    columns = {"phenotypes": pop.phenotypes, "beta": pop.beta, "gvalues": pop.g_values}
+    for name, values in columns.items():
+        write_atomic(paths[name], ["".join(f"{v:.17g}\n" for v in values.tolist())])
     meta = {
         "n_individuals": spec.n_individuals,
         "n_snps": spec.n_snps,
@@ -155,7 +155,5 @@ def export_population(pop: Population, spec: SimulationSpec, prefix) -> dict[str
         "true_h2": repr(pop.true_h2),
         "bound_m": repr(pop.bound_m),
     }
-    with open(paths["metadata"], "w") as fh:
-        for key, value in meta.items():
-            fh.write(f"{key}={value}\n")
+    write_atomic(paths["metadata"], [f"{key}={value}\n" for key, value in meta.items()])
     return paths
