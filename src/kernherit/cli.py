@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -291,6 +292,7 @@ def cmd_mc(args) -> int:
     return 0
 
 
+@functools.cache  # once per process: parsing leaves the parser as it was
 def build_parser() -> _Parser:
     parser = _Parser(prog="kernherit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -159,6 +159,16 @@ def _open(path, mode: str, **text):
         raise DataError(f"{path}: {exc}") from None
 
 
+@contextlib.contextmanager
+def read_lines(path):
+    """The line rule of every input file: (number, line) of each line, counted
+    from 1, blank ones included; lines end in LF, CRLF or a lone CR (not NEL,
+    U+2028 or a form feed). Text is UTF-8, a byte that is not a lone surrogate
+    for the reader to refuse; a ``.gz`` name is read through gzip."""
+    with _open(path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
+        yield enumerate(fh, start=1)
+
+
 # gzip's own default level: level 9 takes over 20 times as long on
 # genotype text, for a file 11% smaller.
 _GZIP_LEVEL = 6
@@ -172,7 +182,8 @@ def write_atomic(path, chunks) -> None:
     file beside it, which ``os.replace`` then moves onto it, so a run killed
     mid-write leaves any earlier file as it was; on an error the temporary
     file is removed. Anything else (``os.devnull``, a FIFO, ``/dev/stdout``),
-    and a file whose directory cannot be written, is written in place.
+    and a file whose temporary file cannot be made (its directory cannot be
+    written, or is missing), is written in place, so an error names ``path``.
     """
     name = str(path)
     try:
@@ -183,7 +194,7 @@ def write_atomic(path, chunks) -> None:
     temporary = f"{target}.{os.getpid()}.tmp"
     try:
         fh = open(temporary, "wb") if renamable else None
-    except PermissionError:
+    except OSError:
         fh = None
     if fh is None:
         fh, temporary = open(path, "wb"), None
@@ -263,16 +274,15 @@ def _allele_count(field: str) -> int:
 
 
 def scan_csv(path, field, dtype, width: int | None = None) -> np.ndarray:
-    """The line scanner of every input file (``.gz`` read through gzip): its
-    rows as a ``dtype`` array. Lines end in LF, CRLF or a lone CR and count
-    from 1, blank ones included; whitespace-only lines are skipped; there is
-    no header or comment syntax. Other lines split on commas into ``width``
-    fields (default: the first such line's count), each passed to ``field``,
-    whose ValueError becomes a DataError naming file, line and column. Bytes
-    not UTF-8 stay lone surrogates, which no field rule accepts."""
+    """The scanner of every comma-separated input file: its rows, read by
+    :func:`read_lines`, as a ``dtype`` array. Whitespace-only lines are
+    skipped; there is no header or comment syntax. Other lines split on
+    commas into ``width`` fields (default: the first such line's count),
+    each passed to ``field``, whose ValueError becomes a DataError naming
+    file, line and column; no field rule accepts a byte that is not UTF-8."""
     rows = []
-    with _open(path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with read_lines(path) as lines:
+        for lineno, line in lines:
             line = line.strip()
             if not line:
                 continue

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
+import io
 import math
 from dataclasses import dataclass
 
@@ -40,7 +41,7 @@ import numpy as np
 from . import __version__
 from .exceptions import DataError
 from .genotypes import (
-    GenotypeMatrix, MafLaw, simulate_hwe, subsample, subsample_indices, write_atomic,
+    GenotypeMatrix, MafLaw, read_lines, simulate_hwe, subsample, subsample_indices, write_atomic,
 )
 from .kernels import KERNEL_KINDS, _Scratch, design_matrix, make_kernel
 from .krr import DEFAULT_NLAMBDA_GRID, lambda_grid_fit
@@ -50,6 +51,11 @@ LOW_DIM_SAMPLE_SIZES = (600, 700, 800, 900, 1000)
 HIGH_DIM_SAMPLE_SIZES = (100, 200, 300, 400, 500)
 
 SCENARIOS = ("hwe", "external")
+
+
+def _is_utf8(text: str) -> bool:
+    """No lone surrogate, the stand-in for a byte that is not UTF-8, in ``text``."""
+    return text.encode(errors="replace").decode() == text
 
 
 @dataclass(frozen=True)
@@ -107,9 +113,11 @@ class McConfig:
         if bandwidth is not None and not 0 < bandwidth < math.inf:
             raise ValueError(f"gaussian_bandwidth must be positive and finite, got {bandwidth}")
         path = self.output_path
-        if path is not None and (path != path.strip() or len(path.splitlines()) != 1):
+        if path is not None and (
+            path != path.strip() or len(path.splitlines()) != 1 or not _is_utf8(path)
+        ):
             raise ValueError(
-                f"output_path {path!r} must be one non-empty line "
+                f"output_path {path!r} must be one non-empty line of UTF-8 text "
                 "without leading or trailing whitespace"
             )
 
@@ -360,11 +368,26 @@ def serialize_config(cfg: McConfig) -> str:
 def parse_config(text: str, source: str = "<config>") -> McConfig:
     """Parse a flat key=value run configuration.
 
-    Blank lines and '#' comments are allowed; unknown keys and malformed
-    values are rejected with their line number.
+    Blank lines and '#' comments are allowed. Lines end in LF, CRLF or a
+    lone CR, as in every input file, and count from 1. Unknown keys,
+    malformed values, a value that fails a rule of its own field and text
+    that is not UTF-8 are rejected with their line number.
     """
+    return _parse_lines(enumerate(io.StringIO(text, newline=None), start=1), source)
+
+
+def read_config(path) -> McConfig:
+    """The run configuration in a file, read by :func:`genotypes.read_lines`."""
+    with read_lines(path) as lines:
+        return _parse_lines(lines, str(path))
+
+
+def _parse_lines(lines, source: str) -> McConfig:
     values: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    linenos: dict = {}
+    for lineno, line in lines:
+        if not _is_utf8(line):
+            raise DataError(f"{source}: bytes that are not UTF-8 at line {lineno}")
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -380,15 +403,19 @@ def parse_config(text: str, source: str = "<config>") -> McConfig:
             values[key] = parse_value(key, raw)
         except ValueError as exc:
             raise DataError(f"{source}: bad value for {key!r}: {exc} at line {lineno}") from None
+        linenos[key] = lineno
     try:
         return McConfig(**values)
     except ValueError as exc:
-        raise DataError(f"{source}: {exc}") from None
-
-
-def read_config(path) -> McConfig:
-    with open(path) as fh:
-        return parse_config(fh.read(), source=str(path))
+        error = str(exc)
+    # A rule of one field, which the field alone fails the same way, names its line.
+    for key, lineno in linenos.items():
+        try:
+            McConfig(**{key: values[key]})
+        except ValueError as exc:
+            if str(exc) == error:
+                raise DataError(f"{source}: {error} at line {lineno}") from None
+    raise DataError(f"{source}: {error}")
 
 
 def write_manifest(cfg: McConfig, path, workers: int = 1) -> None:

@@ -9,6 +9,7 @@ import tempfile
 import warnings
 import zlib
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -387,16 +388,34 @@ class TestUnreadableFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {path}: ") and "Traceback" not in err
 
+    @staticmethod
+    def assert_unwritable(code, capsys, path):
+        """Exit 2, naming ``path`` itself and not a temporary file beside it."""
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.endswith(f": {str(path)!r}\n"), err
+        assert ".tmp" not in err
+
     def test_unwritable_output(self, tmp_path, capsys):
         out = tmp_path / "nonexistent" / "dir" / "x.csv"
         code = run(
             "estimate", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO,
             "--kernel", "linear", "--nlambda", "1.0", "--out", str(out),
         )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("data error:") and str(out) in err
+        self.assert_unwritable(code, capsys, out)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["diagnose", "simulate"])
+    def test_unwritable_output_is_named(self, tmp_path, capsys, command):
+        out = tmp_path / "nonexistent" / "dir" / "x"
+        if command == "simulate":
+            code = run("simulate", "--preset", "desk", "--seed", "1", "--out", str(out))
+            out = f"{out}.genotypes.csv"  # its first file
+        else:
+            code = run("diagnose", "--genotypes", FIXTURE_GENO, "--phenotypes", FIXTURE_PHENO,
+                       "--kernel", "linear", "--nlambda", "1.0", "--out", str(out))
+        self.assert_unwritable(code, capsys, out)
+        assert not (tmp_path / "nonexistent").exists()
 
 
 class TestNonFiniteInput:
@@ -558,6 +577,71 @@ def test_bad_input_is_named_by_file_line_and_column(kind, line, col, gz):
         assert re.search(rf"\bline {at_line}\b", err), err
         if at_col is not None:
             assert f"line {at_line}, column {at_col}\n" in err, err
+
+
+class _Ran(Exception):
+    """Raised in place of a Monte Carlo run; its argument is the run's config."""
+
+
+def _run_config(path, scenario="hwe"):
+    """(exit code, stderr, config) of ``mc --config path``, whose run is
+    replaced by raising :class:`_Ran`; config is None unless it ran."""
+    argv = ["mc", "--config", str(path)]
+    if scenario == "external":
+        argv += ["--genotypes", FIXTURE_GENO]
+    err = io.StringIO()
+
+    def ran(cfg, **kwargs):
+        raise _Ran(cfg)
+
+    with mock.patch.object(harness, "run_mc", ran), contextlib.redirect_stderr(err):
+        try:
+            return main(argv), err.getvalue(), None
+        except _Ran as exc:
+            return 0, err.getvalue(), exc.args[0]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(preset=st.sampled_from(sorted(harness.PRESETS)), change=st.sampled_from(
+           ["none", "byte", "\x85", "\u2028", "\x0c"]),
+       line_end=st.sampled_from(["\n", "\r\n", "\r"]), gz=st.booleans(), data=st.data())
+def test_config_file_follows_the_line_rule_of_every_input(preset, change, line_end, gz, data):
+    """A preset's config file, with comments and blank lines, read by the rules
+    of every input file: any line end, and gzip for a ``.gz`` name. Changed by
+    a byte that is not UTF-8 in one line, it is a data error (exit 2) naming
+    the file and that line; by a NEL, U+2028 or form feed in a comment or a
+    value, it runs the same config or is a data error naming that line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = dataclasses.replace(harness.PRESETS[preset], output_path=os.path.join(tmp, "out"))
+        lines = harness.serialize_config(clean).splitlines()
+        for _ in range(data.draw(st.integers(0, 3))):
+            lines.insert(data.draw(st.integers(0, len(lines))),
+                         data.draw(st.sampled_from(["", " ", "# a note", "#", " # k=v"])))
+        if change == "byte":
+            index = data.draw(st.integers(0, len(lines) - 1))
+            insert = bytes([data.draw(st.integers(0x80, 0xFF))])
+            start = 0
+        elif change != "none":
+            index = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line.strip()]))
+            insert = change.encode()
+            start = lines[index].index("#" if lines[index].lstrip().startswith("#") else "=") + 1
+        raw = [line.encode() for line in lines]
+        if change != "none":
+            at = data.draw(st.integers(start, len(raw[index])))
+            raw[index] = raw[index][:at] + insert + raw[index][at:]
+        text = b"".join(line + line_end.encode() for line in raw)
+        path = os.path.join(tmp, "run.cfg.gz" if gz else "run.cfg")
+        with open(path, "wb") as fh:
+            fh.write(gzip.compress(text) if gz else text)
+        code, err, cfg = _run_config(path, clean.scenario)
+    if change == "none" or (change != "byte" and code == 0):
+        assert (code, cfg) == (0, clean), err
+    else:
+        assert code == 2 and cfg is None
+        assert err.startswith(f"data error: {path}: "), err
+        assert err.endswith(f" at line {index + 1}\n"), err
+        if change == "byte":
+            assert "not UTF-8" in err, err
 
 
 def write_column(path, values) -> str:
@@ -1118,6 +1202,30 @@ class TestMc:
         assert "kernels=linear,poly2,gaussian\n" in harness.serialize_config(
             parse_config("kernels=all\n")
         )
+
+    def test_config_file_is_read_like_every_input_file(self, tmp_path):
+        """A NEL in a comment is part of it; a byte that is not UTF-8 is named
+        by its file line; a ``.gz`` config is read through gzip."""
+        text = f"{self.CFG}output_path={tmp_path / 'out'}\n".encode()
+        clean = harness.parse_config(text.decode())
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"# note\xc2\x85more words\n" + text)
+        assert _run_config(path)[2] == clean
+        path.write_bytes(b"# note \xff\n" + text)
+        code, err, _ = _run_config(path)
+        assert (code, err) == (2, f"data error: {path}: bytes that are not UTF-8 at line 1\n")
+        gz = tmp_path / "run.cfg.gz"
+        gz.write_bytes(gzip.compress(text))
+        assert _run_config(gz)[2] == clean
+
+    def test_out_that_is_not_utf8_is_refused_before_the_run(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_mc", lambda *args, **kwargs: calls.append(args))
+        out = os.fsdecode(os.fsencode(tmp_path) + b"/x\xff")
+        code = run("mc", "--preset", "desk", "--reps", "1", "--sizes", "100", "--out", out)
+        assert code == 1
+        assert "usage error: output_path " in capsys.readouterr().err
+        assert calls == [] and not list(tmp_path.iterdir())
 
     def test_config_parse_error_reports_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -13,6 +13,7 @@ run time, and without ``spectra``, which only ``diagnose`` uses.
 Every walkthrough in ``demos/`` must still run against the package, and
 every name the package exports must resolve. The README's table of
 settings flags must list exactly the flags the CLI parses as config keys.
+No module but ``genotypes`` opens, reads or writes a file.
 """
 
 import argparse
@@ -217,6 +218,21 @@ def test_readme_flag_table_is_the_cli_flag_tables():
         for flag in action.option_strings
     }
     assert parsed == declared
+
+
+def test_only_genotypes_touches_files():
+    """Every file kernherit reads or writes goes through ``genotypes``, whose
+    reader and writer hold the rules of every input and output file."""
+    # "open(" also finds os.open, io.open and gzip.open.
+    calls = ("open(", "gzip.", "np.loadtxt", "np.savetxt", ".read_text(", ".write_text(")
+    found = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in sorted((REPO / "src" / "kernherit").glob("*.py"))
+        if path.name != "genotypes.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if any(call in line for call in calls)
+    ]
+    assert found == []
 
 
 def test_cli_import_does_not_load_scipy():

@@ -551,10 +551,17 @@ class TestConfigFile:
         with pytest.raises(DataError, match=f"^run.cfg: {field} must be"):
             parse_config(f"{line}\n", source="run.cfg")
 
-    @pytest.mark.parametrize("path", ["", " x", "x ", "a\nb", "x\n", "a\x1cb"])
+    @pytest.mark.parametrize("path", ["", " x", "x ", "a\nb", "x\n", "a\x1cb", "x\udcff"])
     def test_output_path_must_survive_the_line_format(self, path):
         with pytest.raises(ValueError, match="output_path"):
             McConfig(output_path=path)
+
+    def test_rule_of_one_field_names_its_line(self):
+        with pytest.raises(DataError, match=r"^run.cfg: unknown family 'bogus' at line 2$"):
+            parse_config("repetitions=2\nfamily=bogus\n", source="run.cfg")
+        # A rule of two fields names no line.
+        with pytest.raises(DataError, match=r"^run.cfg: sample size 20 outside .*\]$"):
+            parse_config("population_size=10\nsample_sizes=20\n", source="run.cfg")
 
     def test_read_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
